@@ -504,8 +504,7 @@ scenario::DevicePower Cell::estimate_station_power(const Station& st) const {
   return pw;
 }
 
-void Cell::collect(std::vector<scenario::DeviceStats>& devices,
-                   std::vector<scenario::CellStats>& cells) const {
+void Cell::collect(scenario::FleetStats& fleet, bool fold) const {
   for (const auto& st : stations_) {
     scenario::DeviceStats ds;
     ds.station_id = st->station_id;
@@ -567,7 +566,7 @@ void Cell::collect(std::vector<scenario::DeviceStats>& devices,
       ds.handoff_latency = st->link->handoff_latency_total();
     }
     ds.power = estimate_station_power(*st);
-    devices.push_back(std::move(ds));
+    fleet.add_station(cell_index_, std::move(ds), fold);
   }
 
   if (!shared()) return;
@@ -590,66 +589,7 @@ void Cell::collect(std::vector<scenario::DeviceStats>& devices,
       cs.ap_ctss += ap_[m]->ctss_sent();
     }
   }
-  cells.push_back(cs);
-}
-
-void Cell::export_metrics(obs::MetricsRegistry& fleet, bool per_station) const {
-  obs::MetricsRegistry cell_reg;
-  for (const auto& st : stations_) {
-    obs::MetricsRegistry dev;
-    dev.add("mac/defers", st->device->backoff_rfu().defers());
-    dev.add("mac/nav_defers", st->device->backoff_rfu().nav_defers());
-    dev.add("mac/eifs_waits", st->device->backoff_rfu().eifs_waits());
-    u64 arms = 0, resets = 0, expired = 0, collisions = 0;
-    for (std::size_t m = 0; m < kNumModes; ++m) {
-      if (!st->device->config().modes[m].enabled) continue;
-      const Mode mode = mode_from_index(m);
-      arms += st->device->nav(mode).arms();
-      resets += st->device->nav(mode).resets();
-      if (const phy::PhyTx* ptx = st->device->phy_tx(mode)) {
-        expired += ptx->frames_expired();
-      }
-      if (shared() && media_[m]) {
-        const auto* cm = static_cast<const ContendedMedium*>(media_[m].get());
-        collisions += cm->source(st->station_id).collisions;
-      }
-    }
-    dev.add("mac/nav_arms", arms);
-    dev.add("mac/nav_resets", resets);
-    dev.add("phy/frames_expired", expired);
-    if (shared()) dev.add("medium/collisions", collisions);
-    if (st->link) {
-      dev.add("mac/reassociations", st->link->reassociations());
-      dev.add("mac/handoffs", st->link->handoffs());
-      dev.add("mac/rate_shifts", st->link->rate_shifts());
-      dev.add("mac/link_loss_drops", st->link->link_loss_drops());
-    }
-    // Twice on purpose: namespaced for the breakdown, unprefixed so the
-    // fleet registry accumulates totals under the same names.
-    if (per_station) {
-      cell_reg.merge_from(dev, "station" + std::to_string(st->station_id) + "/");
-    }
-    fleet.merge_from(dev);
-  }
-  if (shared()) {
-    for (std::size_t m = 0; m < kNumModes; ++m) {
-      if (!media_[m]) continue;
-      const auto* cm = static_cast<const ContendedMedium*>(media_[m].get());
-      const std::string band = std::string(to_string(mode_from_index(m)));
-      obs::MetricsRegistry med;
-      med.add("medium." + band + "/collided_frames", cm->collided_frames());
-      med.add("medium." + band + "/dropped_frames", cm->dropped_frames());
-      med.add("medium." + band + "/capture_wins", cm->capture_wins());
-      med.add("medium." + band + "/busy_cycles", cm->busy_cycles());
-      med.add("medium." + band + "/collided_airtime", cm->collided_airtime());
-      if (driver_) {
-        med.add("medium." + band + "/topology_epochs", cm->topology_epoch());
-      }
-      cell_reg.merge_from(med);
-      fleet.merge_from(med);
-    }
-  }
-  fleet.merge_from(cell_reg, "cell" + std::to_string(cell_index_) + "/");
+  fleet.add_cell(std::move(cs));
 }
 
 }  // namespace drmp::net

@@ -35,7 +35,6 @@
 #include "net/contended_medium.hpp"
 #include "net/topology_driver.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
 #include "obs/sched_recorder.hpp"
 #include "phy/channel.hpp"
 #include "scenario/fleet_stats.hpp"
@@ -80,17 +79,11 @@ class Cell {
   /// MultiScheduler early-exit predicate for this lane.
   bool drained() const;
 
-  /// Appends one DeviceStats per station (activity-weighted power estimates
-  /// folded in) and, for shared-medium cells, one CellStats.
-  void collect(std::vector<scenario::DeviceStats>& devices,
-               std::vector<scenario::CellStats>& cells) const;
-
-  /// Folds this cell's counters into `fleet`, twice: namespaced under
-  /// `cell<n>/station<id>/` for the per-device breakdown, and unprefixed so
-  /// the same names aggregate into fleet-wide totals. `per_station = false`
-  /// (the fold_device_stats accounting) keeps the fleet and per-cell totals
-  /// but drops the per-station namespace — O(cells) registry entries.
-  void export_metrics(obs::MetricsRegistry& fleet, bool per_station = true) const;
+  /// Reads every station's counters (activity-weighted power estimates
+  /// included) and, for shared-medium cells, the channel counters into
+  /// `fleet` — the only read of the component sources. `fold` is
+  /// ScenarioSpec::fold_device_stats (see FleetStats::add_station).
+  void collect(scenario::FleetStats& fleet, bool fold) const;
 
   /// The cell's flight recorder; null unless constructed with tracing on.
   const obs::FlightRecorder* recorder() const noexcept { return recorder_.get(); }

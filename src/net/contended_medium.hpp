@@ -191,8 +191,6 @@ class ContendedMedium final : public phy::Medium {
   Cycle cca_latency_cycles() const noexcept { return cca_latency_; }
   /// Foreign-carrier images injected via begin_remote_tx.
   u64 remote_txs() const noexcept { return remote_txs_; }
-
-  const std::map<int, SourceStats>& per_source() const noexcept { return sources_; }
   /// Stats for one source id (zeroes when it never transmitted).
   SourceStats source(int id) const;
 

@@ -20,38 +20,34 @@ void Histogram::merge(const Histogram& o) noexcept {
   max = std::max(max, o.max);
 }
 
-void MetricsRegistry::add(const std::string& name, u64 delta) {
-  counters_[name] += delta;
+void MetricsRegistry::add(std::string_view name, u64 delta) {
+  auto it = counters_.lower_bound(name);
+  if (it == counters_.end() || it->first != name) {
+    it = counters_.emplace_hint(it, name, 0);
+  }
+  it->second += delta;
 }
 
-void MetricsRegistry::set_gauge(const std::string& name, i64 v) {
-  gauges_[name] = v;
-}
-
-void MetricsRegistry::max_gauge(const std::string& name, i64 v) {
-  const auto [it, fresh] = gauges_.try_emplace(name, v);
-  if (!fresh) it->second = std::max(it->second, v);
+void MetricsRegistry::max_gauge(std::string_view name, i64 v) {
+  auto it = gauges_.lower_bound(name);
+  if (it == gauges_.end() || it->first != name) it = gauges_.emplace_hint(it, name, v);
+  it->second = std::max(it->second, v);
 }
 
 void MetricsRegistry::observe(const std::string& name, u64 v) {
   hists_[name].observe(v);
 }
 
-std::optional<u64> MetricsRegistry::counter(const std::string& name) const {
+std::optional<u64> MetricsRegistry::counter(std::string_view name) const {
   const auto it = counters_.find(name);
   if (it == counters_.end()) return std::nullopt;
   return it->second;
 }
 
-std::optional<i64> MetricsRegistry::gauge(const std::string& name) const {
+std::optional<i64> MetricsRegistry::gauge(std::string_view name) const {
   const auto it = gauges_.find(name);
   if (it == gauges_.end()) return std::nullopt;
   return it->second;
-}
-
-const Histogram* MetricsRegistry::histogram(const std::string& name) const {
-  const auto it = hists_.find(name);
-  return it == hists_.end() ? nullptr : &it->second;
 }
 
 void MetricsRegistry::merge_from(const MetricsRegistry& other,

@@ -1,16 +1,13 @@
 // Unified metrics registry — named counter/gauge/histogram aggregates with
 // hierarchical merge (device -> cell -> fleet).
 //
-// The fleet reports grew by hand-threading every new counter through
-// DeviceStats/CellStats and a bespoke total_*() accessor. The registry
-// replaces that pattern with named handles: a component (or its assembler)
-// registers `mac/defers`, `medium.A/collided_frames`, ... once, and
-// aggregation is a generic merge instead of a new struct field per counter.
-// Merging with a prefix builds the hierarchy: a cell merges its devices
-// under `station<id>/`, the fleet merges its cells under `cell<n>/` while
-// also folding the unprefixed names together into fleet-wide totals — the
-// shape the planned sharded fleet needs, where shards ship registries
-// instead of keeping every DeviceStats alive.
+// Named handles instead of a bespoke accessor per counter: the fleet
+// registers every row of the counter table (scenario/fleet_stats.hpp) as
+// `mac/defers`, `medium.A/collided_frames`, ..., unprefixed for fleet-wide
+// totals and under `cell<n>/station<id>/` for the breakdown. Merging with a
+// prefix builds the same hierarchy from separate registries — the shape the
+// planned sharded fleet needs, where shards ship registries instead of
+// keeping every DeviceStats alive.
 //
 // Everything is integral and stored in ordered maps, so to_text()/to_json()
 // are deterministic and digest-safe to compare across runs. The registry is
@@ -21,6 +18,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/types.hpp"
 
@@ -42,17 +40,14 @@ struct Histogram {
 class MetricsRegistry {
  public:
   /// Accumulates `delta` into the named counter (creating it at zero).
-  void add(const std::string& name, u64 delta);
-  /// Overwrites the named gauge.
-  void set_gauge(const std::string& name, i64 v);
+  void add(std::string_view name, u64 delta);
   /// Raises the named gauge to at least `v` (merge-friendly high-watermark).
-  void max_gauge(const std::string& name, i64 v);
+  void max_gauge(std::string_view name, i64 v);
   /// Folds one sample into the named histogram.
   void observe(const std::string& name, u64 v);
 
-  std::optional<u64> counter(const std::string& name) const;
-  std::optional<i64> gauge(const std::string& name) const;
-  const Histogram* histogram(const std::string& name) const;
+  std::optional<u64> counter(std::string_view name) const;
+  std::optional<i64> gauge(std::string_view name) const;
 
   /// Merges `other` into this registry: counters and histogram buckets add,
   /// gauges take the maximum (the only order-independent choice). A
@@ -62,9 +57,6 @@ class MetricsRegistry {
   bool empty() const noexcept {
     return counters_.empty() && gauges_.empty() && hists_.empty();
   }
-  std::size_t size() const noexcept {
-    return counters_.size() + gauges_.size() + hists_.size();
-  }
 
   /// Deterministic line-per-metric dump (sorted by name, integers only).
   std::string to_text() const;
@@ -72,8 +64,9 @@ class MetricsRegistry {
   std::string to_json() const;
 
  private:
-  std::map<std::string, u64> counters_;
-  std::map<std::string, i64> gauges_;
+  // Transparent comparators: lookups by string_view allocate nothing.
+  std::map<std::string, u64, std::less<>> counters_;
+  std::map<std::string, i64, std::less<>> gauges_;
   std::map<std::string, Histogram> hists_;
 };
 

@@ -4,173 +4,122 @@
 
 namespace drmp::scenario {
 
-void DeviceStats::mix_completion(sim::Digest& d) const {
+namespace {
+
+/// Mixes every row of class `upto` or earlier in the frozen v1 order: class
+/// by class, per-mode rows band by band, then scalar rows.
+template <class Stats, std::size_t N>
+void mix_rows(const Stats& s, const CounterRow<Stats> (&rows)[N], sim::Digest& d,
+              DigestClass upto) {
+  for (std::size_t c = 0; c <= static_cast<std::size_t>(upto); ++c) {
+    const auto cls = static_cast<DigestClass>(c);
+    for (std::size_t m = 0; m < kNumModes; ++m) {
+      for (const CounterRow<Stats>& row : rows) {
+        if (row.digest == cls && row.per_mode()) d.mix(row.at(s, m));
+      }
+    }
+    for (const CounterRow<Stats>& row : rows) {
+      if (row.digest == cls && !row.per_mode()) d.mix(row.at(s, 0));
+    }
+  }
+}
+
+void put(obs::MetricsRegistry& reg, FoldRule fold, std::string_view key, u64 v) {
+  if (fold == FoldRule::kSum) {
+    reg.add(key, v);
+  } else {
+    reg.max_gauge(key, static_cast<i64>(v));
+  }
+}
+
+u64 get(const obs::MetricsRegistry& reg, FoldRule fold, std::string_view key) {
+  if (fold == FoldRule::kSum) return reg.counter(key).value_or(0);
+  return static_cast<u64>(reg.gauge(key).value_or(0));
+}
+
+/// Registry name of a cell row in band `m`.
+std::string cell_key(const CounterRow<CellStats>& row, std::size_t m) {
+  if (!row.per_mode()) return std::string("medium/") + row.name;
+  return std::string("medium.") + to_string(mode_from_index(m)) + "/" + row.name;
+}
+
+}  // namespace
+
+void DeviceStats::mix(sim::Digest& d, DigestClass upto) const {
   d.mix(static_cast<u64>(station_id));
-  for (std::size_t i = 0; i < kNumModes; ++i) {
-    d.mix(offered[i]).mix(offered_bytes[i]).mix(completed[i]).mix(tx_ok[i]).mix(
-        retries[i]);
-  }
+  mix_rows(*this, kDeviceRows, d, upto);
 }
 
-void DeviceStats::mix_full(sim::Digest& d) const {
-  mix_completion(d);
-  for (std::size_t i = 0; i < kNumModes; ++i) {
-    d.mix(peer_rx[i]).mix(peer_acks[i]).mix(tampered[i]);
-    d.mix(collisions[i]).mix(airtime[i]);
-  }
-  d.mix(defers).mix(rts_sent).mix(cts_received);
-  d.mix(cycles_run);
-}
-
-void CellStats::mix_full(sim::Digest& d) const {
+void CellStats::mix(sim::Digest& d, DigestClass upto) const {
   d.mix(cell_index).mix(stations);
-  for (std::size_t i = 0; i < kNumModes; ++i) {
-    d.mix(collided_frames[i]).mix(dropped_frames[i]).mix(capture_wins[i]);
-    d.mix(tampered[i]).mix(busy_cycles[i]).mix(ap_rx[i]).mix(ap_acks[i]);
-  }
-  d.mix(ap_ctss);
+  mix_rows(*this, kCellRows, d, upto);
 }
 
-void FleetStats::fold_retired(const DeviceStats& ds) {
-  sim::Digest c = folded_devices ? sim::Digest(folded_completion) : sim::Digest();
-  ds.mix_completion(c);
-  folded_completion = c.value();
-  sim::Digest f = folded_devices ? sim::Digest(folded_full) : sim::Digest();
-  ds.mix_full(f);
-  folded_full = f.value();
+void FleetStats::add_station(std::size_t cell_index, DeviceStats ds, bool fold) {
+  // One key buffer per station: the per-station names cost one registry
+  // node each and no temporaries.
+  std::string key = "cell" + std::to_string(cell_index) + "/station" +
+                    std::to_string(ds.station_id) + "/";
+  const std::size_t prefix = key.size();
+  for (const CounterRow<DeviceStats>& row : kDeviceRows) {
+    const u64 v = row.value(ds);
+    put(metrics, row.fold, row.name, v);
+    if (fold) continue;
+    key.resize(prefix);
+    put(metrics, row.fold, key.append(row.name), v);
+  }
+  power_sum.raw_mw += ds.power.raw_mw;
+  power_sum.gated_mw += ds.power.gated_mw;
+  power_sum.dvfs_mw += ds.power.dvfs_mw;
+  if (!fold) {
+    devices.push_back(std::move(ds));
+    return;
+  }
+  for (std::size_t c = 0; c < folded_digests.size(); ++c) {
+    sim::Digest d = folded_devices ? sim::Digest(folded_digests[c]) : sim::Digest();
+    ds.mix(d, static_cast<DigestClass>(c));
+    folded_digests[c] = d.value();
+  }
   ++folded_devices;
-  folded_cycles += ds.cycles_run;
-  folded_raw_mw += ds.power.raw_mw;
-  folded_gated_mw += ds.power.gated_mw;
-  folded_dvfs_mw += ds.power.dvfs_mw;
 }
 
-u64 FleetStats::device_cycles_total() const {
-  u64 total = folded_cycles;
-  for (const DeviceStats& ds : devices) total += ds.cycles_run;
-  return total;
-}
-
-double FleetStats::device_cycles_per_sec() const {
-  if (wall_seconds <= 0.0) return 0.0;
-  return static_cast<double>(device_cycles_total()) / wall_seconds;
-}
-
-double FleetStats::fleet_raw_mw() const {
-  double mw = folded_raw_mw;
-  for (const DeviceStats& ds : devices) mw += ds.power.raw_mw;
-  return mw;
-}
-
-double FleetStats::fleet_gated_mw() const {
-  double mw = folded_gated_mw;
-  for (const DeviceStats& ds : devices) mw += ds.power.gated_mw;
-  return mw;
-}
-
-double FleetStats::fleet_dvfs_mw() const {
-  double mw = folded_dvfs_mw;
-  for (const DeviceStats& ds : devices) mw += ds.power.dvfs_mw;
-  return mw;
-}
-
-// The total_*() accessors are views over the metrics registry when the
-// engine populated it; the DeviceStats fallback keeps hand-assembled
-// FleetStats values (tests, tools) working without a registry.
-u64 FleetStats::total_collisions() const {
-  if (const auto v = metrics.counter("medium/collisions")) return *v;
-  u64 n = 0;
-  for (const DeviceStats& ds : devices) {
-    for (std::size_t i = 0; i < kNumModes; ++i) n += ds.collisions[i];
+void FleetStats::add_cell(CellStats cs) {
+  const std::string prefix = "cell" + std::to_string(cs.cell_index) + "/";
+  for (const CounterRow<CellStats>& row : kCellRows) {
+    for (std::size_t m = 0; m < (row.per_mode() ? kNumModes : 1); ++m) {
+      const std::string key = cell_key(row, m);
+      put(metrics, row.fold, key, row.at(cs, m));
+      put(metrics, row.fold, prefix + key, row.at(cs, m));
+    }
   }
-  return n;
+  cells.push_back(std::move(cs));
 }
 
-u64 FleetStats::total_defers() const {
-  if (const auto v = metrics.counter("mac/defers")) return *v;
-  u64 n = 0;
-  for (const DeviceStats& ds : devices) n += ds.defers;
-  return n;
+u64 FleetStats::total(const CounterRow<DeviceStats>& row) const {
+  return get(metrics, row.fold, row.name);
 }
 
-u64 FleetStats::total_nav_defers() const {
-  if (const auto v = metrics.counter("mac/nav_defers")) return *v;
-  u64 n = 0;
-  for (const DeviceStats& ds : devices) n += ds.nav_defers;
-  return n;
-}
-
-u64 FleetStats::total_eifs_waits() const {
-  if (const auto v = metrics.counter("mac/eifs_waits")) return *v;
-  u64 n = 0;
-  for (const DeviceStats& ds : devices) n += ds.eifs_waits;
-  return n;
-}
-
-u64 FleetStats::total_frames_expired() const {
-  if (const auto v = metrics.counter("phy/frames_expired")) return *v;
-  u64 n = 0;
-  for (const DeviceStats& ds : devices) n += ds.frames_expired;
-  return n;
-}
-
-u64 FleetStats::total_reassociations() const {
-  if (const auto v = metrics.counter("mac/reassociations")) return *v;
-  u64 n = 0;
-  for (const DeviceStats& ds : devices) n += ds.reassociations;
-  return n;
-}
-
-u64 FleetStats::total_handoffs() const {
-  if (const auto v = metrics.counter("mac/handoffs")) return *v;
-  u64 n = 0;
-  for (const DeviceStats& ds : devices) n += ds.handoffs;
-  return n;
-}
-
-u64 FleetStats::total_rate_shifts() const {
-  if (const auto v = metrics.counter("mac/rate_shifts")) return *v;
-  u64 n = 0;
-  for (const DeviceStats& ds : devices) n += ds.rate_shifts;
-  return n;
-}
-
-u64 FleetStats::total_link_loss_drops() const {
-  if (const auto v = metrics.counter("mac/link_loss_drops")) return *v;
-  u64 n = 0;
-  for (const DeviceStats& ds : devices) n += ds.link_loss_drops;
-  return n;
-}
-
-u64 FleetStats::total_topology_epochs() const {
-  u64 n = 0;
-  for (const CellStats& cs : cells) {
-    for (std::size_t i = 0; i < kNumModes; ++i) n += cs.topology_epochs[i];
+u64 FleetStats::total(const CounterRow<CellStats>& row) const {
+  u64 v = 0;
+  for (std::size_t m = 0; m < (row.per_mode() ? kNumModes : 1); ++m) {
+    v = row.combine(v, get(metrics, row.fold, cell_key(row, m)));
   }
-  return n;
+  return v;
 }
 
 double FleetStats::mean_handoff_latency_cycles() const {
-  u64 count = 0;
-  Cycle total = 0;
-  for (const DeviceStats& ds : devices) {
-    count += ds.reassociations;
-    total += ds.handoff_latency;
-  }
+  const u64 count = total(find_row(kDeviceRows, "mac/reassociations"));
+  const u64 latency = total(find_row(kDeviceRows, "mac/handoff_latency"));
   return count == 0 ? 0.0
-                    : static_cast<double>(total) / static_cast<double>(count);
+                    : static_cast<double>(latency) / static_cast<double>(count);
 }
 
-u64 FleetStats::completion_digest() const {
-  sim::Digest d = folded_devices ? sim::Digest(folded_completion) : sim::Digest();
-  for (const DeviceStats& ds : devices) ds.mix_completion(d);
-  return d.value();
-}
-
-u64 FleetStats::full_digest() const {
-  sim::Digest d = folded_devices ? sim::Digest(folded_full) : sim::Digest();
-  for (const DeviceStats& ds : devices) ds.mix_full(d);
-  for (const CellStats& cs : cells) cs.mix_full(d);
+u64 FleetStats::digest(DigestClass upto) const {
+  const auto c = static_cast<std::size_t>(upto);
+  sim::Digest d = folded_devices ? sim::Digest(folded_digests[c]) : sim::Digest();
+  for (const DeviceStats& ds : devices) ds.mix(d, upto);
+  if (upto == DigestClass::kCompletion) return d.value();
+  for (const CellStats& cs : cells) cs.mix(d, upto);
   d.mix(lockstep_cycles).mix(all_drained ? 1 : 0);
   return d.value();
 }

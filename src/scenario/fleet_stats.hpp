@@ -1,23 +1,32 @@
 // Aggregate statistics of one fleet scenario run.
 //
-// Two digests with different stability contracts:
-//   * completion_digest() covers only counters coupled to MSDU completion
-//     (offered/completed/ok/retries/bytes). These are invariant to *when* a
-//     lane's clock stops after its workload drains, so the batched lockstep
-//     path (which overshoots a drained lane by up to stride-1 cycles) and the
-//     legacy per-cycle path produce equal completion digests.
-//   * full_digest() additionally covers delivery/peer/channel/contention
-//     counters and per-lane cycle counts — everything integral. Equal specs
-//     through the same execution path must produce equal full digests; that
-//     is the determinism contract the tests pin down.
+// Every integral station and cell counter is one row of kDeviceRows or
+// kCellRows below (registry name, member, digest class, fold rule).
+// net::Cell::collect reads the component sources once; the digests, the
+// fold, the metrics registry and the fleet totals all iterate the rows.
 //
-// Power estimates (DevicePower) are derived floating-point views of the
-// integral busy counters — deterministic for a given build, but kept out of
-// both digests so the digest contract stays a pure integer-counter property.
+// Three digests, one per digest class, each covering the classes before it:
+//   * completion_digest(): the kCompletion rows, counters coupled to MSDU
+//     completion. Invariant to *when* a drained lane's clock stops, so the
+//     batched lockstep path (overshooting by up to stride-1 cycles) and the
+//     legacy per-cycle path agree on it.
+//   * full_digest(): + the kFull rows (delivery, peer, channel, contention,
+//     cycle counts). Equal specs through the same execution path produce
+//     equal full digests — the determinism contract the tests pin, in its
+//     frozen v1 composition.
+//   * full_digest_v2(): + the kNone rows (NAV, EIFS, expiry, mobility,
+//     topology epochs) — every integral row.
+//
+// Power estimates (DevicePower) are derived floating-point views of the busy
+// counters: deterministic for a given build, but outside every digest.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "common/types.hpp"
@@ -43,6 +52,16 @@ struct DevicePower {
   double adapted_mw = 0.0;
 };
 
+/// The digests a counter row feeds (each class is also in every later one).
+enum class DigestClass : u8 {
+  kCompletion,  ///< completion_digest(), full_digest(), full_digest_v2().
+  kFull,        ///< full_digest(), full_digest_v2().
+  kNone,        ///< Outside both v1 digests: full_digest_v2() only.
+};
+
+/// How a counter combines across bands, stations and folded aggregates.
+enum class FoldRule : u8 { kSum, kMax };
+
 struct DeviceStats {
   int station_id = 0;
   std::array<u32, kNumModes> offered{};    ///< MSDUs the traffic gen handed over.
@@ -59,16 +78,9 @@ struct DeviceStats {
   u64 defers = 0;          ///< CSMA deferrals to a busy medium (BackoffRfu).
   u32 rts_sent = 0;        ///< WiFi RTS frames sent.
   u32 cts_received = 0;    ///< WiFi CTS responses received.
-  // NAV (virtual carrier sense) counters. Like the power estimates these
-  // stay out of both digests: the digest composition is frozen at its PR-3
-  // shape so an all-ones audibility matrix (and NAV-off runs generally)
-  // reproduce historic digests bit-for-bit. NAV-on runs differ in the
-  // mixed counters anyway — equality across execution paths still pins
-  // these indirectly through the timeline they shape.
+  // NAV (virtual carrier sense) and timing-conformance counters.
   u64 nav_defers = 0;  ///< Deferrals where only the NAV held (CCA silent).
   u64 nav_arms = 0;    ///< Overheard reservations honoured.
-  // Timing-conformance counters (same digest exemption as the NAV set: the
-  // digest composition stays frozen at its PR-3 shape).
   u64 nav_resets = 0;  ///< CF-End NAV truncations honoured.
   /// Reservation cycles still pending when the cell clock stopped. Bounded
   /// by the largest announceable Duration field: an expired response must
@@ -80,9 +92,8 @@ struct DeviceStats {
   u64 expired_sifs_data = 0;  ///< ... of which SIFS-anchored data.
   u64 eifs_waits = 0;         ///< Pre-contention waits stretched to EIFS.
   // Mobility / link-management counters (mac::LinkMgr; zero on static
-  // cells). Same digest exemption as the NAV set — the digest composition
-  // stays frozen at its PR-3 shape, which is also what lets a frozen
-  // mobility driver reproduce static-cell digests bit-for-bit.
+  // cells). Outside the v1 digests, which is what lets a frozen mobility
+  // driver reproduce static-cell digests bit-for-bit.
   u64 reassociations = 0;  ///< Completed post-handoff re-exchanges.
   u64 handoffs = 0;        ///< Serving-AP retargets (TopologyDriver).
   u64 rate_shifts = 0;     ///< Rate-adaptation steps taken (both ways).
@@ -93,8 +104,8 @@ struct DeviceStats {
   Cycle cycles_run = 0;
   DevicePower power;
 
-  void mix_completion(sim::Digest& d) const;
-  void mix_full(sim::Digest& d) const;
+  /// Mixes station_id, then every row of class `upto` or earlier.
+  void mix(sim::Digest& d, DigestClass upto) const;
 };
 
 /// Channel-level statistics of one shared-medium cell.
@@ -106,41 +117,137 @@ struct CellStats {
   std::array<u64, kNumModes> capture_wins{};     ///< Survived via capture.
   std::array<u64, kNumModes> tampered{};         ///< Channel-corrupted frames.
   std::array<Cycle, kNumModes> busy_cycles{};    ///< Channel occupancy per band.
-  /// Air cycles burnt by collided transmissions (outside both digests, like
-  /// the NAV counters): 1 - collided/busy is the band's airtime efficiency.
+  /// Air cycles burnt by collided transmissions: 1 - collided/busy is the
+  /// band's airtime efficiency.
   std::array<Cycle, kNumModes> collided_airtime{};
   std::array<u32, kNumModes> ap_rx{};    ///< Data frames the AP accepted.
   std::array<u64, kNumModes> ap_acks{};  ///< ACKs the AP sent.
   u64 ap_ctss = 0;                       ///< CTS responses the AP sent.
-  /// Audibility revisions each band's medium applied (outside both digests,
-  /// like the NAV counters; zero on static cells).
+  /// Audibility revisions each band's medium applied (zero on static cells).
   std::array<u64, kNumModes> topology_epochs{};
 
-  void mix_full(sim::Digest& d) const;
+  /// Mixes cell_index and stations, then every row of class `upto` or earlier.
+  void mix(sim::Digest& d, DigestClass upto) const;
 };
+
+/// One integral counter of `Stats` (DeviceStats or CellStats).
+template <class Stats>
+struct CounterRow {
+  using Field =
+      std::variant<u32 Stats::*, u64 Stats::*, std::array<u32, kNumModes> Stats::*,
+                   std::array<u64, kNumModes> Stats::*>;
+  /// Registry name. Station rows register as-is (and under
+  /// cell<n>/station<id>/); cell rows as medium.<band>/<name> per band, or
+  /// medium/<name> when scalar (and under cell<n>/).
+  const char* name;
+  Field field;
+  DigestClass digest;
+  FoldRule fold = FoldRule::kSum;
+
+  constexpr bool per_mode() const noexcept { return field.index() >= 2; }
+  /// The counter in band `m` (scalars ignore `m`).
+  u64 at(const Stats& s, std::size_t m) const {
+    return std::visit([&](auto f) { return band(s.*f, m); }, field);
+  }
+  static u64 band(u64 v, std::size_t) { return v; }
+  template <class T>
+  static u64 band(const std::array<T, kNumModes>& v, std::size_t m) { return v[m]; }
+  /// Combines two values of this counter by its fold rule.
+  u64 combine(u64 a, u64 b) const {
+    return fold == FoldRule::kSum ? a + b : std::max(a, b);
+  }
+  /// The counter combined over bands.
+  u64 value(const Stats& s) const {
+    u64 v = at(s, 0);
+    for (std::size_t m = 1; per_mode() && m < kNumModes; ++m) v = combine(v, at(s, m));
+    return v;
+  }
+};
+
+// Row order within a digest class is the frozen v1 mix order: per-mode rows
+// mix band by band, then scalar rows. A new counter is one row appended as
+// kNone; a row in an earlier class would move the v1 pins.
+inline constexpr CounterRow<DeviceStats> kDeviceRows[] = {
+    {"mac/offered", &DeviceStats::offered, DigestClass::kCompletion},
+    {"mac/offered_bytes", &DeviceStats::offered_bytes, DigestClass::kCompletion},
+    {"mac/completed", &DeviceStats::completed, DigestClass::kCompletion},
+    {"mac/tx_ok", &DeviceStats::tx_ok, DigestClass::kCompletion},
+    {"mac/retries", &DeviceStats::retries, DigestClass::kCompletion},
+    {"peer/rx_frames", &DeviceStats::peer_rx, DigestClass::kFull},
+    {"peer/acks", &DeviceStats::peer_acks, DigestClass::kFull},
+    {"phy/tampered", &DeviceStats::tampered, DigestClass::kFull},
+    {"medium/collisions", &DeviceStats::collisions, DigestClass::kFull},
+    {"medium/airtime", &DeviceStats::airtime, DigestClass::kFull},
+    {"mac/defers", &DeviceStats::defers, DigestClass::kFull},
+    {"mac/rts_sent", &DeviceStats::rts_sent, DigestClass::kFull},
+    {"mac/cts_received", &DeviceStats::cts_received, DigestClass::kFull},
+    {"sim/cycles_run", &DeviceStats::cycles_run, DigestClass::kFull},
+    {"mac/nav_defers", &DeviceStats::nav_defers, DigestClass::kNone},
+    {"mac/nav_arms", &DeviceStats::nav_arms, DigestClass::kNone},
+    {"mac/nav_resets", &DeviceStats::nav_resets, DigestClass::kNone},
+    {"mac/nav_hangover", &DeviceStats::nav_hangover, DigestClass::kNone, FoldRule::kMax},
+    {"phy/frames_expired", &DeviceStats::frames_expired, DigestClass::kNone},
+    {"phy/expired_acks", &DeviceStats::expired_acks, DigestClass::kNone},
+    {"phy/expired_ctss", &DeviceStats::expired_ctss, DigestClass::kNone},
+    {"phy/expired_sifs_data", &DeviceStats::expired_sifs_data, DigestClass::kNone},
+    {"mac/eifs_waits", &DeviceStats::eifs_waits, DigestClass::kNone},
+    {"mac/reassociations", &DeviceStats::reassociations, DigestClass::kNone},
+    {"mac/handoffs", &DeviceStats::handoffs, DigestClass::kNone},
+    {"mac/rate_shifts", &DeviceStats::rate_shifts, DigestClass::kNone},
+    {"mac/link_loss_drops", &DeviceStats::link_loss_drops, DigestClass::kNone},
+    {"mac/rate_index", &DeviceStats::rate_index, DigestClass::kNone, FoldRule::kMax},
+    {"mac/handoff_latency", &DeviceStats::handoff_latency, DigestClass::kNone},
+};
+
+inline constexpr CounterRow<CellStats> kCellRows[] = {
+    {"collided_frames", &CellStats::collided_frames, DigestClass::kFull},
+    {"dropped_frames", &CellStats::dropped_frames, DigestClass::kFull},
+    {"capture_wins", &CellStats::capture_wins, DigestClass::kFull},
+    {"tampered", &CellStats::tampered, DigestClass::kFull},
+    {"busy_cycles", &CellStats::busy_cycles, DigestClass::kFull},
+    {"ap_rx", &CellStats::ap_rx, DigestClass::kFull},
+    {"ap_acks", &CellStats::ap_acks, DigestClass::kFull},
+    {"ap_ctss", &CellStats::ap_ctss, DigestClass::kFull},
+    {"collided_airtime", &CellStats::collided_airtime, DigestClass::kNone},
+    {"topology_epochs", &CellStats::topology_epochs, DigestClass::kNone},
+};
+
+/// The row registered as `name`; a misspelt name fails to compile.
+template <class Stats, std::size_t N>
+consteval const CounterRow<Stats>& find_row(const CounterRow<Stats> (&rows)[N],
+                                            std::string_view name) {
+  for (const CounterRow<Stats>& row : rows) {
+    if (name == row.name) return row;
+  }
+  throw std::logic_error("no counter row of that name");
+}
 
 struct FleetStats {
   std::string scenario_name;
   std::vector<DeviceStats> devices;
   std::vector<CellStats> cells;  ///< One entry per shared-medium cell.
   // ---- Folded-aggregate accounting (ScenarioSpec::fold_device_stats) ----
-  // Retired stations chain into these running aggregates instead of living
-  // in `devices`: O(cells) live result memory instead of O(devices). Both
-  // digest chains are FNV-sequential, so folded devices contribute first and
-  // in fold (= cell) order — which is exactly collection order, making the
-  // folded digests bit-identical to the retained ones (pinned).
-  u64 folded_devices = 0;        ///< Stations folded away so far.
-  u64 folded_completion = 0;     ///< Running completion-digest chain state.
-  u64 folded_full = 0;           ///< Running full-digest chain state.
-  u64 folded_cycles = 0;         ///< Sum of folded stations' cycles_run.
-  double folded_raw_mw = 0.0;    ///< Folded power-estimate sums.
-  double folded_gated_mw = 0.0;
-  double folded_dvfs_mw = 0.0;
+  // Folded stations reach `metrics` and the power sums like retained ones,
+  // but chain into running digest states instead of living in `devices`:
+  // O(cells) live result memory instead of O(devices). The digest chains
+  // are FNV-sequential, so folded devices contribute first and in fold
+  // (= cell) order — exactly collection order, making the folded digests
+  // bit-identical to the retained ones (pinned).
+  u64 folded_devices = 0;  ///< Stations folded away so far.
+  /// Running chain state of each digest, indexed by DigestClass.
+  std::array<u64, 3> folded_digests{};
+  /// raw/gated/dvfs mW summed over every station, retained or folded.
+  DevicePower power_sum;
 
-  /// Folds one retired station's stats into the running aggregates and both
-  /// digest chains; the DeviceStats object can then be dropped. Must be fed
-  /// stations in the same order collect() would have appended them.
-  void fold_retired(const DeviceStats& ds);
+  /// Takes one collected station: registers every row in `metrics` (fleet
+  /// total, plus cell<n>/station<id>/ unless folding) and adds its power,
+  /// then retains it in `devices` or, with `fold`, chains it into the
+  /// folded digests. Stations must arrive in collection order.
+  void add_station(std::size_t cell_index, DeviceStats ds, bool fold);
+  /// Registers one shared-medium cell's rows in `metrics` (fleet total and
+  /// under cell<n>/) and retains it in `cells`.
+  void add_cell(CellStats cs);
+
   Cycle lockstep_cycles = 0;  ///< Fleet-clock cycles (max over lanes).
   bool all_drained = false;   ///< Every device finished its workload.
   double wall_seconds = 0.0;  ///< Host time; never part of a digest.
@@ -154,9 +261,8 @@ struct FleetStats {
   // must never feed a digest, or skip-on/skip-off and worker-count runs
   // would stop comparing equal.
   /// Hierarchical counter registry: fleet totals unprefixed, per-cell
-  /// breakdown under `cell<n>/station<id>/`. The total_*() accessors below
-  /// are views over this when populated (with a DeviceStats fallback for
-  /// hand-built FleetStats values).
+  /// breakdown under `cell<n>/station<id>/`. Every counter row lands here
+  /// (kMax rows as gauges), and the totals below read it back.
   obs::MetricsRegistry metrics;
   Cycle ff_cycles = 0;  ///< Globally-quiescent cycles crossed by fast-forwards.
   u64 ff_events = 0;    ///< Fast-forward jumps taken.
@@ -175,38 +281,59 @@ struct FleetStats {
                                      static_cast<double>(ticks_executed);
   }
 
-  u64 device_cycles_total() const;
+  /// Fleet total of one row: summed (kMax rows: maxed) over every station,
+  /// retained or folded, and for cell rows over every band.
+  u64 total(const CounterRow<DeviceStats>& row) const;
+  u64 total(const CounterRow<CellStats>& row) const;
+
+  u64 device_cycles_total() const {
+    return total(find_row(kDeviceRows, "sim/cycles_run"));
+  }
   /// Fleet throughput: simulated device-cycles per host second.
-  double device_cycles_per_sec() const;
+  double device_cycles_per_sec() const {
+    const double cycles = static_cast<double>(device_cycles_total());
+    return wall_seconds <= 0.0 ? 0.0 : cycles / wall_seconds;
+  }
 
   // ---- Fleet energy totals (sums of the per-device estimates) ----
-  double fleet_raw_mw() const;
-  double fleet_gated_mw() const;
-  double fleet_dvfs_mw() const;
+  double fleet_raw_mw() const { return power_sum.raw_mw; }
+  double fleet_gated_mw() const { return power_sum.gated_mw; }
+  double fleet_dvfs_mw() const { return power_sum.dvfs_mw; }
 
-  u64 total_collisions() const;
-  u64 total_defers() const;
+  u64 total_collisions() const {
+    return total(find_row(kDeviceRows, "medium/collisions"));
+  }
+  u64 total_defers() const { return total(find_row(kDeviceRows, "mac/defers")); }
   /// NAV-only deferrals (virtual carrier sense held, CCA silent) fleet-wide.
-  u64 total_nav_defers() const;
+  u64 total_nav_defers() const { return total(find_row(kDeviceRows, "mac/nav_defers")); }
   /// Pre-contention waits stretched to EIFS fleet-wide.
-  u64 total_eifs_waits() const;
+  u64 total_eifs_waits() const { return total(find_row(kDeviceRows, "mac/eifs_waits")); }
   /// Perishable responses abandoned past latest_start fleet-wide.
-  u64 total_frames_expired() const;
-  // ---- Mobility totals (same metrics-view-with-fallback idiom) ----
-  u64 total_reassociations() const;
-  u64 total_handoffs() const;
-  u64 total_rate_shifts() const;
-  u64 total_link_loss_drops() const;
+  u64 total_frames_expired() const {
+    return total(find_row(kDeviceRows, "phy/frames_expired"));
+  }
+  u64 total_reassociations() const {
+    return total(find_row(kDeviceRows, "mac/reassociations"));
+  }
+  u64 total_handoffs() const { return total(find_row(kDeviceRows, "mac/handoffs")); }
   /// Audibility revisions applied fleet-wide (sum over cells and bands).
-  u64 total_topology_epochs() const;
+  u64 total_topology_epochs() const {
+    return total(find_row(kCellRows, "topology_epochs"));
+  }
   /// Mean handoff-to-reassociated latency in cycles (0 when none).
   double mean_handoff_latency_cycles() const;
 
-  u64 completion_digest() const;
-  u64 full_digest() const;
+  u64 completion_digest() const { return digest(DigestClass::kCompletion); }
+  u64 full_digest() const { return digest(DigestClass::kFull); }
+  u64 full_digest_v2() const { return digest(DigestClass::kNone); }
 
   /// Deterministic multi-line table (no wall-clock content).
   std::string report() const;
+
+ private:
+  /// Chains every row of class `upto` or earlier; cells and the lockstep
+  /// outcome join from kFull on.
+  u64 digest(DigestClass upto) const;
 };
 
 }  // namespace drmp::scenario

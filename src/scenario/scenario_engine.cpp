@@ -405,17 +405,9 @@ FleetStats ScenarioEngine::collect(Cycle lockstep_cycles, bool all_drained,
   fs.all_drained = all_drained;
   fs.wall_seconds = wall_seconds;
   if (!spec_.fold_device_stats) fs.devices.reserve(spec_.station_count());
-  std::vector<DeviceStats> batch;  // fold_device_stats: one cell at a time.
   std::set<const sim::Scheduler*> counted;  // Shared clock domains count once.
   for (const auto& cell : cells_) {
-    if (spec_.fold_device_stats) {
-      batch.clear();
-      cell->collect(batch, fs.cells);
-      for (const DeviceStats& ds : batch) fs.fold_retired(ds);
-    } else {
-      cell->collect(fs.devices, fs.cells);
-    }
-    cell->export_metrics(fs.metrics, !spec_.fold_device_stats);
+    cell->collect(fs, spec_.fold_device_stats);
     if (counted.insert(&cell->scheduler()).second) {
       fs.ticks_executed += cell->scheduler().ticks_executed();
       fs.ticks_skipped += cell->scheduler().ticks_skipped();
@@ -461,12 +453,6 @@ std::string ScenarioEngine::text_timeline() const {
   std::vector<const obs::FlightRecorder*> recs;
   for (const auto& cell : cells_) recs.push_back(cell->recorder());
   return obs::text_timeline(recs);
-}
-
-std::size_t ScenarioEngine::device_count() const noexcept {
-  std::size_t n = 0;
-  for (const auto& cell : cells_) n += cell->station_count();
-  return n;
 }
 
 net::Cell& ScenarioEngine::cell(std::size_t i) { return *cells_.at(i); }

@@ -83,8 +83,6 @@ class ScenarioEngine {
 
   const ScenarioSpec& spec() const noexcept { return spec_; }
   std::size_t cell_count() const noexcept { return cells_.size(); }
-  /// Total stations across all cells.
-  std::size_t device_count() const noexcept;
   net::Cell& cell(std::size_t i);
   /// Station access by fleet-global index (0-based, cells in order).
   DrmpDevice& device(std::size_t i);

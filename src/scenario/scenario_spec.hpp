@@ -191,7 +191,7 @@ struct ScenarioSpec {
   /// across all four combinations.
   TraceSpec trace;
   /// Fold each station's DeviceStats into FleetStats' running aggregates at
-  /// collection (FleetStats::fold_retired) instead of retaining one entry
+  /// collection (FleetStats::add_station) instead of retaining one entry
   /// per station, and drop the per-station metrics namespace: O(cells) live
   /// result memory for huge fleets. Digests and fleet totals are pinned
   /// bit-identical to the retained accounting; only the per-station

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <barrier>
+#include <exception>
 #include <thread>
 
 namespace drmp::sim {
@@ -73,11 +74,19 @@ MultiScheduler::RunResult MultiScheduler::run(Cycle max_cycles, Cycle stride,
     lanes_[idx].cycles_run += deferred[idx];
     deferred[idx] = 0;
   };
+  // A lane throwing on a pool thread must not unwind past the barriers: the
+  // round's first exception waits here for the caller to rethrow it.
+  std::exception_ptr lane_error;
+  std::atomic_flag lane_failed;
   const auto drain_queue = [&] {
-    for (;;) {
-      const std::size_t k = round.next.fetch_add(1, std::memory_order_relaxed);
-      if (k >= round.active->size()) break;
-      run_lane((*round.active)[k]);
+    try {
+      for (;;) {
+        const std::size_t k = round.next.fetch_add(1, std::memory_order_relaxed);
+        if (k >= round.active->size()) break;
+        run_lane((*round.active)[k]);
+      }
+    } catch (...) {
+      if (!lane_failed.test_and_set()) lane_error = std::current_exception();
     }
   };
 
@@ -86,6 +95,19 @@ MultiScheduler::RunResult MultiScheduler::run(Cycle max_cycles, Cycle stride,
   std::barrier<> start(nthreads), end(nthreads);
   std::vector<std::thread> pool;
   pool.reserve(nthreads > 0 ? nthreads - 1 : 0);
+  // Stops and joins the pool on every exit, a throw from a lane, predicate
+  // or hook included: each reaches the caller with the workers on `start`.
+  struct PoolStopper {
+    std::vector<std::thread>& pool;
+    RoundState& round;
+    std::barrier<>& start;
+    ~PoolStopper() {
+      if (pool.empty()) return;
+      round.stop = true;
+      start.arrive_and_wait();
+      for (std::thread& t : pool) t.join();
+    }
+  } stopper{pool, round, start};
   for (unsigned t = 1; t < nthreads; ++t) {
     pool.emplace_back([&] {
       for (;;) {
@@ -107,6 +129,7 @@ MultiScheduler::RunResult MultiScheduler::run(Cycle max_cycles, Cycle stride,
       start.arrive_and_wait();
       drain_queue();
       end.arrive_and_wait();
+      if (lane_error) std::rethrow_exception(lane_error);
     }
     res.cycles += round.chunk;
     ++res.rounds;
@@ -147,12 +170,6 @@ MultiScheduler::RunResult MultiScheduler::run(Cycle max_cycles, Cycle stride,
   // Bring skipped-but-unfinished lanes up to the lockstep clock, exactly as
   // if they had been dispatched every round.
   for (std::size_t idx : active) flush_lane(idx);
-
-  if (!pool.empty()) {
-    round.stop = true;
-    start.arrive_and_wait();
-    for (std::thread& t : pool) t.join();
-  }
 
   res.all_finished = true;
   for (const Lane& lane : lanes_) {

@@ -94,7 +94,9 @@ class MultiScheduler {
   /// between rounds). Lanes are independent clock domains sharing no state,
   /// and predicates run on the calling thread while workers are parked, so
   /// the result is bit-identical to the single-threaded run — only
-  /// wall-clock time changes.
+  /// wall-clock time changes. An exception from a lane (on any thread), a
+  /// predicate or a hook stops and joins the pool, then propagates to the
+  /// caller; the lanes are left mid-run.
   RunResult run(Cycle max_cycles, Cycle stride = kDefaultStride,
                 unsigned workers = 1);
 

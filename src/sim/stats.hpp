@@ -110,7 +110,7 @@ class Digest {
  public:
   Digest() = default;
   /// Resumes a chain from a previously observed value() — the hierarchical
-  /// fold path (FleetStats::fold_retired) keeps a running digest this way.
+  /// fold path (FleetStats::add_station) keeps a running digest this way.
   explicit Digest(u64 resumed) noexcept : h_(resumed) {}
 
   Digest& mix(u64 v) noexcept {

@@ -7,7 +7,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -15,6 +17,7 @@
 #include "drmp/testbench.hpp"
 #include "scenario/scenario_engine.hpp"
 #include "sim/checkpoint.hpp"
+#include "sim/multi_scheduler.hpp"
 #include "hw/ctrl_layout.hpp"
 #include "mac/uwb_frames.hpp"
 #include "mac/wifi_frames.hpp"
@@ -333,6 +336,63 @@ TEST(FaultCrashRecovery, TruncatedWriteKeepsLastCompleteSnapshot) {
 
   std::remove(path.c_str());
   std::remove((path + ".tmp").c_str());
+}
+
+// Failures reach the caller as typed errors on every execution policy. With
+// a worker pool, a throw from a lane on a pool thread — or from a hook on the
+// calling thread — must stop and join the pool before it propagates;
+// unwinding past joinable workers would std::terminate the process.
+TEST(FaultPropagation, CheckpointWriteErrorReachesTheCallerOnEveryPolicy) {
+  for (const unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
+    scenario::ScenarioSpec spec = scenario::ScenarioSpec::mixed_three_standard(8, 1, 1);
+    spec.worker_threads = workers;
+    scenario::ScenarioEngine engine(std::move(spec));
+    engine.checkpoint_every(1000, "/nonexistent-dir/x.snap");
+    EXPECT_THROW((void)engine.run(), sim::snap::SnapshotError);
+  }
+}
+
+TEST(FaultPropagation, LaneAndRoundHookThrowsReachTheCaller) {
+  // Throws from its tick once its own clock reaches `at`.
+  class Faulty : public sim::Clockable {
+   public:
+    Faulty(const sim::Scheduler& s, Cycle at) : s_(s), at_(at) {}
+    void tick() override {
+      if (s_.now() >= at_) throw std::runtime_error("lane fault");
+    }
+
+   private:
+    const sim::Scheduler& s_;
+    Cycle at_;
+  };
+  for (const unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
+    std::vector<std::unique_ptr<sim::Scheduler>> lanes;
+    std::vector<std::unique_ptr<Faulty>> parts;
+    sim::MultiScheduler multi;
+    for (std::size_t i = 0; i < 4; ++i) {
+      lanes.push_back(std::make_unique<sim::Scheduler>(200e6));
+      // Only the last lane faults, so a pool thread other than the caller
+      // usually runs it.
+      parts.push_back(std::make_unique<Faulty>(*lanes[i], i == 3 ? 700 : ~Cycle{0}));
+      lanes[i]->add(*parts[i], "faulty");
+      multi.add(*lanes[i]);
+    }
+    EXPECT_THROW((void)multi.run(10'000, 256, workers), std::runtime_error);
+  }
+  for (const unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
+    sim::Scheduler a(200e6), b(200e6);
+    sim::MultiScheduler multi;
+    multi.add(a);
+    multi.add(b);
+    int rounds = 0;
+    multi.set_round_hook([&] {
+      if (++rounds == 3) throw std::runtime_error("hook fault");
+    });
+    EXPECT_THROW((void)multi.run(10'000, 256, workers), std::runtime_error);
+  }
 }
 
 }  // namespace

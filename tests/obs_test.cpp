@@ -237,6 +237,17 @@ TEST(RecorderOn, ChromeTraceIsWellFormedAndTracked) {
 TEST(FleetMetrics, RegistryTotalsMatchDeviceStats) {
   const scenario::FleetStats fs = run_contended4(1, true, false);
   ASSERT_FALSE(fs.metrics.empty());
+  // Every row's registry total is its fold over the collected structs.
+  for (const auto& row : scenario::kDeviceRows) {
+    u64 want = 0;
+    for (const auto& ds : fs.devices) want = row.combine(want, row.value(ds));
+    EXPECT_EQ(fs.total(row), want) << row.name;
+  }
+  for (const auto& row : scenario::kCellRows) {
+    u64 want = 0;
+    for (const auto& cs : fs.cells) want = row.combine(want, row.value(cs));
+    EXPECT_EQ(fs.total(row), want) << row.name;
+  }
   u64 defers = 0, nav_defers = 0, collisions = 0;
   for (const auto& ds : fs.devices) {
     defers += ds.defers;
@@ -250,6 +261,7 @@ TEST(FleetMetrics, RegistryTotalsMatchDeviceStats) {
   EXPECT_EQ(fs.total_collisions(), collisions);
   // The per-station breakdown namespaces under cell<n>/station<id>/.
   EXPECT_TRUE(fs.metrics.counter("cell0/station1/mac/defers").has_value());
+  EXPECT_TRUE(fs.metrics.counter("cell0/medium.A/busy_cycles").has_value());
 }
 
 TEST(FleetMetrics, SchedulerProfileIsPopulated) {

@@ -59,6 +59,51 @@ TEST(Scenario, DifferentSeedDifferentStats) {
   EXPECT_NE(a.completion_digest(), b.completion_digest());
 }
 
+// The v1 digests of one run of every ScenarioSpec factory (serial, idle-skip
+// on), recorded before the counter table replaced the hand-written mix
+// functions. They guard the table's frozen v1 mix order on point-to-point,
+// contended, hidden-node, fragmented, coupled and mobility runs.
+TEST(Scenario, FactoryDigestsArePinned) {
+  using Reach = ScenarioSpec::Reach;
+  struct Pin {
+    const char* factory;
+    ScenarioSpec spec;
+    u64 full;
+    u64 completion;
+  };
+  const Pin pins[] = {
+      {"mixed_three_standard(4,1,1)", ScenarioSpec::mixed_three_standard(4, 1, 1),
+       0x7a84b0e323e4d4e6ull, 0x15c6709cfec02aa6ull},
+      {"contended_wifi_cell(8,1,2)", ScenarioSpec::contended_wifi_cell(8, 1, 2),
+       0x5a0534e5adc9c509ull, 0xea9a94d4d67fc48dull},
+      {"contended_wifi_topology(6,kHiddenPair,1,2,512)",
+       ScenarioSpec::contended_wifi_topology(6, Reach::kHiddenPair, 1, 2, 512),
+       0x2dcd369802b49c47ull, 0xde9a1e1c2a9335acull},
+      {"contended_wifi_topology(4,kAsymmetric,1,2)",
+       ScenarioSpec::contended_wifi_topology(4, Reach::kAsymmetric, 1, 2),
+       0x849b80d7226f0236ull, 0xadfdfb18a4f24ed6ull},
+      {"contended_wifi_fragmented(4,true,1,2)",
+       ScenarioSpec::contended_wifi_fragmented(4, true, 1, 2), 0x94d4673edc4d7e9eull,
+       0x87298af585fed4b6ull},
+      {"coupled_wifi_cells(2,4,1,2)", ScenarioSpec::coupled_wifi_cells(2, 4, 1, 2),
+       0x4e8df58b91595708ull, 0x7a072dc288bf3acdull},
+      {"mobile_wifi_cell(4,false,true,1,2)",
+       ScenarioSpec::mobile_wifi_cell(4, false, true, 1, 2), 0x9397df598e205e5bull,
+       0x2d859494ce468636ull},
+      {"roaming_wifi_cells(4)", ScenarioSpec::roaming_wifi_cells(4),
+       0xe5e0f85593a08b4dull, 0xd7fd98d9920baf26ull},
+  };
+  for (const Pin& p : pins) {
+    ScenarioSpec spec = p.spec;
+    spec.worker_threads = 1;
+    spec.idle_skip = true;
+    const FleetStats fs = ScenarioEngine(std::move(spec)).run();
+    EXPECT_TRUE(fs.all_drained) << p.factory;
+    EXPECT_EQ(fs.full_digest(), p.full) << p.factory;
+    EXPECT_EQ(fs.completion_digest(), p.completion) << p.factory;
+  }
+}
+
 TEST(Scenario, CrossDeviceIsolation) {
   // Device 1's complete statistics are identical whether it runs alone or
   // inside a 4-device fleet: cells share nothing, and per-cell PRNG streams
@@ -68,8 +113,8 @@ TEST(Scenario, CrossDeviceIsolation) {
   ASSERT_EQ(solo.devices.size(), 1u);
   ASSERT_EQ(fleet.devices.size(), 4u);
   sim::Digest ds, df;
-  solo.devices[0].mix_full(ds);
-  fleet.devices[0].mix_full(df);
+  solo.devices[0].mix(ds, DigestClass::kNone);
+  fleet.devices[0].mix(df, DigestClass::kNone);
   EXPECT_EQ(ds.value(), df.value());
 }
 
@@ -215,8 +260,8 @@ TEST(Scenario, MixedTopologyFleetKeepsCellIsolation) {
   ASSERT_EQ(fleet.devices.size(), 4u);
   EXPECT_TRUE(fleet.all_drained);
   sim::Digest ds, df;
-  solo.devices[0].mix_full(ds);
-  fleet.devices[0].mix_full(df);
+  solo.devices[0].mix(ds, DigestClass::kNone);
+  fleet.devices[0].mix(df, DigestClass::kNone);
   EXPECT_EQ(ds.value(), df.value());
 }
 
@@ -285,7 +330,12 @@ TEST(Scenario, ExecutionPolicyMatrixKeepsOneDigestPerWorkload) {
       {"fleet-8", 0, true},      {"fleet-8", 0, false},
       {"contended-64", 1, true}, {"contended-64", 0, true},
   };
-  std::map<std::string, std::pair<u64, std::string>> ref;
+  struct Ref {
+    u64 full;
+    u64 v2;
+    std::string report;
+  };
+  std::map<std::string, Ref> ref;
   for (const Arm& a : arms) {
     ScenarioSpec spec = std::string_view(a.workload) == "contended-8"
                             ? ScenarioSpec::contended_wifi_cell(8, 1, 2)
@@ -299,11 +349,14 @@ TEST(Scenario, ExecutionPolicyMatrixKeepsOneDigestPerWorkload) {
                                  " workers=" + std::to_string(a.workers) +
                                  " skip=" + std::to_string(a.skip);
     EXPECT_TRUE(fs.all_drained) << arm_name;
-    auto [it, fresh] = ref.emplace(a.workload,
-                                   std::make_pair(fs.full_digest(), fs.report()));
-    EXPECT_EQ(fs.full_digest(), it->second.first) << arm_name;
-    EXPECT_EQ(fs.report(), it->second.second) << arm_name;
-    if (!fresh && fs.full_digest() != it->second.first) break;  // One arm is enough.
+    auto [it, fresh] = ref.emplace(
+        a.workload, Ref{fs.full_digest(), fs.full_digest_v2(), fs.report()});
+    EXPECT_EQ(fs.full_digest(), it->second.full) << arm_name;
+    // v2 adds every integral row the v1 digest leaves out (NAV, EIFS,
+    // expiry, mobility, topology epochs): execution policy is invisible there too.
+    EXPECT_EQ(fs.full_digest_v2(), it->second.v2) << arm_name;
+    EXPECT_EQ(fs.report(), it->second.report) << arm_name;
+    if (!fresh && fs.full_digest() != it->second.full) break;  // One arm is enough.
   }
 }
 
