@@ -2,15 +2,15 @@
 // mixed-traffic fleet over lossy channels.
 //
 //   1. Determinism: two batched runs with the same seed must produce
-//      byte-identical aggregate stats, and the batched path must complete
-//      exactly the work the legacy per-device loop completes.
-//   2. Throughput: batched lockstep vs looping the legacy scheduler per
-//      device (run_until, predicate every cycle), measured over alternating
-//      repetitions with the median taken per path to suppress host noise.
-//      A parallel-workers batched run is reported when the host has more
-//      than one core (it is digest-identical to the serial run).
+//      byte-identical aggregate stats, and the every-tick oracle
+//      (ScenarioSpec::idle_skip = false) must produce the same full digest.
+//   2. Throughput: idle-skipping lockstep vs the every-tick oracle, measured
+//      over alternating repetitions with the median taken per arm to
+//      suppress host noise. A parallel-workers batched run is reported when
+//      the host has more than one core (it is digest-identical to the
+//      serial run).
 //
-//   3. Quiescence: the batched path skips provably-idle component ticks
+//   3. Quiescence: the batched run skips provably-idle component ticks
 //      (sim/scheduler.hpp); the digests above pin that skipping is
 //      bit-identical, and the skip ratio is reported as the workload's idle
 //      dominance.
@@ -112,6 +112,11 @@ int main(int argc, char** argv) {
     if (workers != 1) spec.lockstep_stride = 32'768;
     return spec;
   };
+  const auto make_every_tick = [&] {
+    ScenarioSpec spec = make_spec(1);
+    spec.idle_skip = false;
+    return spec;
+  };
 
   std::printf("fleet: %zu devices, %u MSDUs per active mode, seed %llu, %d reps\n\n",
               n_devices, msdus, static_cast<unsigned long long>(kSeed), reps);
@@ -119,8 +124,7 @@ int main(int argc, char** argv) {
   // ---- Correctness gates ----
   const FleetStats batched = ScenarioEngine(make_spec(1)).run();
   const FleetStats repeat = ScenarioEngine(make_spec(1)).run();
-  const FleetStats legacy =
-      ScenarioEngine(make_spec(1)).run(ScenarioEngine::Path::kLegacy);
+  const FleetStats every_tick = ScenarioEngine(make_every_tick()).run();
 
   std::printf("%s\n", batched.report().c_str());
 
@@ -132,15 +136,15 @@ int main(int argc, char** argv) {
   std::printf("determinism: two batched runs byte-identical (digest %016llx)\n",
               static_cast<unsigned long long>(batched.full_digest()));
 
-  if (batched.completion_digest() != legacy.completion_digest()) {
-    std::printf("PATH MISMATCH: batched and legacy completed different work\n");
+  if (batched.full_digest() != every_tick.full_digest()) {
+    std::printf("SKIP MISMATCH: idle-skip and every-tick runs diverged\n");
     return 1;
   }
-  if (!batched.all_drained || !legacy.all_drained) {
+  if (!batched.all_drained) {
     std::printf("BUDGET EXHAUSTED before the fleet drained\n");
     return 1;
   }
-  std::printf("equivalence: batched and legacy completion digests match\n");
+  std::printf("equivalence: idle-skip and every-tick full digests match\n");
 
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
   if (cores > 1) {
@@ -197,14 +201,10 @@ int main(int argc, char** argv) {
         1e3 * ckpt_resume_seconds);
   }
 
-  // ---- Throughput: interleaved passes (A,B,A,B), median per path ----
+  // ---- Throughput: interleaved passes (A,B,A,B), median per arm ----
   std::vector<std::function<double()>> arms = {
       [&] { return ScenarioEngine(make_spec(1)).run().device_cycles_per_sec(); },
-      [&] {
-        return ScenarioEngine(make_spec(1))
-            .run(ScenarioEngine::Path::kLegacy)
-            .device_cycles_per_sec();
-      },
+      [&] { return ScenarioEngine(make_every_tick()).run().device_cycles_per_sec(); },
   };
   if (cores > 1) {
     arms.push_back(
@@ -212,18 +212,19 @@ int main(int argc, char** argv) {
   }
   const auto samples = drmp::bench::interleaved_samples(arms, reps);
   const double batched_rate = drmp::bench::median_rate(samples[0]);
-  const double legacy_rate = drmp::bench::median_rate(samples[1]);
+  const double every_tick_rate = drmp::bench::median_rate(samples[1]);
   std::printf("\nthroughput (simulated device-cycles / host second, median of %d):\n",
               reps);
   std::printf("  batched lockstep   : %12.3e\n", batched_rate);
-  std::printf("  legacy per-device  : %12.3e\n", legacy_rate);
+  std::printf("  every-tick oracle  : %12.3e\n", every_tick_rate);
   if (samples.size() > 2) {
     std::printf("  batched x%-2u workers: %12.3e\n", cores,
                 drmp::bench::median_rate(samples[2]));
   }
-  if (legacy_rate > 0.0) {
-    std::printf("  serial speedup     : %.3fx%s\n", batched_rate / legacy_rate,
-                batched_rate >= legacy_rate * 0.97 ? "" : "  [SLOWER THAN LEGACY]");
+  if (every_tick_rate > 0.0) {
+    const double speedup = batched_rate / every_tick_rate;
+    std::printf("  idle-skip speedup  : %.3fx%s\n", speedup,
+                speedup >= 0.97 ? "" : "  [SLOWER THAN EVERY-TICK]");
   }
   std::printf("  idle-skip ratio    : %.2f skipped ticks per executed tick\n",
               batched.skip_ratio());
@@ -275,8 +276,9 @@ int main(int argc, char** argv) {
     rec.num("device_cycles_total", batched.device_cycles_total());
     rec.num("wall_seconds", batched.wall_seconds);
     rec.num("device_cycles_per_sec", batched_rate);
-    rec.num("legacy_device_cycles_per_sec", legacy_rate);
-    rec.num("speedup_vs_legacy", legacy_rate > 0.0 ? batched_rate / legacy_rate : 0.0);
+    rec.num("every_tick_device_cycles_per_sec", every_tick_rate);
+    rec.num("speedup_vs_every_tick",
+            every_tick_rate > 0.0 ? batched_rate / every_tick_rate : 0.0);
     rec.num("ticks_executed", batched.ticks_executed);
     rec.num("ticks_skipped", batched.ticks_skipped);
     rec.num("skip_ratio", batched.skip_ratio());

@@ -57,7 +57,7 @@ struct DrmpConfig {
   u16 backoff_seed = 0xACE1;
   /// Per-cycle signal tracing (sim::TraceRecorder scopes). Fleet assemblers
   /// set this false so devices are born muted — no trace-channel work ever
-  /// reaches the batched hot path, not even construction-time edges.
+  /// reaches the scheduler hot path, not even construction-time edges.
   bool trace_enabled = true;
   std::array<ModeConfig, kNumModes> modes{};
 

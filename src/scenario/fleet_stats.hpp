@@ -7,9 +7,9 @@
 //
 // Three digests, one per digest class, each covering the classes before it:
 //   * completion_digest(): the kCompletion rows, counters coupled to MSDU
-//     completion. Invariant to *when* a drained lane's clock stops, so the
-//     batched lockstep path (overshooting by up to stride-1 cycles) and the
-//     legacy per-cycle path agree on it.
+//     completion. Invariant to *when* a drained lane's clock stops, so any
+//     lockstep stride (a lane overshoots by up to stride-1 cycles) agrees
+//     with a per-cycle early exit on it.
 //   * full_digest(): + the kFull rows (delivery, peer, channel, contention,
 //     cycle counts). Equal specs through the same execution path produce
 //     equal full digests — the determinism contract the tests pin, in its
@@ -254,7 +254,7 @@ struct FleetStats {
   // Quiescence-skip accounting, summed over lanes. Execution-strategy
   // artefacts, not simulation results: both stay out of the digests and the
   // report so skip-on and skip-off runs compare byte-identical.
-  u64 ticks_executed = 0;  ///< Component-ticks actually run (batched path).
+  u64 ticks_executed = 0;  ///< Component-ticks actually run.
   u64 ticks_skipped = 0;   ///< Component-ticks replaced by bulk accounting.
   // ---- Observability surface (PR-7). Everything below shares the digest
   // exemption above: the engine's execution profile and the metrics registry
@@ -271,7 +271,7 @@ struct FleetStats {
   u64 wheel_purges = 0;           ///< Stale-majority wake-wheel sweeps.
   u64 medium_ticks_executed = 0;  ///< kStageMedium component-ticks run.
   u64 medium_ticks_skipped = 0;   ///< kStageMedium component-ticks skipped.
-  u64 lockstep_rounds = 0;        ///< MultiScheduler rounds (batched path).
+  u64 lockstep_rounds = 0;        ///< MultiScheduler rounds.
   u64 lane_rounds_skipped = 0;    ///< Quiescent lane-round skips, summed.
   Cycle lane_stall_cycles = 0;    ///< Cycles lanes sat parked in skipped rounds.
   /// Skipped-to-executed component-tick ratio (the fleet's idle dominance).

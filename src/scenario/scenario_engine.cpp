@@ -277,7 +277,7 @@ void ScenarioEngine::resume(const std::string& path) {
   resume_base_ = static_cast<Cycle>(base);
 }
 
-FleetStats ScenarioEngine::run(Path path) {
+FleetStats ScenarioEngine::run() {
   // One-shot: a second run would see every traffic generator already
   // exhausted and return plausible-looking zero-cycle stats. Fail loudly in
   // every build type.
@@ -287,114 +287,88 @@ FleetStats ScenarioEngine::run(Path path) {
   ran_ = true;
 
   const auto t0 = std::chrono::steady_clock::now();
-  Cycle lockstep_cycles = 0;
-  bool all_drained = true;
-
-  if (path == Path::kBatched) {
-    sim::MultiScheduler multi;
-    // Group membership decides each cell's early-exit predicate: coupled
-    // cells stay on the air for their neighbours until the whole group
-    // drains, so every member retires at one common round edge and the
-    // digested cycle counts match between the lax and reference couplings.
-    std::vector<int> group_of(cells_.size(), -1);
-    for (std::size_t g = 0; g < groups_.size(); ++g) {
-      if (!groups_[g].connected) continue;
-      for (const std::size_t i : groups_[g].members) {
-        group_of[i] = static_cast<int>(g);
-      }
+  sim::MultiScheduler multi;
+  // Group membership decides each cell's early-exit predicate: coupled
+  // cells stay on the air for their neighbours until the whole group
+  // drains, so every member retires at one common round edge and the
+  // digested cycle counts match between the lax and reference couplings.
+  std::vector<int> group_of(cells_.size(), -1);
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    if (!groups_[g].connected) continue;
+    for (const std::size_t i : groups_[g].members) {
+      group_of[i] = static_cast<int>(g);
     }
-    std::set<const sim::Scheduler*> added;  // Reference groups share lanes.
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-      if (!added.insert(&cells_[i]->scheduler()).second) continue;
-      if (group_of[i] >= 0) {
-        const Group* g = &groups_[static_cast<std::size_t>(group_of[i])];
-        multi.add(cells_[i]->scheduler(), [this, g] {
-          for (const std::size_t m : g->members) {
-            if (!cells_[m]->drained()) return false;
-          }
-          return true;
-        });
-      } else {
-        net::Cell* c = cells_[i].get();
-        multi.add(c->scheduler(), [c] { return c->drained(); });
-      }
-    }
-    // Fast-forward reach revisions a resumed run already lived through (the
-    // reach itself is not persisted — re-application re-derives it and the
-    // coupler epoch deterministically).
-    hook_edge_ = resume_base_;
-    while (reach_applied_ < reach_events_.size() &&
-           reach_events_[reach_applied_].edge <= resume_base_) {
-      const ReachEvent& ev = reach_events_[reach_applied_++];
-      couplers_[ev.coupler]->set_reach(ev.reach);
-    }
-    // The round hook drains lax outboxes (a no-op under immediate reference
-    // injection) and then applies reach revisions due at this edge — after
-    // the drain, so the drained round's events were judged under the reach
-    // live when the round began, exactly like the immediate path's
-    // generation-time reads. Reference mode installs it only when a reach
-    // script actually needs edge processing.
-    if (!couplers_.empty() &&
-        (!spec_.coupled_reference || !reach_events_.empty())) {
-      const Cycle stride = effective_stride();
-      multi.set_round_hook([this, stride] {
-        for (const auto& coupler : couplers_) coupler->exchange();
-        hook_edge_ += stride;
-        while (reach_applied_ < reach_events_.size() &&
-               reach_events_[reach_applied_].edge <= hook_edge_) {
-          const ReachEvent& ev = reach_events_[reach_applied_++];
-          couplers_[ev.coupler]->set_reach(ev.reach);
+  }
+  std::set<const sim::Scheduler*> added;  // Reference groups share lanes.
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    if (!added.insert(&cells_[i]->scheduler()).second) continue;
+    if (group_of[i] >= 0) {
+      const Group* g = &groups_[static_cast<std::size_t>(group_of[i])];
+      multi.add(cells_[i]->scheduler(), [this, g] {
+        for (const std::size_t m : g->members) {
+          if (!cells_[m]->drained()) return false;
         }
+        return true;
       });
+    } else {
+      net::Cell* c = cells_[i].get();
+      multi.add(c->scheduler(), [c] { return c->drained(); });
     }
-    if (checkpoint_every_ != 0) {
-      // The hook runs with every lane flushed onto the round edge — exactly
-      // the quiescent state the snapshot format is defined over. Cycles are
-      // run-relative; a resumed run keeps stamping fleet-absolute edges.
-      multi.set_edge_hook(checkpoint_every_, [this](Cycle run_cycles) {
-        write_snapshot(resume_base_ + run_cycles);
-      });
-    }
-    const unsigned workers = spec_.worker_threads != 0
-                                 ? spec_.worker_threads
-                                 : std::max(1u, std::thread::hardware_concurrency());
-    // A resumed engine spends only the budget the interrupted run left: its
-    // lanes already sit at resume_base_, and round edges realign with the
-    // uninterrupted run's because snapshots land on stride multiples.
-    const Cycle budget =
-        spec_.max_cycles > resume_base_ ? spec_.max_cycles - resume_base_ : 0;
-    const auto res = multi.run(budget, effective_stride(), workers);
-    lockstep_cycles = resume_base_ + res.cycles;
-    all_drained = res.all_finished;
-    run_profile_.rounds = res.rounds;
-    for (std::size_t i = 0; i < multi.lane_count(); ++i) {
-      run_profile_.lane_rounds_skipped += multi.lane_rounds_skipped(i);
-      run_profile_.lane_stall_cycles += multi.lane_stall_cycles(i);
-    }
-  } else {
-    if (!couplers_.empty()) {
-      throw std::logic_error(
-          "ScenarioEngine: the legacy path runs cells sequentially to "
-          "completion and cannot order cross-cell carrier events causally; "
-          "coupled scenarios need Path::kBatched");
-    }
-    if (checkpoint_every_ != 0 || resume_base_ != 0) {
-      throw std::logic_error(
-          "ScenarioEngine: checkpoint/resume is defined over lockstep round "
-          "edges and needs Path::kBatched");
-    }
-    for (auto& cell : cells_) {
-      net::Cell* c = cell.get();
-      const bool drained =
-          c->scheduler().run_until([c] { return c->drained(); }, spec_.max_cycles);
-      all_drained = all_drained && drained;
-      lockstep_cycles = std::max(lockstep_cycles, c->scheduler().now());
-    }
+  }
+  // Fast-forward reach revisions a resumed run already lived through (the
+  // reach itself is not persisted — re-application re-derives it and the
+  // coupler epoch deterministically).
+  hook_edge_ = resume_base_;
+  while (reach_applied_ < reach_events_.size() &&
+         reach_events_[reach_applied_].edge <= resume_base_) {
+    const ReachEvent& ev = reach_events_[reach_applied_++];
+    couplers_[ev.coupler]->set_reach(ev.reach);
+  }
+  // The round hook drains lax outboxes (a no-op under immediate reference
+  // injection) and then applies reach revisions due at this edge — after
+  // the drain, so the drained round's events were judged under the reach
+  // live when the round began, exactly like the immediate path's
+  // generation-time reads. Reference mode installs it only when a reach
+  // script actually needs edge processing.
+  if (!couplers_.empty() &&
+      (!spec_.coupled_reference || !reach_events_.empty())) {
+    const Cycle stride = effective_stride();
+    multi.set_round_hook([this, stride] {
+      for (const auto& coupler : couplers_) coupler->exchange();
+      hook_edge_ += stride;
+      while (reach_applied_ < reach_events_.size() &&
+             reach_events_[reach_applied_].edge <= hook_edge_) {
+        const ReachEvent& ev = reach_events_[reach_applied_++];
+        couplers_[ev.coupler]->set_reach(ev.reach);
+      }
+    });
+  }
+  if (checkpoint_every_ != 0) {
+    // The hook runs with every lane flushed onto the round edge — exactly
+    // the quiescent state the snapshot format is defined over. Cycles are
+    // run-relative; a resumed run keeps stamping fleet-absolute edges.
+    multi.set_edge_hook(checkpoint_every_, [this](Cycle run_cycles) {
+      write_snapshot(resume_base_ + run_cycles);
+    });
+  }
+  const unsigned workers = spec_.worker_threads != 0
+                               ? spec_.worker_threads
+                               : std::max(1u, std::thread::hardware_concurrency());
+  // A resumed engine spends only the budget the interrupted run left: its
+  // lanes already sit at resume_base_, and round edges realign with the
+  // uninterrupted run's because snapshots land on stride multiples.
+  const Cycle budget =
+      spec_.max_cycles > resume_base_ ? spec_.max_cycles - resume_base_ : 0;
+  const auto res = multi.run(budget, effective_stride(), workers);
+  run_profile_.rounds = res.rounds;
+  for (std::size_t i = 0; i < multi.lane_count(); ++i) {
+    run_profile_.lane_rounds_skipped += multi.lane_rounds_skipped(i);
+    run_profile_.lane_stall_cycles += multi.lane_stall_cycles(i);
   }
 
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  return collect(lockstep_cycles, all_drained, wall);
+  return collect(resume_base_ + res.cycles, res.all_finished, wall);
 }
 
 FleetStats ScenarioEngine::collect(Cycle lockstep_cycles, bool all_drained,

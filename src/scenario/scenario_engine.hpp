@@ -9,17 +9,12 @@
 // The lossy-channel model (ScenarioSpec::channel, overridable per cell) is
 // applied through the Medium fault injector.
 //
-// Two execution paths over the same cells:
-//   * Path::kBatched — MultiScheduler lockstep over Scheduler::
-//     run_cycles_batched with per-cell drained() early-exit predicates
-//     evaluated once per stride. The fleet hot path; optional worker threads
-//     are bit-identical to serial.
-//   * Path::kLegacy  — each cell in sequence through Scheduler::run_until,
-//     predicate evaluated every cycle. The baseline the bench compares
-//     against. Unavailable once cells couple (below): sequential
-//     cell-at-a-time execution cannot order cross-cell events causally.
-// Both paths complete the same workload; completion-coupled statistics are
-// path-invariant (see fleet_stats.hpp).
+// Execution: a MultiScheduler lockstep over every cell's Scheduler::
+// run_cycles, with per-cell drained() early-exit predicates evaluated once
+// per stride. Optional worker threads are bit-identical to serial, and
+// ScenarioSpec::idle_skip = false (every-tick mode) is bit-identical to
+// skipping. Completion-coupled statistics are stride-invariant (see
+// fleet_stats.hpp).
 //
 // Co-channel coupling (ScenarioSpec::couplings + CellSpec::coupling_group,
 // docs/MULTICELL.md): connected groups get one net::ChannelCoupler each.
@@ -50,15 +45,13 @@ namespace drmp::scenario {
 
 class ScenarioEngine {
  public:
-  enum class Path { kBatched, kLegacy };
-
   explicit ScenarioEngine(ScenarioSpec spec);
   ~ScenarioEngine();
 
   /// Runs the scenario to completion (or budget exhaustion). One-shot.
-  FleetStats run(Path path = Path::kBatched);
+  FleetStats run();
 
-  // ---- Checkpoint/resume (sim/checkpoint.hpp; batched path only) ----
+  // ---- Checkpoint/resume (sim/checkpoint.hpp) ----
   /// Arms periodic snapshots: at the first lockstep round edge at or past
   /// every multiple of `every` run-relative cycles, the full fleet state is
   /// written into `path` — atomically, via `path + ".tmp"` and a rename, so
@@ -117,7 +110,7 @@ class ScenarioEngine {
   u64 fingerprint() const;
   void write_snapshot(Cycle lockstep_now) const;
 
-  /// Batched-path execution profile captured by run() for collect().
+  /// Lockstep execution profile captured by run() for collect().
   struct RunProfile {
     u64 rounds = 0;
     u64 lane_rounds_skipped = 0;

@@ -174,12 +174,12 @@ struct ScenarioSpec {
   u64 seed = 1;
   Cycle max_cycles = 40'000'000;
   Cycle lockstep_stride = sim::MultiScheduler::kDefaultStride;
-  /// Worker threads for the batched path. 1 = serial (the default, and the
+  /// Lockstep worker threads. 1 = serial (the default, and the
   /// reference for bit-identical digests — parallel runs match it exactly);
   /// 0 = one per hardware core. Workers persist across lockstep rounds;
   /// larger strides still amortise the per-round wakeup on small fleets.
   unsigned worker_threads = 1;
-  /// Quiescence-aware scheduling on the batched path (sim/scheduler.hpp):
+  /// Quiescence-aware scheduling (sim/scheduler.hpp):
   /// skip components that prove their ticks are no-ops, fast-forward
   /// globally-idle stretches, and skip lockstep rounds for fully-quiescent
   /// lanes. Bit-identical to false (every component ticked every cycle);

@@ -25,7 +25,7 @@
 // Snapshots are legal only at quiescent lockstep round edges — exactly where
 // the lax-sync causality argument already holds (docs/ARCHITECTURE.md,
 // "Checkpoint/resume") — which is why no scheduler wake bookkeeping appears
-// in any record: Scheduler::run_cycles_batched rebuilds it from component
+// in any record: Scheduler::run_cycles rebuilds it from component
 // quiescence bounds on entry.
 #pragma once
 

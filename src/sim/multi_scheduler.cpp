@@ -65,12 +65,12 @@ MultiScheduler::RunResult MultiScheduler::run(Cycle max_cycles, Cycle stride,
       return;
     }
     deferred[idx] = 0;
-    lane.sched->run_cycles_batched(want);
+    lane.sched->run_cycles(want);
     lane.cycles_run += want;
   };
   const auto flush_lane = [&](std::size_t idx) {
     if (deferred[idx] == 0) return;
-    lanes_[idx].sched->run_cycles_batched(deferred[idx]);
+    lanes_[idx].sched->run_cycles(deferred[idx]);
     lanes_[idx].cycles_run += deferred[idx];
     deferred[idx] = 0;
   };

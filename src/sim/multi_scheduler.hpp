@@ -3,13 +3,13 @@
 // The scenario engine gives every DRMP device its own Scheduler (its own
 // clock domain, component list and statistics). A fleet run advances all of
 // them in lockstep: time moves in strides of `stride` cycles, and within one
-// stride every active lane runs the same cycle interval through the batched
-// scheduler hot path. After each stride the per-lane early-exit predicate is
-// evaluated once; a lane whose predicate fired stops ticking (its device has
-// drained its workload) while the rest of the fleet continues. Evaluating
-// predicates once per stride — instead of once per cycle as run_until does —
-// is what keeps an 8-64 device fleet out of std::function dispatch on the
-// per-cycle path.
+// stride every active lane runs the same cycle interval through
+// Scheduler::run_cycles. After each stride the per-lane early-exit
+// predicate is evaluated once; a lane whose predicate fired stops ticking
+// (its device has drained its workload) while the rest of the fleet
+// continues. Evaluating predicates once per stride — instead of per
+// executed cycle as run_until does — keeps an 8-64 device fleet out of
+// std::function dispatch on the per-cycle path.
 //
 // Lanes share no Clockables, so within a round each lane's results are its
 // own and the stride only bounds how far one lane's clock may lead
@@ -21,11 +21,11 @@
 // net/channel_coupler.hpp). Uncoupled fleets never set the hook and keep
 // the original fully-independent behaviour.
 //
-// Quiescence-aware round skipping: after each batched run a lane's scheduler
+// Quiescence-aware round skipping: after each run a lane's scheduler
 // publishes next_wake() — the earliest cycle any of its components could
 // execute a real tick. A lane whose wake lies beyond the round's target is
 // not dispatched at all (not even for a fast-forward call); the cycles it
-// owes accumulate and are replayed in one batched call the moment its wake
+// owes accumulate and are replayed in one run_cycles call the moment its wake
 // falls inside a round (or at run exit, so lane clocks still line up with
 // the lockstep clock). Nothing mutates a lane between rounds except its
 // done-predicate, which must be a pure read, so the skip decision is exact

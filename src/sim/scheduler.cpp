@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <numeric>
+#include <string>
 #include <utility>
 
 namespace drmp::sim {
@@ -63,35 +64,45 @@ void Scheduler::freeze() {
   batch_dirty_ = false;
 }
 
-void Scheduler::step() {
+template <typename Done>
+bool Scheduler::advance(Cycle n, const Done& done) {
+  if (!fault_.empty()) throw SchedulerFaulted(fault_);
+  if (done()) return true;
   if (batch_dirty_) freeze();
-  for (Clockable* c : batch_) {
-    c->tick();
-  }
-  ++now_;
-}
-
-void Scheduler::run_cycles(Cycle n) {
-  for (Cycle i = 0; i < n; ++i) {
-    step();
+  try {
+    return idle_skip_ && !batch_.empty() ? run_skipping(now_ + n, done)
+                                         : run_every_tick(n, done);
+  } catch (...) {  // Zero-cost until a tick throws.
+    fault();
+    throw;
   }
 }
 
-void Scheduler::run_cycles_batched_every_tick(Cycle n) {
-  // The pre-quiescence hot path: the component array lives in locals. The
-  // member clock still advances every cycle so components that sample now()
-  // mid-tick observe the same values as under run_cycles.
+template <typename Done>
+bool Scheduler::run_every_tick(Cycle n, const Done& done) {
+  // A plain loop over the frozen array, held in locals. The member clock
+  // still advances every cycle so components that sample now() mid-tick
+  // observe the same values as under skipping.
   Clockable* const* comps = batch_.data();
   const std::size_t count = batch_.size();
-  for (Cycle i = 0; i < n; ++i) {
-    for (std::size_t k = 0; k < count; ++k) {
-      comps[k]->tick();
+  Cycle ran = 0;
+  bool fired = false;
+  std::size_t k = 0;
+  try {
+    while (ran < n && !fired) {
+      for (k = 0; k < count; ++k) comps[k]->tick();
+      ++now_;
+      ++ran;
+      fired = done();
     }
-    ++now_;
+  } catch (...) {
+    cursor_ = k < count ? k : kNoCursor;  // Names the culprit for fault().
+    throw;
   }
-  ticks_executed_ += n * count;
-  for (std::size_t k = 0; k < count; ++k) stage_exec_[stage_bucket_[k]] += n;
+  ticks_executed_ += ran * count;
+  for (k = 0; k < count; ++k) stage_exec_[stage_bucket_[k]] += ran;
   next_wake_ = now_;
+  return fired;
 }
 
 void Scheduler::enter_batched() {
@@ -131,7 +142,7 @@ void Scheduler::enter_batched() {
 void Scheduler::exit_batched() {
   // Settle: every sleeping component is caught up through the last executed
   // cycle, so introspection (stats, counters, internal clocks) between runs
-  // is indistinguishable from the every-tick path.
+  // is indistinguishable from every-tick mode.
   for (u32 i = 0; i < states_.size(); ++i) {
     CompState& st = states_[i];
     if (!st.sleeping) continue;
@@ -182,9 +193,9 @@ void Scheduler::wake_component(u32 idx) {
   }
   // Catch-up window: while mid-cycle, a target whose tick slot has not yet
   // passed this cycle owes [slept_from, now_) and then really ticks at now_
-  // (the legacy path would observe the just-delivered input this cycle); a
+  // (every-tick mode would observe the just-delivered input this cycle); a
   // target whose slot already passed owes [slept_from, now_] and resumes at
-  // now_+1 — exactly when legacy would first see the input.
+  // now_+1 — exactly when every-tick mode would first see the input.
   Cycle owed = now_ - st.slept_from;
   if (in_cycle_ && idx <= cursor_) ++owed;
   if (owed > 0) {
@@ -225,15 +236,11 @@ void Scheduler::drain_wheel() {
   }
 }
 
-void Scheduler::run_cycles_batched(Cycle n) {
-  if (batch_dirty_) freeze();
-  if (!idle_skip_ || batch_.empty()) {
-    run_cycles_batched_every_tick(n);
-    return;
-  }
-  const Cycle limit = now_ + n;
+template <typename Done>
+bool Scheduler::run_skipping(Cycle limit, const Done& done) {
   enter_batched();
-  while (now_ < limit) {
+  bool fired = false;
+  while (now_ < limit && !fired) {
     drain_wheel();
     // Globally-quiescent gap: nothing but eager components is awake. Fast-
     // forward to the earliest wake bound (or the nearest eager event),
@@ -272,6 +279,7 @@ void Scheduler::run_cycles_batched(Cycle n) {
         ff_cycles_ += gap;
         ++ff_events_;
         ++ff_gap_log2_[static_cast<std::size_t>(std::bit_width(gap))];
+        fired = done();
         continue;
       }
     }
@@ -316,8 +324,27 @@ void Scheduler::run_cycles_batched(Cycle n) {
     in_cycle_ = false;
     cursor_ = kNoCursor;
     ++now_;
+    fired = done();
   }
   exit_batched();
+  return fired;
+}
+
+void Scheduler::run_cycles(Cycle n) {
+  advance(n, [] { return false; });  // Folds out of the kernel's loops.
+}
+
+bool Scheduler::run_until(const std::function<bool()>& done, Cycle max_cycles) {
+  return advance(max_cycles, done);
+}
+
+void Scheduler::fault() {
+  // Sleepers stay unsettled mid-run, so no cycle describes this state.
+  std::string who = "the run";
+  if (cursor_ != kNoCursor) who = "component '" + frozen_names_[cursor_] + "'";
+  fault_ = "sim::Scheduler faulted: " + who + " threw at cycle " + std::to_string(now_);
+  in_batched_run_ = false;  // Later wakes only reset next_wake_...
+  next_wake_ = now_;        // ...so lanes dispatch this scheduler, which throws.
 }
 
 SchedulerProfile Scheduler::profile() const {
@@ -346,6 +373,7 @@ SchedulerProfile Scheduler::profile() const {
 }
 
 void Scheduler::save_state(snap::Writer& w) {
+  if (!fault_.empty()) throw SchedulerFaulted(fault_);
   w.io(now_);
   w.io(ticks_executed_);
   w.io(ticks_skipped_);
@@ -378,15 +406,6 @@ void Scheduler::load_state(snap::Reader& r) {
   std::fill(stage_exec_.begin(), stage_exec_.end(), 0);
   std::fill(stage_skip_.begin(), stage_skip_.end(), 0);
   next_wake_ = now_;
-}
-
-bool Scheduler::run_until(const std::function<bool()>& done, Cycle max_cycles) {
-  const Cycle limit = now_ + max_cycles;
-  while (now_ < limit) {
-    if (done()) return true;
-    step();
-  }
-  return done();
 }
 
 }  // namespace drmp::sim

@@ -15,25 +15,26 @@
 // assemblers (scenario engine, multi-device testbenches) express "media
 // before devices before observers" without depending on construction order.
 //
-// Two execution paths advance the clock:
-//   * run_cycles / run_until — the legacy per-cycle path; ticks every
-//     component every cycle, checks for new registrations every cycle and
-//     evaluates run_until's predicate every cycle.
-//   * run_cycles_batched — the fleet hot path: the component list is frozen
-//     into one contiguous stage-ordered array at entry, and components that
-//     declare themselves quiescent are *not ticked* until their declared
-//     bound expires or an external input wakes them. Skipped ticks are
-//     bulk-accounted through Clockable::skip_idle, so every counter and
-//     statistic ends up cycle-for-cycle identical to run_cycles — including
-//     now() as observed from inside a tick — provided no component is
-//     registered mid-run (components are only ever registered during
-//     construction in this code base).
+// One kernel advances the clock, behind both run_cycles and run_until: the
+// component list is frozen into one stage-ordered array at entry, and
+// components that declare themselves quiescent are *not ticked* until their
+// bound expires or an external input wakes them. Skipped ticks are
+// bulk-accounted through Clockable::skip_idle, so all state ends up
+// cycle-for-cycle identical to set_idle_skip(false) — the every-tick mode
+// and equivalence oracle — including now() as seen from inside a tick,
+// provided no component registers mid-run (none does in this code base).
+//
+// run_until evaluates done() at entry, after every executed cycle and after
+// every fast-forward hop. A gap executes no tick, so a predicate over event
+// state (callback flags, frame and completion counters) stops on the
+// every-tick cycle. done() must not read now() or a sleeping component's
+// time-integrated counters: both are exact only once the run returns.
 //
 // ---- The quiescence contract ----
 //
 // MAC workloads are idle-dominated: the paper's power argument (clock
 // gating, PSO, Fig. 5.12 state occupation) rests on components spending most
-// cycles quiescent. The batched path exploits the same property. A component
+// cycles quiescent. The kernel exploits the same property. A component
 // may override:
 //
 //   * quiescent_for() — a conservative bound Q: "my next Q tick() calls
@@ -63,7 +64,7 @@
 // catches the component up (bulk-accounting the cycles it slept) and re-
 // inserts it into the active set — in the *current* cycle when its tick slot
 // has not yet passed this cycle, from the next cycle otherwise, which is
-// exactly when the legacy path would first observe the input. skip_idle
+// exactly when every-tick mode would first observe the input. skip_idle
 // implementations must not wake other components.
 //
 // Globally-quiescent gaps: when every component is quiescent, the scheduler
@@ -78,6 +79,7 @@
 #include <cstddef>
 #include <functional>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -129,7 +131,7 @@ class Clockable {
 
   /// Invalidates this component's quiescence bound: external input arrived.
   /// Safe to call at any time (no-op when awake, unregistered, or outside a
-  /// batched run). Defined in scheduler.cpp.
+  /// skipping run). Defined in scheduler.cpp.
   void wake_self() noexcept;
 
  private:
@@ -138,10 +140,16 @@ class Clockable {
   u32 wake_index_ = 0;               ///< Position in the frozen stage array.
 };
 
+/// Thrown by every run and save_state after a tick threw; what() names the
+/// component and the cycle.
+struct SchedulerFaulted : std::logic_error {
+  using std::logic_error::logic_error;
+};
+
 /// Execution-domain introspection callbacks. sim/ stays ignorant of the
 /// observability layer (src/obs/ may include sim/, never the reverse); the
 /// flight recorder attaches through this interface to record skip spans and
-/// fast-forwards. Callbacks fire only on the batched idle-skip path, on the
+/// fast-forwards. Callbacks fire only with idle-skip on, on the
 /// thread running the scheduler, and must not mutate simulation state.
 class SchedulerObserver {
  public:
@@ -152,7 +160,7 @@ class SchedulerObserver {
   virtual void on_fast_forward(Cycle from, Cycle len) = 0;
 };
 
-/// Always-on profile of a scheduler's batched execution (bench surface).
+/// Always-on profile of a scheduler's execution (bench surface).
 struct SchedulerProfile {
   struct Stage {
     int stage = 0;
@@ -441,25 +449,20 @@ class Scheduler {
   /// Registers a component; tick order is (stage, registration order).
   void add(Clockable& c, std::string name, int stage = kStageDefault);
 
-  /// Advances the simulation by n architecture cycles (legacy path).
+  /// Advances by n architecture cycles. A tick that throws faults the
+  /// scheduler: later runs and save_state throw SchedulerFaulted.
   void run_cycles(Cycle n);
 
-  /// Advances by n cycles over the frozen stage-ordered component array,
-  /// skipping quiescent components (see the header comment). Produces the
-  /// same state as run_cycles(n), cycle for cycle.
-  void run_cycles_batched(Cycle n);
-
   /// Runs until `done()` returns true or `max_cycles` elapse (whichever is
-  /// first). Returns true iff the predicate fired. The predicate is evaluated
-  /// before every cycle.
+  /// first). Returns true iff the predicate fired. See the header comment
+  /// for what `done` may read.
   bool run_until(const std::function<bool()>& done, Cycle max_cycles);
 
-  /// Disables quiescence-aware skipping: run_cycles_batched ticks every
-  /// component every cycle (the pre-quiescence hot path). The baseline the
-  /// equivalence tests compare against. Toggling mid-run invalidates the
-  /// published next_wake() hint — the bound was computed under the other
-  /// policy — so it collapses to now(): always safe (a dispatched lane with
-  /// nothing to do just fast-forwards), never stale.
+  /// false selects every-tick mode: every component ticks every cycle (the
+  /// baseline the equivalence tests compare against). Toggling mid-run
+  /// invalidates the published next_wake() hint — the bound was computed
+  /// under the other policy — so it collapses to now(): always safe (a
+  /// dispatched lane with nothing to do just fast-forwards), never stale.
   void set_idle_skip(bool enabled) noexcept {
     if (idle_skip_ != enabled) next_wake_ = now_;
     idle_skip_ = enabled;
@@ -467,7 +470,7 @@ class Scheduler {
   bool idle_skip() const noexcept { return idle_skip_; }
 
   /// Earliest cycle at which any component might execute a real tick, as
-  /// established at the end of the last batched run: now() when anything is
+  /// established at the end of the last run: now() when anything is
   /// active, kIdleForever when every component is quiescent indefinitely.
   /// Valid until a component is externally mutated; MultiScheduler uses it
   /// to skip lockstep rounds for fully-quiescent lanes.
@@ -483,7 +486,7 @@ class Scheduler {
   int component_stage(std::size_t i) const { return entries_[i].stage; }
 
   // ---- Idle-skip instrumentation (bench/report surface) ----
-  /// Component-ticks actually executed by batched runs.
+  /// Component-ticks actually executed.
   u64 ticks_executed() const noexcept { return ticks_executed_; }
   /// Component-ticks replaced by skip_idle bulk accounting.
   u64 ticks_skipped() const noexcept { return ticks_skipped_; }
@@ -499,25 +502,31 @@ class Scheduler {
   void set_observer(SchedulerObserver* o) noexcept { observer_ = o; }
 
   // ---- Checkpoint (sim/checkpoint.hpp) ----
-  /// Persists the clock and execution counters. Legal only between batched
-  /// runs: the only simulation state a scheduler carries across
-  /// run_cycles_batched calls is now_ — enter_batched rebuilds the whole
-  /// quiescence apparatus (active set, wake wheel, per-component states)
-  /// from component bounds at entry. load_state collapses next_wake() to
-  /// now(), which is always safe and never stale (the set_idle_skip
-  /// argument).
+  /// Persists the clock and execution counters. Legal only between runs:
+  /// the only simulation state a scheduler carries across runs is now_ —
+  /// enter_batched rebuilds the whole quiescence apparatus (active set,
+  /// wake wheel, per-component states) from component bounds at entry.
+  /// load_state collapses next_wake() to now(), which is always safe and
+  /// never stale (the set_idle_skip argument).
   void save_state(snap::Writer& w);
   void load_state(snap::Reader& r);
 
  private:
-  void step();
+  /// The kernel, templated on the stop predicate: run_cycles' folds away.
+  template <typename Done>
+  bool advance(Cycle n, const Done& done);
+  template <typename Done>
+  bool run_every_tick(Cycle n, const Done& done);
+  template <typename Done>
+  bool run_skipping(Cycle limit, const Done& done);
   /// Rebuilds the contiguous stage-ordered execution array.
   void freeze();
-  void run_cycles_batched_every_tick(Cycle n);
   void enter_batched();
   void exit_batched();
   /// Catches a sleeping component up and re-inserts it into the active set.
   void wake_component(u32 idx);
+  /// Poisons the scheduler after a throw in a run (cursor_ names the tick).
+  void fault();
   friend class Clockable;
 
   struct Entry {
@@ -526,7 +535,7 @@ class Scheduler {
   };
 
   /// Per-component quiescence state, parallel to batch_; live only inside
-  /// run_cycles_batched.
+  /// a skipping run.
   struct CompState {
     bool eager = false;    ///< global_skip_only(): tick unless global gap.
     bool sleeping = false;
@@ -563,6 +572,7 @@ class Scheduler {
   std::size_t awake_lazy_ = 0;   ///< Awake components that are not eager.
   std::size_t wheel_stale_ = 0;  ///< Known-stale entries still in the wheel.
   Cycle next_wake_ = 0;
+  std::string fault_;  ///< SchedulerFaulted message; empty while healthy.
 
   u64 ticks_executed_ = 0;
   u64 ticks_skipped_ = 0;

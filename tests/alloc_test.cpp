@@ -12,7 +12,7 @@
 // window is sampled from *inside* one batched run by an observer-stage
 // component, so run-entry bookkeeping (re-partitioning the active set,
 // re-basing the wake wheel) stays out of the measurement: the claim is
-// about the per-cycle path, not about run_cycles_batched() setup.
+// about the per-cycle path, not about run_cycles() setup.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -96,7 +96,7 @@ TEST(SteadyStateAllocation, SaturatedCellTicksAllocationFree) {
   AllocWindowProbe probe(sched, kWarmup, kWarmup + kWindow);
   sched.add(probe, "alloc-probe", sim::Scheduler::kStageObserver);
 
-  sched.run_cycles_batched(kWarmup + kWindow + 1);
+  sched.run_cycles(kWarmup + kWindow + 1);
   ASSERT_FALSE(cell.drained()) << "measured window was not saturated";
   EXPECT_EQ(probe.allocations_in_window(), 0u)
       << "tick path allocated " << probe.allocations_in_window()

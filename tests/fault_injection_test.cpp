@@ -366,6 +366,52 @@ TEST(FaultPropagation, LaneAndRoundHookThrowsReachTheCaller) {
     const sim::Scheduler& s_;
     Cycle at_;
   };
+  // Throws from one tick only; a later run would resume without it.
+  class ThrowsOnce : public sim::Clockable {
+   public:
+    ThrowsOnce(const sim::Scheduler& s, Cycle at) : s_(s), at_(at) {}
+    void tick() override {
+      if (s_.now() != at_ || thrown_) return;
+      thrown_ = true;
+      throw std::runtime_error("tick fault");
+    }
+
+   private:
+    const sim::Scheduler& s_;
+    Cycle at_;
+    bool thrown_ = false;
+  };
+  // Sleeps between real ticks 1000 cycles apart, so a skipping run settles
+  // it in bulk.
+  class Sleeper : public sim::Clockable {
+   public:
+    void tick() override { ++cycles; }
+    Cycle quiescent_for() const override { return 999 - cycles % 1000; }
+    void skip_idle(Cycle n) override { cycles += n; }
+    Cycle cycles = 0;
+  };
+  for (const bool skip : {true, false}) {
+    SCOPED_TRACE(skip);
+    sim::Scheduler s(200e6);
+    s.set_idle_skip(skip);
+    Sleeper sleeper;
+    ThrowsOnce thrower(s, 700);
+    s.add(sleeper, "sleeper");
+    s.add(thrower, "thrower");
+    EXPECT_THROW(s.run_cycles(1'000), std::runtime_error);
+    try {
+      s.run_cycles(1'000);
+      ADD_FAILURE() << "a faulted scheduler resumed at cycle " << s.now()
+                    << " with its sleeper at " << sleeper.cycles;
+    } catch (const sim::SchedulerFaulted& e) {
+      EXPECT_NE(std::string(e.what()).find("'thrower' threw at cycle 700"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(s.run_until([] { return false; }, 10), sim::SchedulerFaulted);
+    sim::snap::Writer w;
+    EXPECT_THROW(s.save_state(w), sim::SchedulerFaulted);
+  }
   for (const unsigned workers : {1u, 4u}) {
     SCOPED_TRACE(workers);
     std::vector<std::unique_ptr<sim::Scheduler>> lanes;
@@ -380,6 +426,15 @@ TEST(FaultPropagation, LaneAndRoundHookThrowsReachTheCaller) {
       multi.add(*lanes[i]);
     }
     EXPECT_THROW((void)multi.run(10'000, 256, workers), std::runtime_error);
+    // The faulted lane refuses to resume, naming the culprit.
+    try {
+      (void)multi.run(10'000, 256, workers);
+      ADD_FAILURE() << "a faulted lane resumed";
+    } catch (const sim::SchedulerFaulted& e) {
+      EXPECT_NE(std::string(e.what()).find("'faulty' threw at cycle 700"),
+                std::string::npos)
+          << e.what();
+    }
   }
   for (const unsigned workers : {1u, 4u}) {
     SCOPED_TRACE(workers);

@@ -4,8 +4,8 @@
 // flows run through mac::LinkMgr, and every new moving part holds the
 // repo's determinism contracts — a frozen driver reproduces the static
 // cell's digests bit-for-bit across the execution-policy matrix, epoch
-// timelines match between the batched and legacy paths, roaming keeps
-// lax-sync and reference coupling digest-identical, and a mid-walk
+// timelines match between the default and a unit lockstep stride, roaming
+// keeps lax-sync and reference coupling digest-identical, and a mid-walk
 // checkpoint resumes into the uninterrupted run's digests.
 #include <gtest/gtest.h>
 
@@ -21,11 +21,10 @@
 namespace drmp::scenario {
 namespace {
 
-FleetStats run_spec(ScenarioSpec spec, unsigned workers, bool idle_skip,
-                    ScenarioEngine::Path path = ScenarioEngine::Path::kBatched) {
+FleetStats run_spec(ScenarioSpec spec, unsigned workers, bool idle_skip) {
   spec.worker_threads = workers;
   spec.idle_skip = idle_skip;
-  return ScenarioEngine(std::move(spec)).run(path);
+  return ScenarioEngine(std::move(spec)).run();
 }
 
 std::string tmp_path(const std::string& name) {
@@ -65,25 +64,27 @@ TEST(Mobility, FrozenDriverReproducesStaticDigestsAcrossPolicies) {
 }
 
 // ---------------------------------------------------------------------------
-// Epoch edges through the quiescence contract, batched vs legacy.
+// Epoch edges through the quiescence contract, default vs unit stride.
 // ---------------------------------------------------------------------------
 
-TEST(Mobility, WalkPublishesEpochsIdenticallyAcrossPaths) {
+TEST(Mobility, WalkPublishesEpochsIdenticallyAcrossStrides) {
   // The walk crosses the (0,1) audibility range mid-run: at least one epoch
-  // must be published, as a scheduled wake edge — the batched path (idle
-  // skipping past quiet stretches) and the per-cycle legacy path must see
-  // the same epoch count, the same collisions and the same completions.
+  // must be published, as a scheduled wake edge — the default stride (idle
+  // skipping past quiet stretches, lanes overshooting their drain) and a
+  // unit stride (lanes retiring on their drain cycle) must see the same
+  // epoch count, the same collisions and the same completions.
   const ScenarioSpec proto =
       ScenarioSpec::mobile_wifi_cell(4, /*frozen=*/false, /*associate=*/false);
   const FleetStats batched = run_spec(proto, 1, true);
   ASSERT_TRUE(batched.all_drained);
   EXPECT_GE(batched.total_topology_epochs(), 1u) << batched.report();
 
-  const FleetStats legacy =
-      run_spec(proto, 1, true, ScenarioEngine::Path::kLegacy);
-  EXPECT_EQ(batched.completion_digest(), legacy.completion_digest());
-  EXPECT_EQ(batched.total_topology_epochs(), legacy.total_topology_epochs());
-  EXPECT_EQ(batched.total_collisions(), legacy.total_collisions());
+  ScenarioSpec unit = proto;
+  unit.lockstep_stride = 1;
+  const FleetStats exact = run_spec(std::move(unit), 1, true);
+  EXPECT_EQ(batched.completion_digest(), exact.completion_digest());
+  EXPECT_EQ(batched.total_topology_epochs(), exact.total_topology_epochs());
+  EXPECT_EQ(batched.total_collisions(), exact.total_collisions());
 
   for (const unsigned workers : {1u, 0u}) {
     for (const bool idle_skip : {true, false}) {

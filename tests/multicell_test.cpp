@@ -103,6 +103,7 @@ TEST_F(RemoteCarrierTest, LocalFrameEndingBeforeTheImageStartsIsUntouched) {
 TEST_F(RemoteCarrierTest, OccupancyAcrossTheSilentGapIsExactWhenTicked) {
   ContendedMedium& m = make();
   m.begin_remote_tx(/*start=*/500, /*end=*/700, /*source=*/77);
+  sched.set_idle_skip(false);
   sched.run_cycles(1'000);
   // The tx_end_ high-watermark would have bridged [0, 500) as busy; the
   // remote-aware occupancy scan must count the 200 on-air cycles only.
@@ -112,7 +113,7 @@ TEST_F(RemoteCarrierTest, OccupancyAcrossTheSilentGapIsExactWhenTicked) {
 TEST_F(RemoteCarrierTest, OccupancyAcrossTheSilentGapIsExactWhenSkipped) {
   ContendedMedium& m = make();
   m.begin_remote_tx(/*start=*/500, /*end=*/700, /*source=*/77);
-  sched.run_cycles_batched(1'000);
+  sched.run_cycles(1'000);
   EXPECT_EQ(m.busy_cycles(), 200u);  // skip_idle's union sweep, same answer.
   EXPECT_GT(sched.ticks_skipped(), 0u);  // And it really did skip.
 }
@@ -298,11 +299,6 @@ TEST(MultiCell, StrideIsClampedToTheCouplingHorizon) {
   ScenarioEngine engine(std::move(spec));
   // 2 us of inter-cell latency at the 200 MHz architecture clock.
   EXPECT_EQ(engine.effective_stride(), 400u);
-}
-
-TEST(MultiCell, LegacyPathRefusesCoupledScenarios) {
-  ScenarioEngine engine(ScenarioSpec::coupled_wifi_cells(2, 1));
-  EXPECT_THROW(engine.run(ScenarioEngine::Path::kLegacy), std::logic_error);
 }
 
 TEST(MultiCell, MalformedCouplingSpecsFailAtConstruction) {

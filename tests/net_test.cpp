@@ -180,28 +180,21 @@ TEST(PointToPointMedium, CcaViewMatchesGroundTruth) {
 }
 
 TEST(ContendedMedium, SkipIdleReproducesPerTickAccounting) {
-  // Two staggered transmissions through run_cycles vs run_cycles_batched
+  // Two staggered transmissions in every-tick mode vs with idle-skip on
   // (which skips the medium across the globally-quiescent mid-frame
   // stretches): occupancy, per-source airtime and the CCA latch must come
   // out bit-identical.
   sim::TimeBase tb(200e6);
-  auto run = [&](bool batched) {
+  auto run = [&](bool skip) {
     sim::Scheduler sched(200e6);
+    sched.set_idle_skip(skip);
     ContendedMedium m(mac::Protocol::WiFi, tb);
     sched.add(m, "medium", sim::Scheduler::kStageMedium);
     const Cycle end1 = m.begin_tx(Bytes(400, 0x22), 1);
-    if (batched) {
-      sched.run_cycles_batched(end1 / 2);
-    } else {
-      sched.run_cycles(end1 / 2);
-    }
+    sched.run_cycles(end1 / 2);
     m.begin_tx(Bytes(200, 0x33), 2);  // Overlap: both collide.
     const Cycle tail = end1 + m.cca_latency_cycles() + 64;
-    if (batched) {
-      sched.run_cycles_batched(tail);
-    } else {
-      sched.run_cycles(tail);
-    }
+    sched.run_cycles(tail);
     sim::Digest d;
     d.mix(m.busy_cycles())
         .mix(m.collided_frames())

@@ -81,27 +81,21 @@ TEST(PcfTest, FragmentedMsduSendsOneFragmentPerPoll) {
   EXPECT_EQ(tb.peer(Mode::A).acks_sent(), 0u);
 }
 
-TEST(PcfTest, BatchedSchedulingMatchesLegacyThroughSifsResponse) {
+TEST(PcfTest, BatchedSchedulingMatchesEveryTickThroughSifsResponse) {
   // The PCF response path is the last carrier-gated poll loop to receive a
   // quiescence bound (ROADMAP PR-3 follow-up): the BackoffRfu's
   // SifsResponse phase now sleeps against cca_idle_for()/cca_clear_at().
-  // Drive the identical scripted CFP through the legacy per-cycle path and
-  // the batched idle-skip path and require identical protocol outcomes and
-  // identical per-tick busy accounting — the bit-identity contract.
-  auto run = [](bool batched) {
+  // Drive the identical scripted CFP in every-tick mode and with idle-skip
+  // on and require identical protocol outcomes and identical per-tick busy
+  // accounting — the bit-identity contract.
+  auto run = [](bool skip) {
     Testbench tb(pcf_config());
-    auto step = [&](Cycle n) {
-      if (batched) {
-        tb.scheduler().run_cycles_batched(n);
-      } else {
-        tb.run_cycles(n);
-      }
-    };
+    tb.scheduler().set_idle_skip(skip);
     tb.send_async(Mode::A, payload(400));
-    step(200'000);
+    tb.run_cycles(200'000);
     tb.peer(Mode::A).begin_cfp(tb.scheduler().now() + 1000, 3, 800.0,
                                station_addr(tb));
-    step(2'000'000);  // Generous: the whole CFP plus the CF-End.
+    tb.run_cycles(2'000'000);  // Generous: the whole CFP plus the CF-End.
     sim::Digest d;
     d.mix(tb.tx_successes(Mode::A))
         .mix(tb.peer(Mode::A).cfp_data_received())

@@ -548,14 +548,15 @@ TEST_F(RfuHarness, SeqCheckFlagsDuplicates) {
 /// Runs a randomized trigger/reconfiguration script against one MA-RFU and
 /// returns every observable checkpoint. The script is a pure function of
 /// the seed — idle gaps, inter-argument gaps (the CollectArgs span), op and
-/// reconfiguration choices all come from one LCG — so a legacy every-tick
-/// run and a batched quiescence-skipping run see byte-identical stimulus at
+/// reconfiguration choices all come from one LCG — so an every-tick run and
+/// a quiescence-skipping run see byte-identical stimulus at
 /// identical cycles. Any over-estimated bound in the Idle, CollectArgs or
 /// Reconfiguring phases (the trigger-driven spans of rfu.cpp) shows up as a
 /// divergent busy/reconfig-cycle count, a missed completion inside a fixed
 /// window, or a wrong output page.
-std::vector<u64> drive_crypto_script(bool batched, u64 seed) {
+std::vector<u64> drive_crypto_script(bool skip, u64 seed) {
   sim::Scheduler sched(200e6);
+  sched.set_idle_skip(skip);
   hw::PacketMemory mem;
   sim::StatsRegistry stats;
   hw::PacketBus bus(mem, &stats);
@@ -569,13 +570,7 @@ std::vector<u64> drive_crypto_script(bool batched, u64 seed) {
   CryptoRfu crypto(env);
   sched.add(bus, "bus");
   sched.add(crypto, "rfu");
-  auto run = [&](Cycle n) {
-    if (batched) {
-      sched.run_cycles_batched(n);
-    } else {
-      sched.run_cycles(n);
-    }
-  };
+  auto run = [&](Cycle n) { sched.run_cycles(n); };
 
   const Bytes key = payload(16, 9);
   rmem.load_blob(kCryptoRfu, cfg::kCryptoRc4,
@@ -643,15 +638,15 @@ std::vector<u64> drive_crypto_script(bool batched, u64 seed) {
 
 TEST(RfuQuiescence, RandomizedScriptsMatchEveryTickExecution) {
   for (const u64 seed : {11ull, 29ull, 123ull}) {
-    const std::vector<u64> legacy = drive_crypto_script(false, seed);
+    const std::vector<u64> every_tick = drive_crypto_script(false, seed);
     const std::vector<u64> skipping = drive_crypto_script(true, seed);
-    EXPECT_EQ(legacy, skipping) << "seed " << seed;
+    EXPECT_EQ(every_tick, skipping) << "seed " << seed;
     // The fixed windows really did cover every completion: each logged
     // done/rdone/grant flag in the reference run is 1, so the equality
     // above pins real completions, not mutual timeouts.
-    for (std::size_t i = 0; i < legacy.size(); ++i) {
-      if (legacy[i] <= 1) {
-        EXPECT_EQ(legacy[i], 1u) << "checkpoint " << i;
+    for (std::size_t i = 0; i < every_tick.size(); ++i) {
+      if (every_tick[i] <= 1) {
+        EXPECT_EQ(every_tick[i], 1u) << "checkpoint " << i;
       }
     }
   }

@@ -1,6 +1,6 @@
 // Scenario-engine tests: fleet determinism (same seed => byte-identical
 // aggregate stats), cross-device isolation (a device's results do not depend
-// on fleet size), batched-vs-legacy path equivalence, and traffic-generator
+// on fleet size), stride-invariant completion counters, and traffic-generator
 // arrival shaping.
 #include <gtest/gtest.h>
 
@@ -118,15 +118,17 @@ TEST(Scenario, CrossDeviceIsolation) {
   EXPECT_EQ(ds.value(), df.value());
 }
 
-TEST(Scenario, BatchedAndLegacyPathsCompleteTheSameWork) {
+TEST(Scenario, DefaultAndUnitStridesCompleteTheSameWork) {
   const FleetStats batched = ScenarioEngine(small_fleet(2, 99)).run();
-  const FleetStats legacy =
-      ScenarioEngine(small_fleet(2, 99)).run(ScenarioEngine::Path::kLegacy);
+  ScenarioSpec unit = small_fleet(2, 99);
+  unit.lockstep_stride = 1;
+  const FleetStats exact = ScenarioEngine(std::move(unit)).run();
   EXPECT_TRUE(batched.all_drained);
-  EXPECT_TRUE(legacy.all_drained);
+  EXPECT_TRUE(exact.all_drained);
   // Completion-coupled counters are invariant to where each lane's clock
-  // stops (the batched path overshoots a drained lane by < one stride).
-  EXPECT_EQ(batched.completion_digest(), legacy.completion_digest());
+  // stops: the default stride overshoots a drained lane by < one stride,
+  // stride 1 retires it on its drain cycle like a per-cycle early exit.
+  EXPECT_EQ(batched.completion_digest(), exact.completion_digest());
 }
 
 TEST(Scenario, WorkerThreadsMatchSerialDigests) {
@@ -384,7 +386,7 @@ ScenarioSpec skewed_64_fleet(u64 seed) {
   return spec;
 }
 
-TEST(Scenario, SixtyFourDeviceMixedFleetDrainsAcrossWorkersAndPaths) {
+TEST(Scenario, SixtyFourDeviceMixedFleetDrainsAcrossWorkersAndStrides) {
   const FleetStats serial = ScenarioEngine(skewed_64_fleet(2026)).run();
   EXPECT_TRUE(serial.all_drained);
   ASSERT_EQ(serial.devices.size(), 64u);
@@ -398,10 +400,11 @@ TEST(Scenario, SixtyFourDeviceMixedFleetDrainsAcrossWorkersAndPaths) {
   const FleetStats parallel = ScenarioEngine(std::move(par)).run();
   EXPECT_EQ(serial.full_digest(), parallel.full_digest());
   EXPECT_EQ(serial.report(), parallel.report());
-  const FleetStats legacy =
-      ScenarioEngine(skewed_64_fleet(2026)).run(ScenarioEngine::Path::kLegacy);
-  EXPECT_TRUE(legacy.all_drained);
-  EXPECT_EQ(serial.completion_digest(), legacy.completion_digest());
+  ScenarioSpec unit = skewed_64_fleet(2026);
+  unit.lockstep_stride = 1;
+  const FleetStats exact = ScenarioEngine(std::move(unit)).run();
+  EXPECT_TRUE(exact.all_drained);
+  EXPECT_EQ(serial.completion_digest(), exact.completion_digest());
 }
 
 TEST(TrafficGen, SlottedStreamPacesArrivalsByInterval) {

@@ -42,57 +42,102 @@ TEST(Scheduler, RunsRegisteredComponentsEveryCycle) {
   EXPECT_EQ(s.now(), 100u);
 }
 
+/// Sleeps until its clock reaches `at`, ticks once there (the event), then
+/// sleeps for good. `clock` is a time-integrated counter: exact only once a
+/// run has settled it.
+class OneShotEvent : public Clockable {
+ public:
+  explicit OneShotEvent(Cycle at) : at_(at) {}
+  void tick() override {
+    if (clock == at_) ++fired;
+    ++clock;
+  }
+  Cycle quiescent_for() const override {
+    return clock < at_ ? at_ - clock : kIdleForever;
+  }
+  void skip_idle(Cycle n) override { clock += n; }
+  Cycle clock = 0;
+  u32 fired = 0;
+
+ private:
+  Cycle at_;
+};
+
 TEST(Scheduler, RunUntilStopsAtPredicate) {
+  // The event lands inside a fast-forward gap (the wheel reaches it in a
+  // few hops); both modes must stop on the cycle after it with the sleeper
+  // settled, and the skipping kernel must really skip.
+  for (const bool skip : {true, false}) {
+    SCOPED_TRACE(skip);
+    Scheduler s(200e6);
+    s.set_idle_skip(skip);
+    OneShotEvent e(5'000);
+    s.add(e, "event");
+    EXPECT_TRUE(s.run_until([&] { return true; }, 1000));  // True at entry.
+    EXPECT_EQ(s.now(), 0u);
+    EXPECT_EQ(e.clock, 0u);
+    EXPECT_TRUE(s.run_until([&] { return e.fired > 0; }, 100'000));
+    EXPECT_EQ(s.now(), 5'001u);
+    EXPECT_EQ(e.clock, 5'001u);
+    EXPECT_EQ(s.ticks_skipped() > 0, skip);
+  }
   Scheduler s(200e6);
   Counter a;
   s.add(a, "a");
   EXPECT_TRUE(s.run_until([&] { return a.ticks >= 42; }, 1000));
   EXPECT_EQ(a.ticks, 42u);
+  EXPECT_EQ(s.now(), 42u);
 }
 
 TEST(Scheduler, RunUntilTimesOut) {
-  Scheduler s(200e6);
-  Counter a;
-  s.add(a, "a");
-  EXPECT_FALSE(s.run_until([&] { return false; }, 50));
-  EXPECT_EQ(s.now(), 50u);
+  for (const bool skip : {true, false}) {
+    SCOPED_TRACE(skip);
+    Scheduler s(200e6);
+    s.set_idle_skip(skip);
+    OneShotEvent e(5'000);
+    s.add(e, "event");
+    s.run_cycles(100);
+    EXPECT_FALSE(s.run_until([&] { return e.fired > 1; }, 10'000));
+    EXPECT_EQ(s.now(), 10'100u);
+    EXPECT_EQ(e.clock, 10'100u);
+    EXPECT_EQ(e.fired, 1u);
+    EXPECT_EQ(s.ticks_skipped() > 0, skip);
+  }
 }
 
-TEST(Scheduler, BatchedMatchesLegacyCycleForCycle) {
-  // Identical component populations through both execution paths must leave
+TEST(Scheduler, BatchedMatchesEveryTickCycleForCycle) {
+  // Identical component populations through both modes must leave
   // identical state: same tick sequence, same tick counts, same clock.
-  std::vector<int> legacy_log, batched_log;
-  Scheduler legacy(200e6), batched(200e6);
-  OrderLogger l0(legacy_log, 0), l1(legacy_log, 1), l2(legacy_log, 2);
+  std::vector<int> every_log, batched_log;
+  Scheduler every(200e6), batched(200e6);
+  every.set_idle_skip(false);
+  OrderLogger l0(every_log, 0), l1(every_log, 1), l2(every_log, 2);
   OrderLogger b0(batched_log, 0), b1(batched_log, 1), b2(batched_log, 2);
-  legacy.add(l0, "a");
-  legacy.add(l1, "b");
-  legacy.add(l2, "c");
+  every.add(l0, "a");
+  every.add(l1, "b");
+  every.add(l2, "c");
   batched.add(b0, "a");
   batched.add(b1, "b");
   batched.add(b2, "c");
-  legacy.run_cycles(37);
-  batched.run_cycles_batched(37);
-  EXPECT_EQ(legacy.now(), batched.now());
-  EXPECT_EQ(legacy_log, batched_log);
+  every.run_cycles(37);
+  batched.run_cycles(37);
+  EXPECT_EQ(every.now(), batched.now());
+  EXPECT_EQ(every_log, batched_log);
 }
 
 TEST(Scheduler, StagesOverrideRegistrationOrderInBothPaths) {
   // A medium-stage component registered last still ticks first; within a
   // stage, registration order is preserved.
-  for (const bool use_batched : {false, true}) {
+  for (const bool skip : {false, true}) {
     std::vector<int> log;
     Scheduler s(200e6);
+    s.set_idle_skip(skip);
     OrderLogger dev1(log, 1), dev2(log, 2), probe(log, 3), medium(log, 0);
     s.add(dev1, "dev1");
     s.add(probe, "probe", Scheduler::kStageObserver);
     s.add(dev2, "dev2");
     s.add(medium, "medium", Scheduler::kStageMedium);
-    if (use_batched) {
-      s.run_cycles_batched(2);
-    } else {
-      s.run_cycles(2);
-    }
+    s.run_cycles(2);
     EXPECT_EQ(log, (std::vector<int>{0, 1, 2, 3, 0, 1, 2, 3}));
     EXPECT_EQ(s.component_stage(1), Scheduler::kStageObserver);
     EXPECT_EQ(s.component_stage(3), Scheduler::kStageMedium);
@@ -102,7 +147,7 @@ TEST(Scheduler, StagesOverrideRegistrationOrderInBothPaths) {
 
 TEST(Scheduler, BatchedAdvancesNowEveryCycleAsSeenFromTicks) {
   // Components that sample now() mid-tick (latency bookkeeping does) must
-  // observe the same clock under both paths.
+  // observe the same clock in both modes.
   class NowSampler : public Clockable {
    public:
     explicit NowSampler(Scheduler& s) : s_(s) {}
@@ -112,12 +157,13 @@ TEST(Scheduler, BatchedAdvancesNowEveryCycleAsSeenFromTicks) {
    private:
     Scheduler& s_;
   };
-  Scheduler legacy(200e6), batched(200e6);
-  NowSampler nl(legacy), nb(batched);
-  legacy.add(nl, "n");
+  Scheduler every(200e6), batched(200e6);
+  every.set_idle_skip(false);
+  NowSampler nl(every), nb(batched);
+  every.add(nl, "n");
   batched.add(nb, "n");
-  legacy.run_cycles(5);
-  batched.run_cycles_batched(5);
+  every.run_cycles(5);
+  batched.run_cycles(5);
   EXPECT_EQ(nl.seen, nb.seen);
   EXPECT_EQ(nb.seen, (std::vector<Cycle>{0, 1, 2, 3, 4}));
 }
@@ -126,7 +172,7 @@ TEST(Scheduler, BatchedZeroCyclesIsANoop) {
   Scheduler s(200e6);
   Counter a;
   s.add(a, "a");
-  s.run_cycles_batched(0);
+  s.run_cycles(0);
   EXPECT_EQ(s.now(), 0u);
   EXPECT_EQ(a.ticks, 0u);
 }
@@ -414,59 +460,61 @@ class ScriptedProducer : public Clockable {
   Cycle now_ = 0;
 };
 
-TEST(Quiescence, PeriodicWorkerSkipsButMatchesLegacyExactly) {
-  Scheduler legacy(200e6), batched(200e6);
+TEST(Quiescence, PeriodicWorkerSkipsButMatchesEveryTickExactly) {
+  Scheduler every(200e6), batched(200e6);
+  every.set_idle_skip(false);
   PeriodicWorker wl(137), wb(137);
-  legacy.add(wl, "w");
+  every.add(wl, "w");
   batched.add(wb, "w");
-  legacy.run_cycles(10'000);
-  batched.run_cycles_batched(10'000);
+  every.run_cycles(10'000);
+  batched.run_cycles(10'000);
   EXPECT_EQ(wl.work_log, wb.work_log);
   EXPECT_EQ(wl.clock(), wb.clock());
-  EXPECT_EQ(batched.now(), legacy.now());
+  EXPECT_EQ(batched.now(), every.now());
   EXPECT_GT(wb.skipped, 0u);                 // It really slept...
   EXPECT_GT(batched.ticks_skipped(), 0u);    // ...through the wake-wheel...
   EXPECT_GT(batched.cycles_fast_forwarded(), 0u);  // ...across global gaps.
   EXPECT_LT(batched.ticks_executed(), 10'000u);
 }
 
-TEST(Quiescence, WakeLandsOnTheLegacyCycleEitherSideOfTheProducer) {
-  // The consumer must observe a push in the same cycle as under the legacy
-  // path, whether its tick slot comes before or after the producer's.
+TEST(Quiescence, WakeLandsOnTheEveryTickCycleEitherSideOfTheProducer) {
+  // The consumer must observe a push in the same cycle as in every-tick
+  // mode, whether its tick slot comes before or after the producer's.
   for (const bool consumer_first : {true, false}) {
-    Scheduler legacy(200e6), batched(200e6);
+    Scheduler every(200e6), batched(200e6);
+    every.set_idle_skip(false);
     MailboxConsumer cl, cb;
     ScriptedProducer pl(cl, {100, 101, 500}), pb(cb, {100, 101, 500});
     if (consumer_first) {
-      legacy.add(cl, "c");
-      legacy.add(pl, "p");
+      every.add(cl, "c");
+      every.add(pl, "p");
       batched.add(cb, "c");
       batched.add(pb, "p");
     } else {
-      legacy.add(pl, "p");
-      legacy.add(cl, "c");
+      every.add(pl, "p");
+      every.add(cl, "c");
       batched.add(pb, "p");
       batched.add(cb, "c");
     }
-    legacy.run_cycles(1'000);
-    batched.run_cycles_batched(1'000);
+    every.run_cycles(1'000);
+    batched.run_cycles(1'000);
     EXPECT_EQ(cl.rx_log, cb.rx_log) << "consumer_first=" << consumer_first;
     EXPECT_EQ(cl.clock(), cb.clock()) << "consumer_first=" << consumer_first;
   }
 }
 
 TEST(Quiescence, SplitRunsMatchOneRun) {
-  // run_cycles_batched(a); run_cycles_batched(b) must equal one (a+b) run —
+  // run_cycles(a); run_cycles(b) must equal one (a+b) run —
   // the settle/re-partition at the boundary is what MultiScheduler strides
   // rely on.
   Scheduler one(200e6), split(200e6);
   PeriodicWorker w1(97), w2(97);
   one.add(w1, "w");
   split.add(w2, "w");
-  one.run_cycles_batched(4'000);
-  split.run_cycles_batched(1'000);
-  split.run_cycles_batched(512);
-  split.run_cycles_batched(2'488);
+  one.run_cycles(4'000);
+  split.run_cycles(1'000);
+  split.run_cycles(512);
+  split.run_cycles(2'488);
   EXPECT_EQ(w1.work_log, w2.work_log);
   EXPECT_EQ(w1.clock(), w2.clock());
 }
@@ -476,7 +524,7 @@ TEST(Quiescence, IdleSkipDisabledTicksEverything) {
   s.set_idle_skip(false);
   PeriodicWorker w(50);
   s.add(w, "w");
-  s.run_cycles_batched(1'000);
+  s.run_cycles(1'000);
   EXPECT_EQ(w.skipped, 0u);
   EXPECT_EQ(w.clock(), 1'000u);
   EXPECT_EQ(s.ticks_executed(), 1'000u);
@@ -486,12 +534,12 @@ TEST(Quiescence, NextWakeReportsTheEarliestRealTick) {
   Scheduler s(200e6);
   PeriodicWorker w(1'000);
   s.add(w, "w");
-  s.run_cycles_batched(100);  // Well inside the first idle stretch.
+  s.run_cycles(100);  // Well inside the first idle stretch.
   EXPECT_EQ(s.next_wake(), 1'000u);
   Scheduler busy(200e6);
   Counter c;  // Default contract: never quiescent.
   busy.add(c, "c");
-  busy.run_cycles_batched(100);
+  busy.run_cycles(100);
   EXPECT_EQ(busy.next_wake(), busy.now());
 }
 
@@ -503,15 +551,15 @@ TEST(Quiescence, NextWakeRecomputedWhenIdleSkipTogglesMidRun) {
   Scheduler s(200e6);
   PeriodicWorker w(1'000);
   s.add(w, "w");
-  s.run_cycles_batched(100);  // Idle until cycle 1'000 under skipping.
+  s.run_cycles(100);  // Idle until cycle 1'000 under skipping.
   ASSERT_EQ(s.next_wake(), 1'000u);
   s.set_idle_skip(false);
   EXPECT_EQ(s.next_wake(), s.now());  // Collapsed, not stale.
-  s.run_cycles_batched(100);
+  s.run_cycles(100);
   EXPECT_EQ(s.next_wake(), s.now());  // Non-skipping runs pin it to now.
   s.set_idle_skip(true);
   EXPECT_EQ(s.next_wake(), s.now());  // Conservative until the next run...
-  s.run_cycles_batched(100);
+  s.run_cycles(100);
   EXPECT_EQ(s.next_wake(), 1'000u);  // ...which re-establishes the bound.
   EXPECT_EQ(w.clock(), 300u);  // And the worker stayed cycle-exact throughout.
 }
@@ -536,7 +584,7 @@ TEST(Quiescence, MultiSchedulerSkipsQuiescentLanesBitIdentically) {
     Scheduler ref(200e6);
     PeriodicWorker wr(40'000);
     ref.add(wr, "w");
-    ref.run_cycles_batched(100'000);
+    ref.run_cycles(100'000);
     EXPECT_EQ(w1.work_log, wr.work_log) << "workers=" << workers;
   }
 }

@@ -183,34 +183,28 @@ TEST(CfEndNav, GarbledCfEndDoesNotReset) {
 }
 
 // A deferrer sleeping against the reservation expiry must re-evaluate on the
-// CF-End wake edge: batched (quiescence-skipping) and legacy every-tick
-// execution must play the identical timeline through arm -> truncate ->
+// CF-End wake edge: quiescence-skipping and every-tick execution must
+// play the identical timeline through arm -> truncate ->
 // re-contend.
-TEST(CfEndNav, BatchedMatchesLegacyThroughNavTruncation) {
-  auto run = [](bool batched) {
+TEST(CfEndNav, BatchedMatchesEveryTickThroughNavTruncation) {
+  auto run = [](bool skip) {
     Testbench tb(nav_config());
+    tb.scheduler().set_idle_skip(skip);
     const auto& id = tb.config().modes[0].ident;
-    auto step = [&](Cycle n) {
-      if (batched) {
-        tb.scheduler().run_cycles_batched(n);
-      } else {
-        tb.scheduler().run_cycles(n);
-      }
-    };
     // Arm a reservation far longer than the workload needs, queue an MSDU
     // (it defers on the NAV), then truncate with CF-End and let it finish.
     const Bytes rts = mac::wifi::build_rts(mac::MacAddr::from_u64(0xDEADBEEF),
                                            mac::MacAddr::from_u64(id.peer_addr),
                                            /*duration_us=*/30000);
     tb.peer(Mode::A).inject_frame(rts, 2000);
-    step(40'000);  // RTS on the air, NAV armed at its end.
+    tb.run_cycles(40'000);  // RTS on the air, NAV armed at its end.
     tb.send_async(Mode::A, payload(320, 3));
-    step(400'000);  // The access RFU defers against the reservation.
+    tb.run_cycles(400'000);  // The access RFU defers against the reservation.
     const Bytes cf_end =
         mac::wifi::build_cf_end(mac::MacAddr::from_u64(0xFFFFFFFFFFFFull),
                                 mac::MacAddr::from_u64(id.peer_addr), false);
     tb.peer(Mode::A).inject_frame(cf_end, tb.scheduler().now() + 100);
-    step(3'000'000);
+    tb.run_cycles(3'000'000);
     sim::Digest d;
     d.mix(tb.device().nav(Mode::A).arms())
         .mix(tb.device().nav(Mode::A).resets())

@@ -161,7 +161,7 @@ TEST(Scheduler, WakeHeavyWorkloadPurgesStaleWheelEntries) {
   for (std::size_t i = 0; i < sleepers.size(); ++i) {
     sched.add(sleepers[i], "sleeper" + std::to_string(i));
   }
-  sched.run_cycles_batched(200'000);
+  sched.run_cycles(200'000);
   for (const LongSleeper& s : sleepers) {
     EXPECT_EQ(s.cycles, 200'000u);  // skip accounting stayed exact.
   }
