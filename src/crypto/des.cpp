@@ -1,5 +1,7 @@
 #include "crypto/des.hpp"
 
+#include <bit>
+
 namespace drmp::crypto {
 namespace {
 
@@ -14,10 +16,6 @@ constexpr int kFp[64] = {40, 8, 48, 16, 56, 24, 64, 32, 39, 7, 47, 15, 55, 23, 6
                          38, 6, 46, 14, 54, 22, 62, 30, 37, 5, 45, 13, 53, 21, 61, 29,
                          36, 4, 44, 12, 52, 20, 60, 28, 35, 3, 43, 11, 51, 19, 59, 27,
                          34, 2, 42, 10, 50, 18, 58, 26, 33, 1, 41, 9,  49, 17, 57, 25};
-
-constexpr int kE[48] = {32, 1,  2,  3,  4,  5,  4,  5,  6,  7,  8,  9,  8,  9,  10, 11,
-                        12, 13, 12, 13, 14, 15, 16, 17, 16, 17, 18, 19, 20, 21, 20, 21,
-                        22, 23, 24, 25, 24, 25, 26, 27, 28, 29, 28, 29, 30, 31, 32, 1};
 
 constexpr int kP[32] = {16, 7, 20, 21, 29, 12, 28, 17, 1,  15, 23, 26, 5,  18, 31, 10,
                         2,  8, 24, 14, 32, 27, 3,  9,  19, 13, 30, 6,  22, 11, 4,  25};
@@ -59,6 +57,61 @@ constexpr u8 kSboxes[8][64] = {
      6, 11, 0, 14, 9, 2, 7, 11, 4, 1, 9, 12, 14, 2, 0, 6, 10, 13, 15, 3, 5, 8, 2, 1, 14, 7,
      4, 10, 8, 13, 15, 12, 9, 0, 3, 5, 6, 11}};
 
+// ---- Table-driven round machinery, built at compile time ----
+// Every DES permutation is linear over GF(2), so a bit permutation of a word
+// is the OR of the permutations of its bytes: IP and FP become eight 256-
+// entry lookups. The f-function's S-box substitution and the P permutation
+// that follows it fuse into one 64-entry table per S-box, indexed directly
+// by the box's six input bits.
+
+/// Permutes `in` (in_bits wide, bit 1 = MSB) through `table` of size n.
+constexpr u64 permute(u64 in, int in_bits, const int* table, int n) {
+  u64 out = 0;
+  for (int i = 0; i < n; ++i) {
+    out = (out << 1) | ((in >> (in_bits - table[i])) & 1);
+  }
+  return out;
+}
+
+using ByteTables = std::array<std::array<u64, 256>, 8>;
+
+/// tab[b][v] = the 64-bit permutation of a word whose byte b (0 = most
+/// significant) is v and every other byte is zero.
+constexpr ByteTables byte_sliced(const int* table) {
+  ByteTables tab{};
+  for (int b = 0; b < 8; ++b) {
+    for (int v = 0; v < 256; ++v) {
+      tab[b][v] = permute(static_cast<u64>(v) << (56 - 8 * b), 64, table, 64);
+    }
+  }
+  return tab;
+}
+
+/// sp[i][six] = P(S_i(six) placed at box i's nibble), `six` being the box's
+/// six input bits in E-expansion order (row = outer bits, column = inner).
+constexpr std::array<std::array<u32, 64>, 8> sp_tables() {
+  std::array<std::array<u32, 64>, 8> sp{};
+  for (int i = 0; i < 8; ++i) {
+    for (int six = 0; six < 64; ++six) {
+      const int row = ((six & 0x20) >> 4) | (six & 1);
+      const int col = (six >> 1) & 0xF;
+      const u64 s = static_cast<u64>(kSboxes[i][row * 16 + col]) << (28 - 4 * i);
+      sp[i][six] = static_cast<u32>(permute(s, 32, kP, 32));
+    }
+  }
+  return sp;
+}
+
+constexpr ByteTables kIpTab = byte_sliced(kIp);
+constexpr ByteTables kFpTab = byte_sliced(kFp);
+constexpr std::array<std::array<u32, 64>, 8> kSp = sp_tables();
+
+u64 permute_bytes(u64 in, const ByteTables& tab) {
+  u64 out = 0;
+  for (int b = 0; b < 8; ++b) out |= tab[b][(in >> (56 - 8 * b)) & 0xFF];
+  return out;
+}
+
 u64 bytes_to_u64(std::span<const u8> b) {
   u64 v = 0;
   for (int i = 0; i < 8; ++i) v = (v << 8) | b[i];
@@ -72,25 +125,16 @@ void u64_to_bytes(u64 v, std::span<u8> b) {
   }
 }
 
-/// Permutes `in` (in_bits wide, bit 1 = MSB) through `table` of size n.
-u64 permute(u64 in, int in_bits, const int* table, int n) {
-  u64 out = 0;
-  for (int i = 0; i < n; ++i) {
-    out = (out << 1) | ((in >> (in_bits - table[i])) & 1);
-  }
-  return out;
-}
-
 u32 feistel(u32 r, u64 subkey) {
-  const u64 expanded = permute(r, 32, kE, 48) ^ subkey;
+  // E-expansion without a table: S-box i reads R bits 4i..4i+5 (1-based,
+  // wrapping 0 -> 32 and 33 -> 1), which one rotate brings to the bottom.
   u32 out = 0;
   for (int i = 0; i < 8; ++i) {
-    const u8 six = static_cast<u8>((expanded >> (42 - 6 * i)) & 0x3F);
-    const int row = ((six & 0x20) >> 4) | (six & 1);
-    const int col = (six >> 1) & 0xF;
-    out = (out << 4) | kSboxes[i][row * 16 + col];
+    const u32 six = (std::rotr(r, (27 - 4 * i) & 31) ^
+                     static_cast<u32>(subkey >> (42 - 6 * i))) & 0x3F;
+    out |= kSp[i][six];
   }
-  return static_cast<u32>(permute(out, 32, kP, 32));
+  return out;
 }
 
 }  // namespace
@@ -110,7 +154,7 @@ void Des::rekey(std::span<const u8> key) {
 }
 
 u64 Des::process(u64 block, bool decrypt) const {
-  const u64 ip = permute(block, 64, kIp, 64);
+  const u64 ip = permute_bytes(block, kIpTab);
   u32 l = static_cast<u32>(ip >> 32);
   u32 r = static_cast<u32>(ip & 0xFFFFFFFF);
   for (int i = 0; i < 16; ++i) {
@@ -120,7 +164,7 @@ u64 Des::process(u64 block, bool decrypt) const {
     l = nl;
   }
   const u64 preout = (static_cast<u64>(r) << 32) | l;  // Final swap.
-  return permute(preout, 64, kFp, 64);
+  return permute_bytes(preout, kFpTab);
 }
 
 void Des::encrypt_block(std::span<u8> block) const {

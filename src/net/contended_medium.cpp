@@ -61,6 +61,9 @@ void ContendedMedium::apply_audibility(const AudibilityMatrix& m) {
     }
   }
   if (m == params_.audibility) return;  // No change: not an epoch.
+  // A skipped lane must be dispatched again; waking settles the medium
+  // before anything below reads its clock.
+  wake_self();
   params_.audibility = m;
   ++topology_epoch_;
   // Re-mask in-flight frames against the new epoch. Rebuild every
@@ -86,9 +89,8 @@ void ContendedMedium::apply_audibility(const AudibilityMatrix& m) {
   DRMP_OBS(rec_, now_, obs::EventKind::kTopologyEpoch, rec_track_,
            static_cast<int>(topology_epoch_), static_cast<i64>(m.n));
   // Sleeping transmit gates must re-read their carrier bounds under the new
-  // footprints, and a skipped lane must be dispatched again.
+  // footprints.
   wake_subscribers();
-  wake_self();
 }
 
 void ContendedMedium::restore_audibility(const AudibilityMatrix& m, u64 epoch) {
@@ -147,6 +149,7 @@ void ContendedMedium::jam(Tx& t, u64 both) {
 }
 
 Cycle ContendedMedium::begin_tx(Bytes frame, int source) {
+  wake_self();
   wake_subscribers();
   const Cycle end = now_ + frame_air_cycles(frame.size());
   const int uidx = matrix_index(source);
@@ -208,16 +211,17 @@ void ContendedMedium::begin_remote_tx(Cycle start, Cycle end, int source) {
         "net::ContendedMedium::begin_remote_tx: the capture effect is "
         "incompatible with co-channel coupling (order-dependent verdicts)");
   }
+  // Sleeping transmit gates must re-evaluate their carrier bounds, and a
+  // round-skipped lane must be dispatched again: external input arrived.
+  // Waking settles the medium before the range check reads its clock.
+  wake_self();
+  wake_subscribers();
   if (start < now_ || end <= start) {
     throw std::logic_error(
         "net::ContendedMedium::begin_remote_tx: foreign carrier must arrive "
         "with a forward, non-empty air window (coupler latency >= lane "
         "lookahead)");
   }
-  // Sleeping transmit gates must re-evaluate their carrier bounds, and a
-  // round-skipped lane must be dispatched again: external input arrived.
-  wake_subscribers();
-  wake_self();
   // Jam every live local transmission whose air interval overlaps the
   // image's. Interval arithmetic only — no reading of "now" beyond the
   // liveness filter — so immediate and window-edge injection agree. Any
@@ -406,6 +410,7 @@ void ContendedMedium::tick() {
 }
 
 bool ContendedMedium::cca_busy(int listener) const noexcept {
+  settle_self();
   const int li = matrix_index(listener);
   if (li < 0) return cca_busy_;
   for (const Tx& t : on_air_) {
@@ -420,6 +425,7 @@ bool ContendedMedium::cca_busy(int listener) const noexcept {
 }
 
 Cycle ContendedMedium::cca_idle_for(int listener) const noexcept {
+  settle_self();
   const int li = matrix_index(listener);
   if (li < 0) return cca_idle_for();
   Cycle last = last_heard_[static_cast<std::size_t>(li)];
@@ -441,6 +447,7 @@ Cycle ContendedMedium::cca_clear_at() const noexcept {
   // First clock value outside every perceived window [start+lat, end+lat),
   // given what is on the air now. Windows can chain, so advance through
   // them to a fixed point; new transmissions only push the answer later.
+  settle_self();
   Cycle w = now_;
   bool moved = true;
   while (moved) {
@@ -456,6 +463,7 @@ Cycle ContendedMedium::cca_clear_at() const noexcept {
 }
 
 Cycle ContendedMedium::cca_clear_at(int listener) const noexcept {
+  settle_self();
   const int li = matrix_index(listener);
   if (li < 0) return cca_clear_at();
   Cycle w = now_;
@@ -481,6 +489,7 @@ Cycle ContendedMedium::cca_busy_onset_at() const noexcept {
   // Perceived onsets already scheduled by the detection latency: a frame
   // that started at s becomes audible at reading s+latency, with no further
   // begin_tx involved.
+  settle_self();
   Cycle onset = sim::Clockable::kIdleForever;
   for (const Tx& t : on_air_) {
     if (t.start + cca_latency_ >= now_) {
@@ -491,6 +500,7 @@ Cycle ContendedMedium::cca_busy_onset_at() const noexcept {
 }
 
 Cycle ContendedMedium::cca_busy_onset_at(int listener) const noexcept {
+  settle_self();
   const int li = matrix_index(listener);
   if (li < 0) return cca_busy_onset_at();
   Cycle onset = sim::Clockable::kIdleForever;
@@ -575,6 +585,7 @@ void ContendedMedium::skip_idle(Cycle n) {
 }
 
 ContendedMedium::SourceStats ContendedMedium::source(int id) const {
+  settle_self();  // Airtime integrates over time.
   const auto it = sources_.find(id);
   return it == sources_.end() ? SourceStats{} : it->second;
 }

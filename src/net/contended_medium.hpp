@@ -151,9 +151,15 @@ class ContendedMedium final : public phy::Medium {
   /// carrier subscribers, so sleeping transmit gates re-evaluate.
   void begin_remote_tx(Cycle start, Cycle end, int source) override;
 
-  bool cca_busy() const noexcept override { return cca_busy_; }
+  // Every view below settles the medium before reading (settle-on-read,
+  // see phy::Medium): the latch and idle reference are time-derived.
+  bool cca_busy() const noexcept override {
+    settle_self();
+    return cca_busy_;
+  }
   Cycle cca_idle_for() const noexcept override {
-    return cca_busy_ ? 0 : now() - last_cca_busy_;
+    settle_self();  // Before cca_busy_: a settle may move the latch.
+    return cca_busy_ ? 0 : now_ - last_cca_busy_;
   }
   Cycle cca_clear_at() const noexcept override;
   Cycle cca_busy_onset_at() const noexcept override;
@@ -167,7 +173,7 @@ class ContendedMedium final : public phy::Medium {
 
   void tick() override;
 
-  // ---- Quiescence contract (sim/scheduler.hpp; global-skip-only like the
+  // ---- Quiescence contract (sim/scheduler.hpp; settles on read like the
   // base class) ----
   /// Bound to the next delivery or perceived-carrier edge of anything on
   /// the air — long data frames are hundreds of thousands of architecture

@@ -7,8 +7,9 @@
 namespace drmp::phy {
 
 Cycle Medium::begin_tx(Bytes frame, int source) {
+  wake_self();
   wake_subscribers();
-  if (busy()) {
+  if (now_ < tx_end_) {
     // Point-to-point contract violation. This used to be assert()-only,
     // which compiles out under NDEBUG and let Release builds overwrite an
     // in-flight frame silently; overlap is now a defined outcome in every
@@ -44,7 +45,7 @@ void Medium::deliver(Bytes& frame, Cycle rx_end_cycle, int source, bool pre_dama
 }
 
 void Medium::tick() {
-  if (busy()) ++busy_cycles_;
+  if (now_ < tx_end_) ++busy_cycles_;
   ++now_;
   // Deliver frames whose last byte has now arrived; their storage goes back
   // to the cell arena for the next staged frame.

@@ -53,7 +53,9 @@ class MediumClient {
 class Medium : public sim::Clockable {
  public:
   Medium(mac::Protocol proto, const sim::TimeBase& tb)
-      : proto_(proto), byte_cycles_(tb.arch_freq() * 8.0 / timing().line_rate_bps) {}
+      : proto_(proto),
+        timing_(mac::timing_for(proto)),
+        byte_cycles_(tb.arch_freq() * 8.0 / timing_.line_rate_bps) {}
 
   /// Listener id for receivers outside any audibility matrix (access points,
   /// point-to-point peers, passive sinks): they hear every transmitter.
@@ -68,15 +70,21 @@ class Medium : public sim::Clockable {
   }
 
   mac::Protocol protocol() const noexcept { return proto_; }
-  const mac::ProtocolTiming& timing() const {
-    static thread_local mac::ProtocolTiming t;
-    t = mac::timing_for(proto_);
-    return t;
-  }
+  const mac::ProtocolTiming& timing() const noexcept { return timing_; }
+
+  // Every public read of time-derived state settles the medium first: a
+  // sleeping medium is brought up to the reader's cycle (settle-on-read,
+  // sim/scheduler.hpp), so it executes only its event ticks.
 
   /// Ground truth: is any transmission on the air this cycle?
-  bool busy() const noexcept { return now_ < tx_end_; }
-  Cycle now() const noexcept { return now_; }
+  bool busy() const noexcept {
+    settle_self();
+    return now_ < tx_end_;
+  }
+  Cycle now() const noexcept {
+    settle_self();
+    return now_;
+  }
   /// Cycles the medium has been continuously idle (for DIFS checks).
   Cycle idle_for() const noexcept { return busy() ? 0 : now_ - tx_end_; }
 
@@ -91,7 +99,7 @@ class Medium : public sim::Clockable {
   /// Earliest clock value at which cca_busy() could read false, given the
   /// transmissions currently on the air (new ones only push it later). A
   /// conservative sleep bound for transmit gates waiting on a clear channel.
-  virtual Cycle cca_clear_at() const noexcept { return std::max(now_, tx_end_); }
+  virtual Cycle cca_clear_at() const noexcept { return std::max(now(), tx_end_); }
   /// Earliest clock value at which cca_busy() could turn true *without* a
   /// new transmission. Always "never" on this live-view backend (only
   /// begin_tx — which wakes subscribers — can raise the carrier), but a
@@ -119,7 +127,8 @@ class Medium : public sim::Clockable {
     return static_cast<Cycle>(byte_cycles_ * static_cast<double>(nbytes) + 0.5);
   }
 
-  /// Starts a transmission; returns the cycle at which it completes. The
+  /// Starts a transmission; returns the cycle at which it completes. Wakes
+  /// the medium (its next delivery moved) and its carrier subscribers. The
   /// point-to-point backend treats overlap as a hard error in all build
   /// types (it would silently garble the experiment); contended backends
   /// turn overlap into counted collisions.
@@ -145,12 +154,8 @@ class Medium : public sim::Clockable {
   void tick() override;
 
   // ---- Quiescence contract (sim/scheduler.hpp) ----
-  /// A medium's visible state is time-derived — now(), idle_for() and
-  /// cca_idle_for() advance every cycle and are polled live by transmit
-  /// gates and access RFUs — so it is only skipped across globally-
-  /// quiescent gaps, where nothing can observe it, and its bound is the
-  /// distance to its next delivery event.
-  bool global_skip_only() const final { return true; }
+  /// Sleeps to the next delivery event; reads of its time-derived state
+  /// (polled live by transmit gates and access RFUs) settle it first.
   Cycle quiescent_for() const override;
   void skip_idle(Cycle n) override;
 
@@ -164,7 +169,10 @@ class Medium : public sim::Clockable {
     wake_subs_.push_back(&c);
   }
 
-  Cycle busy_cycles() const noexcept { return busy_cycles_; }
+  Cycle busy_cycles() const noexcept {
+    settle_self();
+    return busy_cycles_;
+  }
 
   /// Fault injector: invoked on each frame as its last byte arrives, before
   /// delivery to the clients; return true if the frame was modified. Models
@@ -263,6 +271,7 @@ class Medium : public sim::Clockable {
   }
 
   mac::Protocol proto_;
+  const mac::ProtocolTiming timing_;
   double byte_cycles_;
   Cycle now_ = 0;
   Cycle tx_end_ = 0;

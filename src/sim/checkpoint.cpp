@@ -23,6 +23,7 @@ std::string hex_u32(u32 v) {
 // ---- Writer ----
 
 void Writer::put(const void* p, std::size_t n) {
+  if (n == 0) return;  // An empty source may be a null data().
   const auto* b = static_cast<const u8*>(p);
   buf_.insert(buf_.end(), b, b + n);
 }
@@ -144,6 +145,7 @@ void Reader::check_remaining(std::size_t n) {
 
 void Reader::get(void* p, std::size_t n) {
   check_remaining(n);
+  if (n == 0) return;  // memcpy from an empty payload's null data() is UB.
   std::memcpy(p, payload_.data() + pos_, n);
   pos_ += n;
 }

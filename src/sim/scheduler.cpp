@@ -113,28 +113,21 @@ void Scheduler::enter_batched() {
   wheel_.reset(now_);
   wheel_stale_ = 0;
   active_.reset(batch_.size());
-  awake_lazy_ = 0;
   // Entry partition: every component is fully caught up here, so bounds are
   // relative to the next cycle to execute (now_).
   for (u32 i = 0; i < batch_.size(); ++i) {
-    CompState& st = states_[i];
-    st.eager = batch_[i]->global_skip_only();
-    if (st.eager) {
-      active_.insert(i);  // Eager components stay in the tick loop.
-      continue;
-    }
     const Cycle q = batch_[i]->quiescent_for();
     if (q == 0) {
       active_.insert(i);
-      ++awake_lazy_;
-    } else {
-      st.sleeping = true;
-      st.slept_from = now_;
-      if (q != Clockable::kIdleForever && q <= Clockable::kIdleForever - now_) {
-        wheel_.push(now_ + q, i, st.gen);
-        st.in_wheel = true;
-        wheel_depth_max_ = std::max<u64>(wheel_depth_max_, wheel_.size());
-      }
+      continue;
+    }
+    CompState& st = states_[i];
+    st.sleeping = true;
+    st.slept_from = st.span_from = now_;
+    if (q != Clockable::kIdleForever && q <= Clockable::kIdleForever - now_) {
+      wheel_.push(now_ + q, i, st.gen);
+      st.in_wheel = true;
+      wheel_depth_max_ = std::max<u64>(wheel_depth_max_, wheel_.size());
     }
   }
 }
@@ -144,19 +137,7 @@ void Scheduler::exit_batched() {
   // cycle, so introspection (stats, counters, internal clocks) between runs
   // is indistinguishable from every-tick mode.
   for (u32 i = 0; i < states_.size(); ++i) {
-    CompState& st = states_[i];
-    if (!st.sleeping) continue;
-    const Cycle owed = now_ - st.slept_from;
-    if (owed > 0) {
-      batch_[i]->skip_idle(owed);
-      ticks_skipped_ += owed;
-      stage_skip_[stage_bucket_[i]] += owed;
-      if (observer_ != nullptr) {
-        observer_->on_skip_span(frozen_names_[i], st.slept_from, owed);
-      }
-    }
-    st.sleeping = false;
-    ++st.gen;
+    if (states_[i].sleeping) end_sleep(i);
   }
   in_batched_run_ = false;
   // Lane-level wake hint for MultiScheduler: when the whole scheduler is
@@ -176,6 +157,33 @@ void Scheduler::exit_batched() {
   }
 }
 
+void Scheduler::settle_sleeper(u32 idx) {
+  // The catch-up rule (header comment): mid-cycle, a sleeper whose tick
+  // slot has passed owes this cycle too. A settle that already covered this
+  // cycle owes nothing, so settle-then-wake never double-counts. The mark
+  // moves before skip_idle runs, so a read it makes of its own component
+  // cannot settle the same stretch twice.
+  CompState& st = states_[idx];
+  const Cycle upto = now_ + (in_cycle_ && idx <= cursor_ ? 1 : 0);
+  if (upto <= st.slept_from) return;
+  const Cycle owed = upto - st.slept_from;
+  st.slept_from = upto;
+  batch_[idx]->skip_idle(owed);
+  ticks_skipped_ += owed;
+  stage_skip_[stage_bucket_[idx]] += owed;
+}
+
+void Scheduler::end_sleep(u32 idx) {
+  settle_sleeper(idx);
+  CompState& st = states_[idx];
+  st.sleeping = false;
+  ++st.gen;  // Any wake-wheel entry for this sleep period is now stale.
+  if (observer_ != nullptr && st.slept_from > st.span_from) {
+    observer_->on_skip_span(frozen_names_[idx], st.span_from,
+                            st.slept_from - st.span_from);
+  }
+}
+
 void Scheduler::wake_component(u32 idx) {
   if (!in_batched_run_) {
     // External input between runs: the published lane hint no longer
@@ -185,29 +193,14 @@ void Scheduler::wake_component(u32 idx) {
   }
   CompState& st = states_[idx];
   if (!st.sleeping) return;
-  st.sleeping = false;
-  ++st.gen;  // Any wake-wheel entry for this sleep period is now stale.
   if (st.in_wheel) {
     st.in_wheel = false;
     ++wheel_stale_;  // Woken early: its wheel entry lingers until purged.
   }
-  // Catch-up window: while mid-cycle, a target whose tick slot has not yet
-  // passed this cycle owes [slept_from, now_) and then really ticks at now_
-  // (every-tick mode would observe the just-delivered input this cycle); a
-  // target whose slot already passed owes [slept_from, now_] and resumes at
-  // now_+1 — exactly when every-tick mode would first see the input.
-  Cycle owed = now_ - st.slept_from;
-  if (in_cycle_ && idx <= cursor_) ++owed;
-  if (owed > 0) {
-    batch_[idx]->skip_idle(owed);
-    ticks_skipped_ += owed;
-    stage_skip_[stage_bucket_[idx]] += owed;
-    if (observer_ != nullptr) {
-      observer_->on_skip_span(frozen_names_[idx], st.slept_from, owed);
-    }
-  }
+  // The settle covers exactly the cycles it is owed, so it really ticks at
+  // now_ if its slot has not passed this cycle, at now_+1 otherwise.
+  end_sleep(idx);
   active_.insert(idx);
-  ++awake_lazy_;
 }
 
 void Scheduler::drain_wheel() {
@@ -242,46 +235,20 @@ bool Scheduler::run_skipping(Cycle limit, const Done& done) {
   bool fired = false;
   while (now_ < limit && !fired) {
     drain_wheel();
-    // Globally-quiescent gap: nothing but eager components is awake. Fast-
-    // forward to the earliest wake bound (or the nearest eager event),
-    // bulk-accounting the gap into the eager components immediately so
-    // their externally visible clocks are exact at every cycle anything
-    // runs. The wheel reports a *lower* bound (a bucket floor above level
-    // 0), so a long gap may take a few hops — additive skip chunking makes
-    // that bit-identical to one jump.
-    if (awake_lazy_ == 0) {
-      Cycle gap = limit - now_;
-      const Cycle nb = wheel_.next_bound();
-      if (nb != TimingWheel::kNever) gap = std::min(gap, nb - now_);
-      for (std::size_t w = 0; w < active_.word_count() && gap > 0; ++w) {
-        u64 m = active_.word(w);
-        while (m != 0 && gap > 0) {
-          const auto idx = static_cast<u32>(w * 64) +
-                           static_cast<u32>(std::countr_zero(m));
-          m &= m - 1;
-          gap = std::min(gap, batch_[idx]->quiescent_for());
-        }
-      }
-      if (gap > 0) {
-        for (std::size_t w = 0; w < active_.word_count(); ++w) {
-          u64 m = active_.word(w);
-          while (m != 0) {
-            const auto idx = static_cast<u32>(w * 64) +
-                             static_cast<u32>(std::countr_zero(m));
-            m &= m - 1;
-            batch_[idx]->skip_idle(gap);
-            stage_skip_[stage_bucket_[idx]] += gap;
-          }
-        }
-        ticks_skipped_ += gap * active_.size();
-        if (observer_ != nullptr) observer_->on_fast_forward(now_, gap);
-        now_ += gap;
-        ff_cycles_ += gap;
-        ++ff_events_;
-        ++ff_gap_log2_[static_cast<std::size_t>(std::bit_width(gap))];
-        fired = done();
-        continue;
-      }
+    // Globally-quiescent gap: nothing is awake. Fast-forward to the
+    // earliest wake bound; sleepers settle lazily (on read, wake or exit).
+    // The wheel reports a *lower* bound (a bucket floor above level 0), so
+    // a long gap may take a few hops — additive skip chunking makes that
+    // bit-identical to one jump.
+    if (active_.size() == 0) {
+      const Cycle gap = std::min(limit, wheel_.next_bound()) - now_;
+      if (observer_ != nullptr) observer_->on_fast_forward(now_, gap);
+      now_ += gap;
+      ff_cycles_ += gap;
+      ++ff_events_;
+      ++ff_gap_log2_[static_cast<std::size_t>(std::bit_width(gap))];
+      fired = done();
+      continue;
     }
     // One real cycle over the awake set, in frozen (stage) order. After
     // each tick the word is re-read above the cursor, so an index inserted
@@ -298,22 +265,19 @@ bool Scheduler::run_skipping(Cycle limit, const Done& done) {
         c->tick();
         ++ticks_executed_;
         ++stage_exec_[stage_bucket_[idx]];
-        CompState& st = states_[idx];
-        if (!st.eager) {
-          const Cycle q = c->quiescent_for();
-          if (q > 0) {
-            st.sleeping = true;
-            ++st.gen;
-            st.slept_from = now_ + 1;
-            if (q != Clockable::kIdleForever &&
-                q < Clockable::kIdleForever - now_ - 1) {
-              wheel_.push(now_ + 1 + q, idx, st.gen);
-              st.in_wheel = true;
-              wheel_depth_max_ = std::max<u64>(wheel_depth_max_, wheel_.size());
-            }
-            active_.erase(idx);
-            --awake_lazy_;
+        const Cycle q = c->quiescent_for();
+        if (q > 0) {
+          CompState& st = states_[idx];
+          st.sleeping = true;
+          ++st.gen;
+          st.slept_from = st.span_from = now_ + 1;
+          if (q != Clockable::kIdleForever &&
+              q < Clockable::kIdleForever - now_ - 1) {
+            wheel_.push(now_ + 1 + q, idx, st.gen);
+            st.in_wheel = true;
+            wheel_depth_max_ = std::max<u64>(wheel_depth_max_, wheel_.size());
           }
+          active_.erase(idx);
         }
         // Re-read above the cursor: picks up same-cycle wakes at higher
         // indices of this word (u64{2} << 63 wraps to 0, masking the word

@@ -28,7 +28,8 @@
 // every fast-forward hop. A gap executes no tick, so a predicate over event
 // state (callback flags, frame and completion counters) stops on the
 // every-tick cycle. done() must not read now() or a sleeping component's
-// time-integrated counters: both are exact only once the run returns.
+// time-integrated counters unless that component settles on read (below):
+// otherwise both are exact only once the run returns.
 //
 // ---- The quiescence contract ----
 //
@@ -49,29 +50,34 @@
 //   * skip_idle(n) — bulk-account n skipped ticks: advance internal cycle
 //     counters and fold n samples into busy/occupancy statistics. After
 //     skip_idle(n) the component must be in exactly the state n no-op
-//     tick() calls would have produced.
-//   * global_skip_only() — return true when the component's externally
-//     visible state is time-derived (media: now(), cca_idle_for() advance
-//     every cycle and are polled by other components). Such components are
-//     ticked every cycle while anything else is awake and skipped only
-//     across globally-quiescent gaps, where no observer can run.
+//     tick() calls would have produced. Chunking is additive: skip_idle(a)
+//     then skip_idle(b) equals skip_idle(a+b).
+//
+// Settle-on-read: a component whose externally visible state is time-
+// derived (media: now(), idle_for(), cca_idle_for() advance every cycle and
+// are polled by transmit gates and access RFUs) calls settle_self() at the
+// top of every public read. The scheduler then bulk-accounts the cycles it
+// has slept so far — by the catch-up rule below — and leaves it asleep, so
+// the reader sees exactly the every-tick value while the component still
+// executes only its event ticks.
 //
 // Wake invalidation: a quiescence bound is conditional on "no external
 // input". Every path that delivers input to a potentially-sleeping component
 // (bus trigger push, interrupt/host-request/timer arm, medium begin_tx and
 // frame delivery, Tx/Rx buffer pushes, IRC submissions, doorbell writes)
 // must call wake_self() on the target before mutating it. The scheduler then
-// catches the component up (bulk-accounting the cycles it slept) and re-
-// inserts it into the active set — in the *current* cycle when its tick slot
-// has not yet passed this cycle, from the next cycle otherwise, which is
-// exactly when every-tick mode would first observe the input. skip_idle
-// implementations must not wake other components.
+// settles the component (the catch-up rule) and re-inserts it into the
+// active set. Catch-up rule: mid-cycle, a component whose tick slot has not
+// yet passed this cycle is owed the cycles before now_ and, if woken, really
+// ticks at now_ (every-tick mode would observe the just-delivered input
+// this cycle); one whose slot already passed is owed now_ as well and
+// resumes at now_+1 — exactly when every-tick mode would first see the
+// input. skip_idle implementations must not wake other components.
 //
-// Globally-quiescent gaps: when every component is quiescent, the scheduler
-// fast-forwards now_ to the earliest wake bound in one step (the wake-wheel
-// is a min-heap of sleeping components' bounds), bulk-accounting the gap
-// into every always-ticked component immediately so no state is ever stale
-// at a cycle where anything runs.
+// Globally-quiescent gaps: when no component is awake, the scheduler
+// fast-forwards now_ to the earliest wake bound in one step (the timing
+// wheel holds sleeping components' bounds). Sleepers are settled lazily —
+// on read, on wake, or at run exit — so a gap costs one jump, not a sweep.
 #pragma once
 
 #include <array>
@@ -125,14 +131,15 @@ class Clockable {
   /// quiescent_for) by any component that can report a non-zero bound.
   virtual void skip_idle(Cycle n) { (void)n; }
 
-  /// True when other components sample time-derived state from this one
-  /// (see the header comment): tick every cycle, skip only in global gaps.
-  virtual bool global_skip_only() const { return false; }
-
   /// Invalidates this component's quiescence bound: external input arrived.
   /// Safe to call at any time (no-op when awake, unregistered, or outside a
   /// skipping run). Defined in scheduler.cpp.
   void wake_self() noexcept;
+
+  /// Settle-on-read (see the header comment): brings a sleeping component
+  /// up to the current cycle without waking it. Same no-op cases as
+  /// wake_self(). Defined below Scheduler.
+  void settle_self() const noexcept;
 
  private:
   friend class Scheduler;
@@ -523,8 +530,16 @@ class Scheduler {
   void freeze();
   void enter_batched();
   void exit_batched();
-  /// Catches a sleeping component up and re-inserts it into the active set.
+  /// Settles a sleeping component and re-inserts it into the active set.
   void wake_component(u32 idx);
+  /// Catches a sleeping component up through the catch-up rule (it stays
+  /// asleep); the inline part is the no-op fast path every media read pays.
+  void settle_component(u32 idx) {
+    if (in_batched_run_ && states_[idx].sleeping) settle_sleeper(idx);
+  }
+  void settle_sleeper(u32 idx);
+  /// Settles and wakes a sleeper's state, reporting its skip span.
+  void end_sleep(u32 idx);
   /// Poisons the scheduler after a throw in a run (cursor_ names the tick).
   void fault();
   friend class Clockable;
@@ -537,11 +552,11 @@ class Scheduler {
   /// Per-component quiescence state, parallel to batch_; live only inside
   /// a skipping run.
   struct CompState {
-    bool eager = false;    ///< global_skip_only(): tick unless global gap.
     bool sleeping = false;
     bool in_wheel = false;  ///< A live wheel entry exists for this sleep.
     u32 gen = 0;            ///< Invalidates stale wake-wheel entries.
-    Cycle slept_from = 0;   ///< First skipped tick cycle.
+    Cycle slept_from = 0;   ///< First skipped tick not yet settled.
+    Cycle span_from = 0;    ///< First skipped tick of this sleep (observer).
   };
 
   /// Eagerly sweep the wheel when stale entries both exceed this floor and
@@ -569,7 +584,6 @@ class Scheduler {
   std::vector<CompState> states_;
   ActiveSet active_;  ///< Awake components, iterated in frozen order.
   TimingWheel wheel_;
-  std::size_t awake_lazy_ = 0;   ///< Awake components that are not eager.
   std::size_t wheel_stale_ = 0;  ///< Known-stale entries still in the wheel.
   Cycle next_wake_ = 0;
   std::string fault_;  ///< SchedulerFaulted message; empty while healthy.
@@ -592,5 +606,9 @@ class Scheduler {
   std::array<u64, 65> ff_gap_log2_{};
   SchedulerObserver* observer_ = nullptr;
 };
+
+inline void Clockable::settle_self() const noexcept {
+  if (wake_sched_ != nullptr) wake_sched_->settle_component(wake_index_);
+}
 
 }  // namespace drmp::sim

@@ -7,6 +7,7 @@
 // RTS/CTS rescue of the classic hidden-pair topology.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
 
 #include "net/audibility.hpp"
@@ -181,8 +182,8 @@ TEST(PointToPointMedium, CcaViewMatchesGroundTruth) {
 
 TEST(ContendedMedium, SkipIdleReproducesPerTickAccounting) {
   // Two staggered transmissions in every-tick mode vs with idle-skip on
-  // (which skips the medium across the globally-quiescent mid-frame
-  // stretches): occupancy, per-source airtime and the CCA latch must come
+  // (which sleeps the medium between its events and settles it when the
+  // run returns): occupancy, per-source airtime and the CCA latch must come
   // out bit-identical.
   sim::TimeBase tb(200e6);
   auto run = [&](bool skip) {
@@ -522,6 +523,182 @@ TEST(ExpiredResponses, ExpiriesAreCountedByKindAndStrandNoNav) {
     EXPECT_EQ(ds.completed[0], ds.offered[0]) << "station " << ds.station_id;
   }
 }
+
+// ---- Settle-on-read: media sleep between events -------------------------
+
+/// Fires scripted local transmissions and foreign-carrier images at fixed
+/// cycles, sleeping in between (stage default: after the medium).
+class TxScript : public sim::Clockable {
+ public:
+  struct Action {
+    Cycle at;
+    int source;
+    std::size_t bytes;  ///< 0 = foreign-carrier image instead of a frame.
+    Cycle image_len = 0;
+  };
+  TxScript(phy::Medium& m, std::vector<Action> actions)
+      : m_(m), actions_(std::move(actions)) {}
+
+  void tick() override {
+    for (; next_ < actions_.size() && actions_[next_].at == now_; ++next_) {
+      const Action& a = actions_[next_];
+      if (a.bytes > 0) {
+        m_.begin_tx(pattern_frame(a.bytes, static_cast<u8>(next_)), a.source);
+      } else {
+        const Cycle start = m_.now() + 50;
+        m_.begin_remote_tx(start, start + a.image_len, a.source);
+      }
+    }
+    ++now_;
+  }
+  Cycle quiescent_for() const override {
+    return next_ < actions_.size() ? actions_[next_].at - now_ : kIdleForever;
+  }
+  void skip_idle(Cycle n) override { now_ += n; }
+
+ private:
+  phy::Medium& m_;
+  std::vector<Action> actions_;
+  std::size_t next_ = 0;
+  Cycle now_ = 0;
+};
+
+/// Samples every time-derived medium view each cycle from the observer
+/// stage. Never quiescent, so the run never fast-forwards: every sample of
+/// a sleeping medium is served by a settle. The view read first rotates
+/// each cycle, so a view that forgets to settle reads stale state on the
+/// cycles it leads.
+class MediumProbe : public sim::Clockable {
+ public:
+  MediumProbe(const phy::Medium& m, const std::vector<int>& listeners,
+              const ContendedMedium* cm, const std::vector<int>& sources) {
+    views_.push_back([&m] { return m.now(); });
+    views_.push_back([&m] { return Cycle{m.busy()}; });
+    views_.push_back([&m] { return m.idle_for(); });
+    views_.push_back([&m] { return m.busy_cycles(); });
+    views_.push_back([&m] { return Cycle{m.cca_busy()}; });
+    views_.push_back([&m] { return m.cca_idle_for(); });
+    views_.push_back([&m] { return m.cca_clear_at(); });
+    views_.push_back([&m] { return m.cca_busy_onset_at(); });
+    for (const int l : listeners) {
+      views_.push_back([&m, l] { return Cycle{m.cca_busy(l)}; });
+      views_.push_back([&m, l] { return m.cca_idle_for(l); });
+      views_.push_back([&m, l] { return m.cca_clear_at(l); });
+      views_.push_back([&m, l] { return m.cca_busy_onset_at(l); });
+    }
+    if (cm != nullptr) {
+      for (const int id : sources) {
+        views_.push_back([cm, id] { return cm->source(id).airtime; });
+      }
+    }
+  }
+
+  void tick() override {
+    const std::size_t n = views_.size();
+    for (std::size_t k = 0; k < n; ++k) {
+      samples.push_back(views_[(first_ + k) % n]());
+    }
+    first_ = (first_ + 1) % n;
+  }
+
+  std::vector<Cycle> samples;
+
+ private:
+  std::vector<std::function<Cycle()>> views_;
+  std::size_t first_ = 0;
+};
+
+struct LazyMediumRun {
+  std::vector<Cycle> samples;
+  std::vector<int> delivered_sources;
+  u64 medium_executed = 0;
+  u64 medium_skipped = 0;
+  std::size_t actions = 0;
+};
+
+/// kContended: default detection latency, a hidden pair, a foreign image.
+enum class LazyMediumKind { kPointToPoint, kContended };
+
+LazyMediumRun run_lazy_medium(LazyMediumKind kind, bool idle_skip) {
+  sim::TimeBase tb(200e6);
+  sim::Scheduler sched(200e6);
+  sched.set_idle_skip(idle_skip);
+  std::unique_ptr<phy::Medium> medium;
+  ContendedMedium* cm = nullptr;
+  std::vector<TxScript::Action> actions;
+  if (kind == LazyMediumKind::kPointToPoint) {
+    medium = std::make_unique<phy::Medium>(mac::Protocol::WiFi, tb);
+    const Cycle air = medium->frame_air_cycles(200);
+    actions = {{100, 1, 200}, {100 + air + 500, 2, 64}, {100 + 3 * air, 1, 300}};
+  } else {
+    // Stations 0 and 2 are hidden from each other; 1 hears both. A slot of
+    // detection latency (the WiFi default) keeps perceived edges distinct
+    // from air edges.
+    ContendedMedium::Params p;
+    p.audibility = AudibilityMatrix::full(3);
+    p.audibility.hide_pair(0, 2);
+    auto owned = std::make_unique<ContendedMedium>(mac::Protocol::WiFi, tb, p);
+    for (int id = 0; id < 3; ++id) owned->map_station(id, static_cast<std::size_t>(id));
+    EXPECT_GT(owned->cca_latency_cycles(), 0u);
+    cm = owned.get();
+    medium = std::move(owned);
+    const Cycle air = medium->frame_air_cycles(300);
+    // Station 2 collides with 0 unheard, a foreign image follows, then a
+    // clean frame from 1.
+    actions = {{100, 0, 300}, {100 + air / 2, 2, 200}};
+    actions.push_back({100 + 2 * air, 7, 0, 5000});
+    actions.push_back({100 + 2 * air + 20000, 1, 100});
+  }
+  Sink sink;
+  medium->attach(sink);
+  TxScript script(*medium, actions);
+  MediumProbe probe(*medium, {phy::Medium::kOmniListener, 0, 1, 2}, cm, {0, 1, 2});
+  sched.add(probe, "probe", sim::Scheduler::kStageObserver);
+  sched.add(script, "script");
+  sched.add(*medium, "medium", sim::Scheduler::kStageMedium);
+  // Several run boundaries, none aligned with an event.
+  for (int chunk = 0; chunk < 23; ++chunk) sched.run_cycles(7919);
+  LazyMediumRun r;
+  r.samples = std::move(probe.samples);
+  r.delivered_sources = sink.sources;
+  for (const auto& st : sched.profile().stages) {
+    if (st.stage == sim::Scheduler::kStageMedium) {
+      r.medium_executed = st.executed;
+      r.medium_skipped = st.skipped;
+    }
+  }
+  r.actions = actions.size();
+  return r;
+}
+
+class LazyMedium : public ::testing::TestWithParam<LazyMediumKind> {};
+
+TEST_P(LazyMedium, SettleOnReadMatchesEveryTick) {
+  const LazyMediumRun every = run_lazy_medium(GetParam(), false);
+  const LazyMediumRun lazy = run_lazy_medium(GetParam(), true);
+  ASSERT_EQ(every.samples.size(), lazy.samples.size());
+  for (std::size_t i = 0; i < every.samples.size(); ++i) {
+    ASSERT_EQ(every.samples[i], lazy.samples[i]) << "sample " << i;
+  }
+  EXPECT_EQ(every.delivered_sources, lazy.delivered_sources);
+  EXPECT_FALSE(lazy.delivered_sources.empty());
+  // Not vacuous: the probe's reads of the sleeping medium were served by
+  // settles (the probe never sleeps, so nothing was fast-forwarded).
+  EXPECT_GT(lazy.medium_skipped, lazy.medium_executed);
+}
+
+TEST_P(LazyMedium, ExecutedTicksScaleWithFramesNotCycles) {
+  const LazyMediumRun lazy = run_lazy_medium(GetParam(), true);
+  const u64 cycles = 23 * 7919;
+  EXPECT_EQ(lazy.medium_executed + lazy.medium_skipped, cycles);
+  // A begin_tx wake, a delivery, and two perceived-carrier edges per
+  // action at most, plus one entry tick per run.
+  EXPECT_LE(lazy.medium_executed, 4 * lazy.actions + 23) << "of " << cycles;
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, LazyMedium,
+                         ::testing::Values(LazyMediumKind::kPointToPoint,
+                                           LazyMediumKind::kContended));
 
 }  // namespace
 }  // namespace drmp::net

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "sim/clock.hpp"
@@ -500,6 +501,76 @@ TEST(Quiescence, WakeLandsOnTheEveryTickCycleEitherSideOfTheProducer) {
     batched.run_cycles(1'000);
     EXPECT_EQ(cl.rx_log, cb.rx_log) << "consumer_first=" << consumer_first;
     EXPECT_EQ(cl.clock(), cb.clock()) << "consumer_first=" << consumer_first;
+  }
+}
+
+/// Settle-on-read component: sleeps until poked, and its public clock()
+/// settles it first, so readers always see the every-tick value.
+class SettledClock : public Clockable {
+ public:
+  void tick() override {
+    ++clock_;
+    pending_ = false;
+  }
+  Cycle quiescent_for() const override { return pending_ ? 0 : kIdleForever; }
+  void skip_idle(Cycle n) override { clock_ += n; }
+  Cycle clock() const noexcept {
+    settle_self();
+    return clock_;
+  }
+  void poke() {
+    wake_self();
+    pending_ = true;
+  }
+
+ private:
+  bool pending_ = false;
+  Cycle clock_ = 0;
+};
+
+/// Never quiescent: reads the settled clock every cycle, and at scripted
+/// cycles pokes it between two reads (a settle, then a wake, then a read
+/// in one cycle).
+class ClockReader : public Clockable {
+ public:
+  ClockReader(SettledClock& c, std::vector<Cycle> poke_at)
+      : c_(c), poke_at_(std::move(poke_at)) {}
+  void tick() override {
+    log.push_back(c_.clock());
+    for (const Cycle a : poke_at_) {
+      if (a == now_) {
+        c_.poke();
+        log.push_back(c_.clock());
+      }
+    }
+    ++now_;
+  }
+  std::vector<Cycle> log;
+
+ private:
+  SettledClock& c_;
+  std::vector<Cycle> poke_at_;
+  Cycle now_ = 0;
+};
+
+TEST(Quiescence, SettleOnReadMatchesEveryTickEitherSideOfTheReader) {
+  for (const bool reader_first : {true, false}) {
+    Scheduler every(200e6), batched(200e6);
+    every.set_idle_skip(false);
+    SettledClock cl, cb;
+    ClockReader rl(cl, {3, 4, 250}), rb(cb, {3, 4, 250});
+    for (auto [s, c, r] :
+         {std::tuple{&every, &cl, &rl}, std::tuple{&batched, &cb, &rb}}) {
+      if (reader_first) s->add(*r, "r");
+      s->add(*c, "c");
+      if (!reader_first) s->add(*r, "r");
+    }
+    every.run_cycles(300);
+    batched.run_cycles(300);
+    EXPECT_EQ(rl.log, rb.log) << "reader_first=" << reader_first;
+    EXPECT_EQ(cl.clock(), cb.clock());
+    // Reads did not wake it: one tick per poke, the rest settled.
+    EXPECT_EQ(batched.profile().stages[0].executed, 300u + 3u);
   }
 }
 
