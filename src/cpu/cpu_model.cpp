@@ -37,23 +37,45 @@ void CpuModel::post_host_request(Mode m, u32 request_id, Word param) {
 }
 
 Cycle CpuModel::quiescent_for() const {
-  // Skippable only when a tick is pure idle bookkeeping: no handler running
-  // or parked, nothing dispatchable, no timer due. now_ equals the index of
-  // the next tick at both contract evaluation points.
-  if (busy() || running_.has_value() || !suspended_.empty() || !pending_.empty()) {
-    return 0;
+  // Skippable while every tick is bookkeeping skip_idle replays exactly:
+  // through a running handler's fixed body (busy_until_ is set at dispatch)
+  // that no pending request preempts, or idle with nothing parked or
+  // dispatchable — either way up to the next timer deadline, whose expiry
+  // stamps posted_at. The preemption test reads pending_ as it stands: a
+  // request delivered between runs is state at entry, not a future wake.
+  // now_ equals the index of the next tick at both evaluation points.
+  Cycle q = kIdleForever;
+  if (now_ < busy_until_) {
+    if (preemptor() < pending_.size()) return 0;
+    q = busy_until_ - now_;
+  } else if (running_.has_value() || !suspended_.empty() || !pending_.empty()) {
+    return 0;  // The completion or dispatch tick must execute.
   }
-  if (timers_.empty()) return kIdleForever;
+  if (timers_.empty()) return q;
   const Cycle due = timers_.front().fire_at;  // Conservative if tombstoned.
-  return due > now_ ? due - now_ : 0;
+  return std::min(q, due > now_ ? due - now_ : 0);
 }
 
 void CpuModel::skip_idle(Cycle n) {
+  // The bound never crosses a completion tick, so the stretch is a busy
+  // prefix (the rest of the running body) followed by pure idle.
+  const Cycle b = now_ < busy_until_ ? std::min(n, busy_until_ - now_) : 0;
   if (stats_ != nullptr) {
     if (busy_stat_ == nullptr) busy_stat_ = &stats_->busy("cpu");
-    busy_stat_->sample_n(false, n);
+    busy_stat_->sample_n(true, b);
+    busy_stat_->sample_n(false, n - b);
   }
+  busy_cycles_ += b;
+  if (running_) mode_cycles_[index(*running_)] += b;
   now_ += n;
+}
+
+std::size_t CpuModel::preemptor() const {
+  // Mid-handler pre-emption (§4.1.1): only a strictly higher-priority
+  // mode's request parks the running handler.
+  if (!cfg_.preemptive || !running_ || pending_.empty()) return pending_.size();
+  const std::size_t b = best_pending();
+  return index(pending_[b].mode) < index(*running_) ? b : pending_.size();
 }
 
 std::size_t CpuModel::best_pending() const {
@@ -96,7 +118,7 @@ void CpuModel::tick() {
     }
   }
 
-  const bool was_busy = busy();
+  const bool was_busy = now_ < busy_until_;
   if (stats_ != nullptr) {
     if (busy_stat_ == nullptr) busy_stat_ = &stats_->busy("cpu");
     busy_stat_->sample(was_busy);
@@ -123,22 +145,18 @@ void CpuModel::tick() {
     running_.reset();
   }
 
-  if (cfg_.preemptive && running_ && !pending_.empty()) {
-    // Mid-handler pre-emption (§4.1.1): a strictly higher-priority mode's
-    // request parks the running handler and runs immediately.
-    const std::size_t b = best_pending();
-    if (index(pending_[b].mode) < index(*running_)) {
-      suspended_.push_back(Suspended{*running_, busy_until_ - now_});
-      ++preemption_count_;
-      const PendingIsr job = pending_[b];
-      pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(b));
-      dispatch(job, /*is_preemption=*/true);
-      ++now_;
-      return;
-    }
+  if (const std::size_t b = preemptor(); b < pending_.size()) {
+    // The pre-empting request parks the running handler and runs at once.
+    suspended_.push_back(Suspended{*running_, busy_until_ - now_});
+    ++preemption_count_;
+    const PendingIsr job = pending_[b];
+    pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(b));
+    dispatch(job, /*is_preemption=*/true);
+    ++now_;
+    return;
   }
 
-  if (!busy() && !pending_.empty()) {
+  if (now_ >= busy_until_ && !pending_.empty()) {
     // Idle dispatch: highest-priority pending ISR first (priority ordering in
     // the queue; mode A highest, matching the bus arbiter convention).
     const std::size_t b = best_pending();

@@ -81,21 +81,37 @@ class CpuModel : public sim::Clockable {
   void tick() override;
 
   // ---- Quiescence contract (sim/scheduler.hpp) ----
-  /// Idle with nothing pending: skippable to the nearest armed timer
-  /// deadline (the heap top doubles as the idle bound). Interrupts, host
-  /// requests and timer arms wake the model.
+  /// Sleeps through a running handler's body (its length is fixed at
+  /// dispatch) and through idle stretches with nothing pending, either way
+  /// no further than the nearest armed timer deadline (the heap top).
+  /// A handler that a pending request pre-empts on the next tick stays
+  /// awake. Interrupts, host requests and timer arms wake the model; the
+  /// time-derived reads below settle on read.
   Cycle quiescent_for() const override;
   void skip_idle(Cycle n) override;
 
   // ---- Instrumentation ----
-  bool busy() const noexcept { return now_ < busy_until_; }
-  Cycle busy_cycles() const noexcept { return busy_cycles_; }
-  Cycle total_cycles() const noexcept { return now_; }
+  bool busy() const noexcept {
+    settle_self();
+    return now_ < busy_until_;
+  }
+  Cycle busy_cycles() const noexcept {
+    settle_self();
+    return busy_cycles_;
+  }
+  Cycle total_cycles() const noexcept {
+    settle_self();
+    return now_;
+  }
   double busy_fraction() const {
+    settle_self();
     return now_ == 0 ? 0.0 : static_cast<double>(busy_cycles_) / static_cast<double>(now_);
   }
   u64 isr_invocations() const noexcept { return isr_count_; }
-  Cycle mode_cpu_cycles(Mode m) const { return mode_cycles_[index(m)]; }
+  Cycle mode_cpu_cycles(Mode m) const {
+    settle_self();
+    return mode_cycles_[index(m)];
+  }
   /// Longest time an ISR request waited before its handler started (cycles).
   Cycle max_dispatch_latency() const noexcept { return max_dispatch_latency_; }
   /// Per-mode worst-case dispatch latency (cycles) — the figure the
@@ -183,6 +199,10 @@ class CpuModel : public sim::Clockable {
   void dispatch(const PendingIsr& job, bool is_preemption);
   /// Index into pending_ of the best dispatchable request, or npos.
   std::size_t best_pending() const;
+  /// Index into pending_ of the request that pre-empts the running handler
+  /// on the next tick, or pending_.size(): the one test behind both tick()
+  /// and the busy-stretch bound.
+  std::size_t preemptor() const;
 
   Cycle instr_to_arch_cycles(u32 instr) const {
     return static_cast<Cycle>(static_cast<double>(instr) *

@@ -24,6 +24,7 @@ void PacketBus::request_for_rfu(Mode m, u8 rfu_id) {
 }
 
 void PacketBus::release(Mode m) {
+  wake_self();  // A dropped request line may end a quiet hold.
   assert(override_stack_.empty() &&
          "bus released by IRC while a grant override is outstanding");
   if (recorder_ != nullptr && requests_[index(m)].active) {
@@ -33,6 +34,7 @@ void PacketBus::release(Mode m) {
 }
 
 Word PacketBus::read(u32 addr) {
+  wake_self();  // The access is accounted by the next tick.
   assert(grant_.kind != MasterKind::None && "bus read without a master");
   assert(!accessed_this_cycle_ && "second bus access in one cycle");
   accessed_this_cycle_ = true;
@@ -43,6 +45,7 @@ Word PacketBus::read(u32 addr) {
 }
 
 void PacketBus::write(u32 addr, Word data) {
+  wake_self();  // Also: triggers and overrides change the grant's fate.
   assert(grant_.kind != MasterKind::None && "bus write without a master");
   assert(!accessed_this_cycle_ && "second bus access in one cycle");
   accessed_this_cycle_ = true;
@@ -89,40 +92,46 @@ Mode PacketBus::grant_origin_mode() const {
   return grant_.mode;
 }
 
-void PacketBus::arbitrate() {
+PacketBus::HoldFate PacketBus::hold_fate() const {
   // Keep the current grant while its originating request is still active
-  // (non-preemptive time-multiplexing, §3.6.3).
+  // (non-preemptive time-multiplexing, §3.6.3). During the grant-delay
+  // window the IRC of mode m holds the bus; once delegated, the RFU (or its
+  // override slave) holds it.
+  bool still_active = false;
+  for (std::size_t i = 0; i < kNumModes && !still_active; ++i) {
+    const auto& r = requests_[i];
+    if (!r.active) continue;
+    const Mode m = mode_from_index(i);
+    still_active = granted_irc(m) || (r.for_rfu && grant_.kind == MasterKind::Rfu);
+  }
+  if (!still_active) return HoldFate::Drop;
+  // Grant Delay Logic: an IRC-held grant passes to the requested RFU once
+  // the RFU's trigger has been observed (Fig. 3.12).
+  if (grant_.kind == MasterKind::Irc) {
+    const auto& r = requests_[index(grant_.mode)];
+    if (r.active && r.for_rfu && triggers_.triggered_flag(r.rfu_id)) {
+      return HoldFate::Promote;
+    }
+  }
+  return HoldFate::Keep;
+}
+
+void PacketBus::arbitrate() {
   if (grant_.kind != MasterKind::None) {
-    bool still_active = false;
-    for (std::size_t i = 0; i < kNumModes; ++i) {
-      const auto& r = requests_[i];
-      if (!r.active) continue;
-      const Mode m = mode_from_index(i);
-      if (!r.for_rfu && grant_.kind == MasterKind::Irc && grant_.mode == m) still_active = true;
-      if (r.for_rfu &&
-          ((grant_.kind == MasterKind::Rfu) ||
-           (grant_.kind == MasterKind::Irc && grant_.mode == m))) {
-        // During the grant-delay window the IRC of mode m holds the bus; once
-        // delegated, the RFU (or its override slave) holds it.
-        still_active = true;
+    switch (hold_fate()) {
+      case HoldFate::Keep:
+        return;
+      case HoldFate::Promote: {
+        const u8 rfu_id = requests_[index(grant_.mode)].rfu_id;
+        triggers_.clear_triggered_flag(rfu_id);
+        grant_ = Grant{MasterKind::Rfu, grant_.mode, rfu_id};
+        return;
       }
+      case HoldFate::Drop:
+        grant_ = Grant{};
+        override_stack_.clear();
+        break;
     }
-    if (still_active) {
-      // Grant Delay Logic: promote IRC-held grant to the requested RFU once
-      // the RFU's trigger has been observed (Fig. 3.12).
-      for (std::size_t i = 0; i < kNumModes; ++i) {
-        const auto& r = requests_[i];
-        const Mode m = mode_from_index(i);
-        if (r.active && r.for_rfu && grant_.kind == MasterKind::Irc && grant_.mode == m &&
-            triggers_.triggered_flag(r.rfu_id)) {
-          triggers_.clear_triggered_flag(r.rfu_id);
-          grant_ = Grant{MasterKind::Rfu, m, r.rfu_id};
-        }
-      }
-      return;
-    }
-    grant_ = Grant{};
-    override_stack_.clear();
   }
 
   // New arbitration: fixed priority, mode A highest (§3.6.4).
@@ -144,14 +153,34 @@ void PacketBus::arbitrate() {
   }
 }
 
+void PacketBus::account_hold(Cycle n) {
+  // Hold/wait accounting for cycles starting after arbitration, so the very
+  // first granted cycle does not count as contention.
+  const bool held = grant_.kind != MasterKind::None;
+  const Mode origin = held ? grant_origin_mode() : Mode::A;
+  if (held) mode_hold_cycles_[index(origin)] += n;
+  for (std::size_t i = 0; i < kNumModes; ++i) {
+    if (requests_[i].active && !(held && origin == mode_from_index(i))) {
+      mode_wait_cycles_[i] += n;
+    }
+  }
+}
+
 Cycle PacketBus::quiescent_for() const {
   if (recorder_ != nullptr) return 0;
   if (trace_gate_ != nullptr && trace_gate_->enabled()) return 0;
-  if (accessed_this_cycle_ || grant_.kind != MasterKind::None) return 0;
-  for (const ModeRequest& r : requests_) {
-    if (r.active) return 0;
+  if (accessed_this_cycle_) return 0;
+  if (grant_.kind == MasterKind::None) {
+    // Idle: any asserted request line is granted on the next tick.
+    for (const ModeRequest& r : requests_) {
+      if (r.active) return 0;
+    }
+    return kIdleForever;
   }
-  return sim::Clockable::kIdleForever;
+  // Quiet hold: arbitration keeps the grant as it is, so a tick only counts
+  // hold and wait cycles. A master streaming a word per cycle would wake a
+  // sleeping bus on every access, so sleep only after a cycle with none.
+  return !accessed_last_cycle_ && hold_fate() == HoldFate::Keep ? kIdleForever : 0;
 }
 
 void PacketBus::skip_idle(Cycle n) {
@@ -160,6 +189,8 @@ void PacketBus::skip_idle(Cycle n) {
     if (busy_stat_ == nullptr) busy_stat_ = &stats_->busy("packet_bus");
     busy_stat_->sample_n(false, n);
   }
+  account_hold(n);
+  accessed_last_cycle_ = false;
 }
 
 void PacketBus::tick() {
@@ -170,23 +201,11 @@ void PacketBus::tick() {
     if (busy_stat_ == nullptr) busy_stat_ = &stats_->busy("packet_bus");
     busy_stat_->sample(accessed_this_cycle_);
   }
+  accessed_last_cycle_ = accessed_this_cycle_;
   accessed_this_cycle_ = false;
 
   arbitrate();
-
-  // Hold/wait accounting for the cycle now starting (post-arbitration, so
-  // the very first granted cycle does not count as contention).
-  if (grant_.kind != MasterKind::None) {
-    ++mode_hold_cycles_[index(grant_origin_mode())];
-  }
-  for (std::size_t i = 0; i < kNumModes; ++i) {
-    const auto& r = requests_[i];
-    if (r.active) {
-      const Mode m = mode_from_index(i);
-      const bool owns = (grant_.kind != MasterKind::None) && (grant_origin_mode() == m);
-      if (!owns) ++mode_wait_cycles_[i];
-    }
-  }
+  account_hold(1);
 }
 
 }  // namespace drmp::hw

@@ -91,11 +91,13 @@ class PacketBus : public sim::Clockable {
   void tick() override;
 
   // ---- Quiescence contract (sim/scheduler.hpp) ----
-  /// Skippable while no request line is asserted and no grant is held (an
-  /// idle tick is pure cycle accounting plus a no-op arbitrate). Request
-  /// lines wake the bus. Disabled while a transaction recorder or an enabled
-  /// trace recorder is attached: both consume total_cycles() from other
-  /// components' ticks, which a lazily-accounted bus would serve stale.
+  /// Skippable while idle (no request line asserted, no grant held) and
+  /// through a quiet hold: a grant arbitration would neither drop nor
+  /// promote, after a cycle without an access. Either way a tick is pure
+  /// cycle, hold and wait accounting. Request lines, releases and accesses
+  /// wake the bus; the counters below settle on read. Disabled while a
+  /// transaction recorder or an enabled trace recorder is attached: both
+  /// stamp events with the bus's cycle count from other components' ticks.
   Cycle quiescent_for() const override;
   void skip_idle(Cycle n) override;
   /// Trace recorder whose enabled() gates bus quiescence (see above);
@@ -103,11 +105,23 @@ class PacketBus : public sim::Clockable {
   void set_trace_gate(const sim::TraceRecorder* t) noexcept { trace_gate_ = t; }
 
   // ---- Instrumentation ----
-  Cycle busy_cycles() const noexcept { return busy_cycles_; }
-  Cycle total_cycles() const noexcept { return total_cycles_; }
-  Cycle mode_hold_cycles(Mode m) const { return mode_hold_cycles_[index(m)]; }
+  Cycle busy_cycles() const noexcept {
+    settle_self();
+    return busy_cycles_;
+  }
+  Cycle total_cycles() const noexcept {
+    settle_self();
+    return total_cycles_;
+  }
+  Cycle mode_hold_cycles(Mode m) const {
+    settle_self();
+    return mode_hold_cycles_[index(m)];
+  }
   /// Cycles a mode spent requesting without owning the bus (contention).
-  Cycle mode_wait_cycles(Mode m) const { return mode_wait_cycles_[index(m)]; }
+  Cycle mode_wait_cycles(Mode m) const {
+    settle_self();
+    return mode_wait_cycles_[index(m)];
+  }
 
   /// Attaches a transaction recorder for interconnect exploration
   /// (§3.6.3/§7.1 alternatives); pass nullptr to detach.
@@ -115,7 +129,8 @@ class PacketBus : public sim::Clockable {
 
   /// Checkpoint support (sim/checkpoint.hpp). The arbiter state machine,
   /// the trigger latches and every cycle counter travel; the memory, stats
-  /// sinks and recorders are wiring owned elsewhere.
+  /// sinks and recorders are wiring owned elsewhere, and the quiet-cycle
+  /// hint only decides when the bus sleeps.
   template <class Ar>
   void persist(Ar& ar) {
     ar.io(triggers_);
@@ -130,8 +145,14 @@ class PacketBus : public sim::Clockable {
   }
 
  private:
+  /// What arbitration does with a held grant: the one test behind both
+  /// arbitrate() and the quiet-hold bound.
+  enum class HoldFate : u8 { Drop, Keep, Promote };
+  HoldFate hold_fate() const;
   Mode grant_origin_mode() const;
   void arbitrate();
+  /// Adds n post-arbitration cycles of hold and wait counts.
+  void account_hold(Cycle n);
 
   PacketMemory& mem_;
   sim::StatsRegistry* stats_;
@@ -145,6 +166,7 @@ class PacketBus : public sim::Clockable {
   std::vector<Grant> override_stack_;
 
   bool accessed_this_cycle_ = false;
+  bool accessed_last_cycle_ = false;  ///< Sleep hint (not persisted).
   Cycle busy_cycles_ = 0;
   Cycle total_cycles_ = 0;
   std::array<Cycle, kNumModes> mode_hold_cycles_{};

@@ -76,7 +76,8 @@ class Rfu : public sim::Clockable {
   /// An RFU is skippable while Idle with no latched trigger (trigger pushes
   /// wake it through the RfuTriggerLogic waker), bounded by its slave role;
   /// subclasses may additionally declare quiescent stretches of the Running
-  /// phase (e.g. the channel-access RFU waiting for a TDMA slot boundary).
+  /// phase (e.g. the channel-access RFU waiting for a TDMA slot boundary,
+  /// or a streaming unit counting down a compute stall).
   Cycle quiescent_for() const final;
   void skip_idle(Cycle n) final;
 
@@ -89,8 +90,16 @@ class Rfu : public sim::Clockable {
   void load_state(sim::snap::Reader& r);
 
   // ---- Instrumentation ----
-  Cycle busy_cycles() const noexcept { return busy_cycles_; }
-  Cycle reconfig_cycles() const noexcept { return reconfig_cycles_; }
+  /// Settle on read: a unit sleeps through reconfiguration countdowns,
+  /// Running-phase waits and compute stalls.
+  Cycle busy_cycles() const noexcept {
+    settle_self();
+    return busy_cycles_;
+  }
+  Cycle reconfig_cycles() const noexcept {
+    settle_self();
+    return reconfig_cycles_;
+  }
   u64 reconfig_count() const noexcept { return reconfig_count_; }
   u64 exec_count() const noexcept { return exec_count_; }
 

@@ -31,6 +31,15 @@ void StreamingRfu::q_stall(Cycle n) {
   if (n > 0) ops_.push_back({IoOp::Kind::Stall, 0, static_cast<u32>(n), 0});
 }
 
+Cycle StreamingRfu::running_quiescent_for() const {
+  if (ops_.empty() || ops_.front().kind != IoOp::Kind::Stall) return 0;
+  return ops_.front().a - 1;  // The tick that reaches 0 pops the stall.
+}
+
+void StreamingRfu::on_running_skip(Cycle n) {
+  ops_.front().a -= static_cast<u32>(n);
+}
+
 bool StreamingRfu::io_step() {
   if (ops_.empty()) return true;
   if (step_op(ops_.front())) {

@@ -33,6 +33,13 @@ class StreamingRfu : public Rfu {
   /// Queues `n` pure compute cycles.
   void q_stall(Cycle n);
 
+  /// Quiescence while Running: a Stall at the head of the queue is pure
+  /// countdown, so every tick before the one that pops it is skippable.
+  /// Exact because every subclass that queues a stall calls io_step() first
+  /// in work_step() and returns while it is false.
+  Cycle running_quiescent_for() const override;
+  void on_running_skip(Cycle n) override;
+
   /// Executes one cycle of the queued micro-ops. Returns true when the whole
   /// queue has drained.
   bool io_step();

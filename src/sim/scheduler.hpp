@@ -39,32 +39,48 @@
 // may override:
 //
 //   * quiescent_for() — a conservative bound Q: "my next Q tick() calls
-//     would be no-ops (absent external input); you may replace them with one
-//     skip_idle(Q)". 0 means "tick me next cycle"; kIdleForever means
-//     "skippable until woken". The scheduler calls it only at well-defined
-//     points — immediately after the component's own tick(), or at a run
-//     boundary with the component fully caught up — so implementations may
-//     assume their internal clocks equal the index of their next tick.
-//     Under-estimating Q is always safe (the component wakes, ticks once,
-//     and may sleep again); over-estimating breaks bit-identity.
+//     would be bookkeeping that skip_idle(Q) reproduces exactly (absent
+//     external input); you may replace them with that one call". 0 means
+//     "tick me next cycle"; kIdleForever means "skippable until woken". The
+//     scheduler calls it only at well-defined points — immediately after
+//     the component's own tick(), or at a run boundary with the component
+//     fully caught up — so implementations may assume their internal
+//     clocks equal the index of their next tick. Under-estimating Q is
+//     always safe (the component wakes, ticks once, and may sleep again);
+//     over-estimating breaks bit-identity.
 //   * skip_idle(n) — bulk-account n skipped ticks: advance internal cycle
 //     counters and fold n samples into busy/occupancy statistics. After
-//     skip_idle(n) the component must be in exactly the state n no-op
-//     tick() calls would have produced. Chunking is additive: skip_idle(a)
-//     then skip_idle(b) equals skip_idle(a+b).
+//     skip_idle(n) the component must be in exactly the state n tick()
+//     calls would have produced. Chunking is additive: skip_idle(a) then
+//     skip_idle(b) equals skip_idle(a+b).
+//
+// Quiescent is not the same as idle. Besides idle stretches, three busy
+// stretches are fixed the cycle they start and are slept through: a CPU
+// handler body (cpu::CpuModel, busy_until_ is set at dispatch), a streaming
+// RFU's compute stall (rfu::StreamingRfu, a Stall micro-op at the head of
+// its queue) and a packet-bus grant held with no access (hw::PacketBus).
+// Their skip_idle adds the busy, hold and wait counts the skipped ticks
+// would have added.
+//
+// Input delivered between runs is state at the next run's entry, not a
+// future wake: wake_self() outside a run only resets next_wake(). A bound
+// must therefore read every input it depends on — a CPU's pending
+// interrupts, a bus's request lines and trigger flags — rather than rely
+// on being woken when it arrives.
 //
 // Settle-on-read: a component whose externally visible state is time-
 // derived (media: now(), idle_for(), cca_idle_for() advance every cycle and
-// are polled by transmit gates and access RFUs) calls settle_self() at the
-// top of every public read. The scheduler then bulk-accounts the cycles it
+// are polled by transmit gates and access RFUs; the CPU's, bus's and RFUs'
+// cycle counters) calls settle_self() at the top of every public read. The scheduler then bulk-accounts the cycles it
 // has slept so far — by the catch-up rule below — and leaves it asleep, so
 // the reader sees exactly the every-tick value while the component still
 // executes only its event ticks.
 //
 // Wake invalidation: a quiescence bound is conditional on "no external
 // input". Every path that delivers input to a potentially-sleeping component
-// (bus trigger push, interrupt/host-request/timer arm, medium begin_tx and
-// frame delivery, Tx/Rx buffer pushes, IRC submissions, doorbell writes)
+// (bus trigger push, bus request, release and access, interrupt/host-
+// request/timer arm, medium begin_tx and frame delivery, Tx/Rx buffer
+// pushes, IRC submissions, doorbell writes)
 // must call wake_self() on the target before mutating it. The scheduler then
 // settles the component (the catch-up rule) and re-inserts it into the
 // active set. Catch-up rule: mid-cycle, a component whose tick slot has not
@@ -123,8 +139,9 @@ class Clockable {
   /// Sentinel bound: quiescent until externally woken.
   static constexpr Cycle kIdleForever = ~Cycle{0};
 
-  /// Conservative count of upcoming tick() calls that are no-ops (see the
-  /// header comment). The default — never quiescent — is always correct.
+  /// Conservative count of upcoming tick() calls that are bookkeeping
+  /// skip_idle reproduces exactly (see the header comment). The default —
+  /// never quiescent — is always correct.
   virtual Cycle quiescent_for() const { return 0; }
 
   /// Bulk-accounts `n` skipped ticks. Must be overridden (together with

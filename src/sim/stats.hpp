@@ -23,8 +23,8 @@ class BusyCounter {
     if (busy) ++busy_;
   }
   /// Bulk form: n consecutive cycles of one constant state. Equivalent to n
-  /// sample(busy) calls — the quiescence skip path accounts idle (or frozen-
-  /// busy) stretches through this without touching the per-cycle totals.
+  /// sample(busy) calls — the quiescence skip path accounts idle stretches
+  /// and fixed busy ones (handler bodies, compute stalls) through this.
   void sample_n(bool busy, Cycle n) noexcept {
     total_ += n;
     if (busy) busy_ += n;

@@ -2,6 +2,9 @@
 // software timers, and the busy statistics the partitioning argument uses.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <functional>
+
 #include "cpu/cpu_model.hpp"
 #include "sim/scheduler.hpp"
 
@@ -260,6 +263,183 @@ TEST_F(NonPreemptiveCpuTest, HighPriorityWaitsForRunningHandler) {
   // (10+1000)*4 = 4040 cycle handler started ~2 cycles in; A posted at ~100.
   EXPECT_GT(cpu->max_dispatch_latency(Mode::A), 3000u);
 }
+
+// ---------------------------------------------------------------------------
+// Busy-stretch sleep: a CPU sleeps through handler bodies, and every
+// time-derived read settles it to the every-tick value.
+// ---------------------------------------------------------------------------
+
+/// One scripted input. In-run inputs fire at cycle `at`; between-run inputs
+/// are delivered before run number `at`.
+struct CpuInput {
+  Cycle at;
+  IsrCause cause;
+  Mode mode;
+  Cycle delay = 0;  ///< Timer arms only.
+};
+
+void deliver(CpuModel& cpu, const CpuInput& in, u32 id) {
+  switch (in.cause) {
+    case IsrCause::HwInterrupt: cpu.raise_hw_interrupt(in.mode, id, 0); break;
+    case IsrCause::HostRequest: cpu.post_host_request(in.mode, id, 0); break;
+    case IsrCause::Timer: cpu.set_timer(in.mode, id, in.delay); break;
+  }
+}
+
+/// Delivers the in-run inputs from a stage ahead of the CPU, as the IRC
+/// does in a device. Never quiescent.
+class CpuScript : public sim::Clockable {
+ public:
+  CpuScript(CpuModel& cpu, std::vector<CpuInput> script)
+      : cpu_(cpu), script_(std::move(script)) {}
+  void tick() override {
+    while (next_ < script_.size() && script_[next_].at == now_) {
+      deliver(cpu_, script_[next_], static_cast<u32>(next_));
+      ++next_;
+    }
+    ++now_;
+  }
+
+ private:
+  CpuModel& cpu_;
+  std::vector<CpuInput> script_;
+  std::size_t next_ = 0;
+  Cycle now_ = 0;
+};
+
+/// Samples every time-derived CPU view each cycle from the observer stage.
+/// Never quiescent, so every read of a sleeping CPU is served by a settle;
+/// the view read first rotates each cycle, so a view that forgets to
+/// settle reads stale state on the cycles it leads.
+class CpuProbe : public sim::Clockable {
+ public:
+  explicit CpuProbe(const CpuModel& cpu) {
+    views_.push_back([&cpu] { return u64{cpu.busy()}; });
+    views_.push_back([&cpu] { return cpu.busy_cycles(); });
+    views_.push_back([&cpu] { return cpu.total_cycles(); });
+    views_.push_back([&cpu] { return std::bit_cast<u64>(cpu.busy_fraction()); });
+    for (Mode m : {Mode::A, Mode::B, Mode::C}) {
+      views_.push_back([&cpu, m] { return cpu.mode_cpu_cycles(m); });
+    }
+  }
+  void tick() override {
+    const std::size_t n = views_.size();
+    for (std::size_t k = 0; k < n; ++k) samples.push_back(views_[(first_ + k) % n]());
+    first_ = (first_ + 1) % n;
+  }
+  std::vector<u64> samples;
+
+ private:
+  std::vector<std::function<u64()>> views_;
+  std::size_t first_ = 0;
+};
+
+struct CpuRun {
+  std::vector<u64> samples;
+  std::vector<std::pair<Mode, Cycle>> entries;  ///< Handler entries.
+  u64 cpu_executed = 0;
+  u64 cpu_skipped = 0;
+  u64 isr = 0;
+  u64 preemptions = 0;
+  u64 timer_fires = 0;
+  Cycle max_latency = 0;
+};
+
+constexpr int kCpuRuns = 16;
+constexpr Cycle kCpuRunCycles = 997;
+
+CpuRun run_scripted_cpu(bool preemptive, bool idle_skip) {
+  sim::Scheduler sched(200e6);
+  sched.set_idle_skip(idle_skip);
+  CpuModel::Config cfg;
+  cfg.cpu_freq_hz = 50e6;  // 1 CPU cycle = 4 arch cycles.
+  cfg.arch_freq_hz = 200e6;
+  cfg.isr_overhead_instr = 10;
+  cfg.preemptive = preemptive;
+  cfg.preempt_overhead_instr = 20;
+  CpuModel cpu(cfg);
+  CpuRun r;
+  // Bodies of 160, 840 and 2040 arch cycles for modes A, B and C.
+  for (const auto& [m, instr] : {std::pair{Mode::A, 30u}, {Mode::B, 200u}, {Mode::C, 500u}}) {
+    cpu.set_handler(m, [&r, &sched, m = m, instr = instr](const IsrContext& ctx) {
+      r.entries.emplace_back(m, sched.now());
+      if (ctx.cause == IsrCause::Timer) ++r.timer_fires;
+      return instr;
+    });
+  }
+  using C = IsrCause;
+  // C runs long; B and then a timer-driven A land mid-handler (a two-deep
+  // nest when preemptive) while a low-priority host request waits.
+  std::vector<CpuInput> in_run = {
+      {10, C::HwInterrupt, Mode::C},   {400, C::HwInterrupt, Mode::B},
+      {450, C::Timer, Mode::A, 150},   {700, C::HostRequest, Mode::C},
+      {2900, C::HwInterrupt, Mode::C}, {3100, C::HwInterrupt, Mode::A},
+      {5000, C::Timer, Mode::C, 1000}, {6010, C::HwInterrupt, Mode::B},
+      {6020, C::HwInterrupt, Mode::A}, {6500, C::Timer, Mode::A, 10},
+  };
+  // Delivered between runs: state at the next run's entry, never a wake.
+  const std::vector<CpuInput> between = {
+      {1, C::HwInterrupt, Mode::A},  {3, C::Timer, Mode::B, 50},
+      {4, C::HostRequest, Mode::B},  {6, C::HwInterrupt, Mode::C},
+      {8, C::Timer, Mode::A, 500},
+  };
+  CpuScript script(cpu, in_run);
+  CpuProbe probe(cpu);
+  sched.add(script, "script", -1);
+  sched.add(cpu, "cpu");  // Alone in its stage: the profile isolates it.
+  sched.add(probe, "probe", sim::Scheduler::kStageObserver);
+  u32 id = 100;
+  for (int k = 0; k < kCpuRuns; ++k) {
+    for (const CpuInput& in : between) {
+      if (in.at == static_cast<Cycle>(k)) deliver(cpu, in, id++);
+    }
+    sched.run_cycles(kCpuRunCycles);
+  }
+  r.samples = std::move(probe.samples);
+  for (const auto& st : sched.profile().stages) {
+    if (st.stage == sim::Scheduler::kStageDefault) {
+      r.cpu_executed = st.executed;
+      r.cpu_skipped = st.skipped;
+    }
+  }
+  r.isr = cpu.isr_invocations();
+  r.preemptions = cpu.preemptions();
+  r.max_latency = cpu.max_dispatch_latency();
+  return r;
+}
+
+class CpuBusySleep : public ::testing::TestWithParam<bool> {};
+
+TEST_P(CpuBusySleep, SettleOnReadMatchesEveryTick) {
+  const CpuRun every = run_scripted_cpu(GetParam(), false);
+  const CpuRun lazy = run_scripted_cpu(GetParam(), true);
+  ASSERT_EQ(every.samples.size(), lazy.samples.size());
+  for (std::size_t i = 0; i < every.samples.size(); ++i) {
+    ASSERT_EQ(every.samples[i], lazy.samples[i]) << "sample " << i;
+  }
+  EXPECT_EQ(every.entries, lazy.entries);
+  EXPECT_EQ(every.preemptions, lazy.preemptions);
+  EXPECT_EQ(every.max_latency, lazy.max_latency);
+  // Not vacuous: every input was serviced, the preemptive script nests.
+  EXPECT_EQ(every.isr, 15u);
+  EXPECT_EQ(every.timer_fires, 5u);
+  if (GetParam()) {
+    EXPECT_GE(every.preemptions, 4u);
+  } else {
+    EXPECT_EQ(every.preemptions, 0u);
+  }
+}
+
+TEST_P(CpuBusySleep, ExecutedTicksScaleWithHandlersNotCycles) {
+  const CpuRun lazy = run_scripted_cpu(GetParam(), true);
+  EXPECT_EQ(lazy.cpu_executed + lazy.cpu_skipped, kCpuRuns * kCpuRunCycles);
+  // A dispatch (or wake) tick and a completion tick per handler, one tick
+  // per timer expiry, and at most one entry tick per run.
+  EXPECT_LE(lazy.cpu_executed, 2 * lazy.isr + lazy.timer_fires + kCpuRuns)
+      << "of " << kCpuRuns * kCpuRunCycles;
+}
+
+INSTANTIATE_TEST_SUITE_P(Dispatch, CpuBusySleep, ::testing::Bool());
 
 }  // namespace
 }  // namespace drmp::cpu

@@ -40,6 +40,35 @@ TEST(Crc32, ResidueProperty) {
 
 TEST(Crc32, EmptyInput) { EXPECT_EQ(Crc32::compute({}), 0x00000000u); }
 
+TEST(Crc32, SliceBy8MatchesBytewiseLoop) {
+  // The span path folds eight bytes per step; the per-byte update is the
+  // reference. Every length 0..2048 (every tail length, many block counts)
+  // and every start alignment must agree.
+  Bytes buf(2048 + 8);
+  u32 x = 0x9E3779B9u;
+  for (u8& b : buf) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<u8>(x >> 24);
+  }
+  auto bytewise = [](std::span<const u8> s) {
+    Crc32 c;
+    for (const u8 b : s) c.update(b);
+    return c.value();
+  };
+  for (std::size_t len = 0; len <= 2048; ++len) {
+    for (std::size_t off = 0; off < 8; ++off) {
+      const std::span<const u8> s(buf.data() + off, len);
+      ASSERT_EQ(Crc32::compute(s), bytewise(s)) << "len " << len << " off " << off;
+    }
+  }
+  // One register, mixing the two paths: a per-byte prefix, then spans.
+  Crc32 mixed;
+  for (std::size_t i = 0; i < 3; ++i) mixed.update(buf[i]);
+  mixed.update(std::span<const u8>(buf.data() + 3, 13));
+  mixed.update(std::span<const u8>(buf.data() + 16, 1000));
+  EXPECT_EQ(mixed.value(), bytewise(std::span<const u8>(buf.data(), 1016)));
+}
+
 TEST(Crc16Ccitt, CheckValue) {
   EXPECT_EQ(Crc16Ccitt::compute(ascii("123456789")), 0x29B1u);
 }

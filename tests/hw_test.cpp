@@ -2,6 +2,8 @@
 // grant delay, grant override), trigger decode, reconfiguration memory.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "hw/bus.hpp"
 #include "hw/ctrl_layout.hpp"
 #include "hw/memory_map.hpp"
@@ -159,6 +161,145 @@ TEST_F(BusTest, ModeWaitCyclesAccrueUnderContention) {
   for (int i = 0; i < 10; ++i) bus.tick();
   EXPECT_GT(bus.mode_wait_cycles(Mode::B), 0u);
   EXPECT_EQ(bus.mode_wait_cycles(Mode::A), 0u);
+}
+
+// ------------------------------------------------------ quiet bus holds
+
+/// One scripted bus input. In-run actions fire at cycle `at`; between-run
+/// actions are applied before run number `at`.
+struct BusAction {
+  enum class Kind : u8 { RequestIrc, RequestRfu, Access, Trigger, Release };
+  Cycle at;
+  Kind kind;
+  Mode mode;
+  u8 rfu = 0;
+};
+
+void apply(PacketBus& bus, const BusAction& a) {
+  switch (a.kind) {
+    case BusAction::Kind::RequestIrc: bus.request_for_irc(a.mode); break;
+    case BusAction::Kind::RequestRfu: bus.request_for_rfu(a.mode, a.rfu); break;
+    case BusAction::Kind::Access: bus.write(page_base(a.mode, Page::Raw), 0x5A); break;
+    case BusAction::Kind::Trigger: bus.write(rfu_trigger_addr(a.rfu), 0); break;
+    case BusAction::Kind::Release: bus.release(a.mode); break;
+  }
+}
+
+/// Drives request lines and accesses from the stage after the bus, as the
+/// IRC and the RFUs do in a device. Never quiescent.
+class BusScript : public sim::Clockable {
+ public:
+  BusScript(PacketBus& bus, std::vector<BusAction> script)
+      : bus_(bus), script_(std::move(script)) {}
+  void tick() override {
+    while (next_ < script_.size() && script_[next_].at == now_) apply(bus_, script_[next_++]);
+    ++now_;
+  }
+
+ private:
+  PacketBus& bus_;
+  std::vector<BusAction> script_;
+  std::size_t next_ = 0;
+  Cycle now_ = 0;
+};
+
+/// Samples every bus counter each cycle from the observer stage, rotating
+/// the view read first, so a counter that forgets to settle reads stale.
+class BusProbe : public sim::Clockable {
+ public:
+  explicit BusProbe(const PacketBus& bus) {
+    views_.push_back([&bus] { return bus.busy_cycles(); });
+    views_.push_back([&bus] { return bus.total_cycles(); });
+    for (Mode m : {Mode::A, Mode::B, Mode::C}) {
+      views_.push_back([&bus, m] { return bus.mode_hold_cycles(m); });
+      views_.push_back([&bus, m] { return bus.mode_wait_cycles(m); });
+    }
+  }
+  void tick() override {
+    const std::size_t n = views_.size();
+    for (std::size_t k = 0; k < n; ++k) samples.push_back(views_[(first_ + k) % n]());
+    first_ = (first_ + 1) % n;
+  }
+  std::vector<Cycle> samples;
+
+ private:
+  std::vector<std::function<Cycle()>> views_;
+  std::size_t first_ = 0;
+};
+
+struct BusRun {
+  std::vector<Cycle> samples;
+  std::vector<PacketBus::Grant> grants;  ///< Grant at each run boundary.
+  u64 bus_executed = 0;
+  u64 bus_skipped = 0;
+  Cycle wait_a = 0;
+};
+
+constexpr int kBusRuns = 10;
+constexpr Cycle kBusRunCycles = 997;
+
+BusRun run_scripted_bus(bool idle_skip) {
+  sim::Scheduler sched(200e6);
+  sched.set_idle_skip(idle_skip);
+  PacketMemory mem;
+  PacketBus bus(mem, nullptr);
+  using K = BusAction::Kind;
+  // C holds the bus while A requests (A waits); C releases mid-run, then
+  // A's grant passes through the grant delay to RFU 5 on its trigger.
+  const std::vector<BusAction> in_run = {
+      {10, K::RequestIrc, Mode::C}, {20, K::Access, Mode::C},
+      {21, K::Access, Mode::C},     {22, K::Access, Mode::C},
+      {200, K::RequestIrc, Mode::A}, {500, K::Access, Mode::C},
+      {900, K::Release, Mode::C},   {1500, K::RequestRfu, Mode::A, 5},
+      {1600, K::Trigger, Mode::A, 5}, {1700, K::Access, Mode::A},
+      {1701, K::Access, Mode::A},   {5500, K::Access, Mode::B},
+  };
+  // Between runs: B requests during A's hold, A releases, B's grant waits
+  // on RFU 6 and its trigger arrives, all as state at a run's entry.
+  const std::vector<BusAction> between = {
+      {2, K::RequestIrc, Mode::B}, {3, K::Release, Mode::A},
+      {4, K::RequestRfu, Mode::B, 6}, {5, K::Trigger, Mode::B, 6},
+      {7, K::Release, Mode::B},
+  };
+  BusScript script(bus, in_run);
+  BusProbe probe(bus);
+  sched.add(bus, "bus", -1);  // Alone in its stage: the profile isolates it.
+  sched.add(script, "script");
+  sched.add(probe, "probe", sim::Scheduler::kStageObserver);
+  BusRun r;
+  for (int k = 0; k < kBusRuns; ++k) {
+    for (const BusAction& a : between) {
+      if (a.at == static_cast<Cycle>(k)) apply(bus, a);
+    }
+    sched.run_cycles(kBusRunCycles);
+    r.grants.push_back(bus.grant());
+  }
+  r.samples = std::move(probe.samples);
+  for (const auto& st : sched.profile().stages) {
+    if (st.stage == -1) {
+      r.bus_executed = st.executed;
+      r.bus_skipped = st.skipped;
+    }
+  }
+  r.wait_a = bus.mode_wait_cycles(Mode::A);
+  return r;
+}
+
+TEST(BusQuietHold, CountersMatchEveryTick) {
+  const BusRun every = run_scripted_bus(false);
+  const BusRun lazy = run_scripted_bus(true);
+  ASSERT_EQ(every.samples.size(), lazy.samples.size());
+  for (std::size_t i = 0; i < every.samples.size(); ++i) {
+    ASSERT_EQ(every.samples[i], lazy.samples[i]) << "sample " << i;
+  }
+  EXPECT_EQ(every.grants, lazy.grants);
+  // Not vacuous: A waited through C's hold, the between-run trigger
+  // promoted B's grant to RFU 6, and the holds were slept through.
+  EXPECT_GT(every.wait_a, 600u);
+  EXPECT_EQ(every.grants[5], (PacketBus::Grant{PacketBus::MasterKind::Rfu, Mode::B, 6}));
+  EXPECT_EQ(lazy.bus_executed + lazy.bus_skipped, kBusRuns * kBusRunCycles);
+  // A tick per access and per request-line change, plus run entries.
+  EXPECT_LE(lazy.bus_executed, 48u);
 }
 
 TEST(CtrlLayout, StatusAddressesInsideCtrlPage) {

@@ -160,6 +160,37 @@ TEST_F(RfuHarness, CryptoDesCbcRoundTrip) {
   EXPECT_EQ(mem.read_page_bytes(Mode::A, Page::Defrag), msdu);
 }
 
+TEST_F(RfuHarness, DesStallSleepsUnitAndBus) {
+  // DES stalls six cycles per word between streaming the page in and out.
+  // The unit sleeps through its stall and the bus through the quiet hold,
+  // so both execute O(words) ticks rather than O(7 x words).
+  constexpr int kBusStage = -1;
+  constexpr int kRfuStage = 0;
+  CryptoRfu crypto(env());
+  sched.add(bus, "bus", kBusStage);
+  sched.add(crypto, "rfu", kRfuStage);
+  const Bytes key = payload(8, 7);
+  rmem.load_blob(kCryptoRfu, cfg::kCryptoDes, CryptoRfu::make_config_blob(cfg::kCryptoDes, key));
+  reconfigure(crypto, cfg::kCryptoDes);
+  constexpr u64 kWords = 256;
+  mem.write_page_bytes(Mode::A, Page::Raw, payload(4 * kWords));
+  auto executed = [&](int stage) {
+    for (const auto& st : sched.profile().stages) {
+      if (st.stage == stage) return st.executed;
+    }
+    return u64{0};
+  };
+  const u64 rfu0 = executed(kRfuStage);
+  const u64 bus0 = executed(kBusStage);
+  const Cycle t0 = sched.now();
+  ASSERT_TRUE(execute(crypto, Op::EncryptDes,
+                      {page_base(Mode::A, Page::Raw), page_base(Mode::A, Page::Crypt), 1, 2}));
+  EXPECT_GE(sched.now() - t0, 8 * kWords);  // The stall still costs its cycles.
+  // One tick per word in and out, plus the trigger handshake.
+  EXPECT_LE(executed(kRfuStage) - rfu0, 2 * kWords + 32);
+  EXPECT_LE(executed(kBusStage) - bus0, 2 * kWords + 32);
+}
+
 TEST_F(RfuHarness, MaReconfigLatencyScalesWithBlobSize) {
   CryptoRfu crypto(env());
   add(crypto);
