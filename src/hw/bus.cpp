@@ -1,5 +1,7 @@
 #include "hw/bus.hpp"
 
+#include <algorithm>
+
 namespace drmp::hw {
 
 PacketBus::PacketBus(PacketMemory& mem, sim::StatsRegistry* stats)
@@ -77,6 +79,27 @@ void PacketBus::write(u32 addr, Word data) {
   mem_.write(addr, data);
 }
 
+void PacketBus::declare_run(sim::Clockable* master, Cycle n) {
+  assert(grant_.kind == MasterKind::Rfu && accessed_this_cycle_ &&
+         "a word run starts with the granted RFU's access");
+  run_master_ = master;
+  run_left_ = n + 1;  // The declaring access, then the n slept-through ones.
+  mem_.set_streamer(master);
+}
+
+void PacketBus::read_run(u32 addr, std::span<Word> out) const {
+  assert(grant_.kind == MasterKind::Rfu && "word run without an RFU master");
+  mem_.read_words(addr, out);
+}
+
+void PacketBus::write_run(u32 addr, std::span<const Word> in) {
+  assert(grant_.kind == MasterKind::Rfu && "word run without an RFU master");
+  assert(addr != kOverrideAddr && !triggers_.decodes(addr) &&
+         !triggers_.decodes(addr + static_cast<u32>(in.size()) - 1) &&
+         "a word run writes packet memory only");
+  mem_.write_words(addr, in);
+}
+
 Mode PacketBus::grant_origin_mode() const {
   // Which mode's request produced the current grant (for statistics).
   if (grant_.kind == MasterKind::Irc) return grant_.mode;
@@ -128,6 +151,13 @@ void PacketBus::arbitrate() {
         return;
       }
       case HoldFate::Drop:
+        if (run_master_ != nullptr) {
+          // The master loses the bus mid-run: settle its slept-through
+          // words while it still holds the grant, and let it tick again.
+          run_master_->wake_self();
+          run_master_ = nullptr;
+          run_left_ = 0;
+        }
         grant_ = Grant{};
         override_stack_.clear();
         break;
@@ -177,31 +207,46 @@ Cycle PacketBus::quiescent_for() const {
     }
     return kIdleForever;
   }
-  // Quiet hold: arbitration keeps the grant as it is, so a tick only counts
-  // hold and wait cycles. A master streaming a word per cycle would wake a
-  // sleeping bus on every access, so sleep only after a cycle with none.
-  return !accessed_last_cycle_ && hold_fate() == HoldFate::Keep ? kIdleForever : 0;
+  // Held grant: arbitration keeps it as it is, so a tick only counts hold
+  // and wait cycles, and an access while a declared run lasts. A master
+  // accessing outside a run would wake a sleeping bus on every access, so
+  // otherwise sleep only after a cycle with none.
+  return (run_left_ > 0 || !accessed_last_cycle_) && hold_fate() == HoldFate::Keep
+             ? kIdleForever
+             : 0;
 }
 
 void PacketBus::skip_idle(Cycle n) {
+  // A sleeping bus holds no access flag (every access wakes it first), so
+  // the accessed cycles are exactly the run's.
+  const Cycle run = std::min(n, run_left_);
+  run_left_ -= run;
   total_cycles_ += n;
+  busy_cycles_ += run;
   if (stats_ != nullptr) {
     if (busy_stat_ == nullptr) busy_stat_ = &stats_->busy("packet_bus");
-    busy_stat_->sample_n(false, n);
+    busy_stat_->sample_n(true, run);
+    busy_stat_->sample_n(false, n - run);
   }
   account_hold(n);
-  accessed_last_cycle_ = false;
+  accessed_last_cycle_ = run == n;
 }
 
 void PacketBus::tick() {
-  // Account the cycle that just completed.
+  // Account the cycle that just completed; a declared run's cycle counts
+  // as accessed whether its master slept through it or not.
   ++total_cycles_;
-  if (accessed_this_cycle_) ++busy_cycles_;
+  bool accessed = accessed_this_cycle_;
+  if (run_left_ > 0) {
+    --run_left_;
+    accessed = true;
+  }
+  if (accessed) ++busy_cycles_;
   if (stats_ != nullptr) {
     if (busy_stat_ == nullptr) busy_stat_ = &stats_->busy("packet_bus");
-    busy_stat_->sample(accessed_this_cycle_);
+    busy_stat_->sample(accessed);
   }
-  accessed_last_cycle_ = accessed_this_cycle_;
+  accessed_last_cycle_ = accessed;
   accessed_this_cycle_ = false;
 
   arbitrate();

@@ -18,6 +18,7 @@
 
 #include <array>
 #include <cassert>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -90,14 +91,37 @@ class PacketBus : public sim::Clockable {
   // ---- Arbitration (once per architecture cycle) ----
   void tick() override;
 
+  // ---- Word runs (the fourth busy sleeper, sim/scheduler.hpp) ----
+  /// The RFU master that just accessed the bus declares that it accesses
+  /// it again in each of the next `n` cycles: the rest of its word run,
+  /// bar the final access, which it makes for real. Grants are not
+  /// preemptive, so the run is fixed when it starts. The bus then counts
+  /// those cycles as accessed without an access call, and the master
+  /// sleeps through them and moves their words through read_run/write_run
+  /// when it is settled. Port B of the memory settles the master first.
+  void declare_run(sim::Clockable* master, Cycle n);
+  /// True while `master` may sleep through its declared run: the run still
+  /// has cycles to count and sleep is not disabled (recorder or trace gate,
+  /// below), so every access the recorders stamp is a ticked one.
+  bool in_run(const sim::Clockable* master) const noexcept {
+    return run_master_ == master && run_left_ > 0 && sleep_allowed();
+  }
+  /// Bulk port-A path for a declared run's slept-through words (no
+  /// per-cycle bookkeeping: declare_run accounted those cycles).
+  void read_run(u32 addr, std::span<Word> out) const;
+  void write_run(u32 addr, std::span<const Word> in);
+
   // ---- Quiescence contract (sim/scheduler.hpp) ----
   /// Skippable while idle (no request line asserted, no grant held) and
-  /// through a quiet hold: a grant arbitration would neither drop nor
-  /// promote, after a cycle without an access. Either way a tick is pure
-  /// cycle, hold and wait accounting. Request lines, releases and accesses
-  /// wake the bus; the counters below settle on read. Disabled while a
-  /// transaction recorder or an enabled trace recorder is attached: both
-  /// stamp events with the bus's cycle count from other components' ticks.
+  /// through a held grant: arbitration would neither drop nor promote it,
+  /// after a cycle without an access or while a declared run lasts. Either
+  /// way a tick is pure cycle, access, hold and wait accounting. Request
+  /// lines, releases and accesses wake the bus; the counters below settle
+  /// on read. A tick that drops a grant mid-run wakes the run's master
+  /// first, which settles it while it still holds the grant. Disabled
+  /// while a transaction recorder or an enabled trace recorder is
+  /// attached: both stamp events with the bus's cycle count from other
+  /// components' ticks.
   Cycle quiescent_for() const override;
   void skip_idle(Cycle n) override;
   /// Trace recorder whose enabled() gates bus quiescence (see above);
@@ -131,13 +155,24 @@ class PacketBus : public sim::Clockable {
   /// the trigger latches and every cycle counter travel; the memory, stats
   /// sinks and recorders are wiring owned elsewhere, and the quiet-cycle
   /// hint only decides when the bus sleeps.
+  ///
+  /// A run is not state: the current cycle's slept-through access is saved
+  /// as the access flag every-tick mode would hold, and after a load the
+  /// master ticks its next word and declares the rest again.
   template <class Ar>
   void persist(Ar& ar) {
     ar.io(triggers_);
     ar.io(requests_);
     ar.io(grant_);
     ar.io(override_stack_);
-    ar.io(accessed_this_cycle_);
+    if constexpr (Ar::kLoading) {
+      ar.io(accessed_this_cycle_);
+      run_master_ = nullptr;
+      run_left_ = 0;
+    } else {
+      bool accessed = accessed_this_cycle_ || run_left_ > 0;
+      ar.io(accessed);
+    }
     ar.io(busy_cycles_);
     ar.io(total_cycles_);
     ar.io(mode_hold_cycles_);
@@ -153,6 +188,9 @@ class PacketBus : public sim::Clockable {
   void arbitrate();
   /// Adds n post-arbitration cycles of hold and wait counts.
   void account_hold(Cycle n);
+  bool sleep_allowed() const noexcept {
+    return recorder_ == nullptr && (trace_gate_ == nullptr || !trace_gate_->enabled());
+  }
 
   PacketMemory& mem_;
   sim::StatsRegistry* stats_;
@@ -167,6 +205,10 @@ class PacketBus : public sim::Clockable {
 
   bool accessed_this_cycle_ = false;
   bool accessed_last_cycle_ = false;  ///< Sleep hint (not persisted).
+  /// Declared run: the next run_left_ ticks count an access whatever the
+  /// flag says (the first one accounts the declaring access itself).
+  sim::Clockable* run_master_ = nullptr;
+  Cycle run_left_ = 0;
   Cycle busy_cycles_ = 0;
   Cycle total_cycles_ = 0;
   std::array<Cycle, kNumModes> mode_hold_cycles_{};

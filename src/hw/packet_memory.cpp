@@ -8,6 +8,7 @@ void PacketMemory::write_page_bytes(Mode m, Page p, std::span<const u8> bytes) {
   if (bytes.size() > kPagePayloadBytes) {
     throw std::length_error("packet page overflow");
   }
+  settle_streamer();
   const u32 base = page_base(m, p);
   words_.at(base + kPageLenOffset) = static_cast<Word>(bytes.size());
   const auto packed = pack_words(bytes);
@@ -17,6 +18,7 @@ void PacketMemory::write_page_bytes(Mode m, Page p, std::span<const u8> bytes) {
 }
 
 Bytes PacketMemory::read_page_bytes(Mode m, Page p) const {
+  settle_streamer();
   const u32 base = page_base(m, p);
   const u32 len = words_.at(base + kPageLenOffset);
   std::vector<Word> w(words_for_bytes(len));

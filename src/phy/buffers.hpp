@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <optional>
+#include <span>
 
 #include "common/arena.hpp"
 #include "common/types.hpp"
@@ -68,6 +69,7 @@ class TxBuffer {
     for (int i = 0; i < 4; ++i) staging_.push_back(static_cast<u8>(w >> (8 * i)));
   }
   void push_byte(u8 b) { staging_.push_back(b); }
+  void push_bytes(std::span<const u8> b) { staging_.insert(staging_.end(), b.begin(), b.end()); }
   void end_frame(std::size_t nbytes, Cycle earliest_start,
                  Cycle latest_start = ~Cycle{0}, TxKind kind = TxKind::kData) {
     staging_.resize(nbytes);
@@ -155,6 +157,8 @@ class RxBuffer {
   // ---- DRMP side ----
   bool frame_ready() const noexcept { return !queue_.empty(); }
   std::size_t frame_bytes() const { return queue_.front().bytes.size(); }
+  /// The frame at the head of the queue.
+  const Bytes& frame() const { return queue_.front().bytes; }
   Cycle frame_rx_end() const { return queue_.front().rx_end_cycle; }
 
   /// Reads the i-th word of the frame at the head of the queue.

@@ -93,11 +93,8 @@ bool HdrCheckRfu::work_step() {
 
 void FcsRfu::slave_reset(u8 master_id) { snoop_[master_id] = crypto::Crc32{}; }
 
-void FcsRfu::on_secondary_trigger(u8 master_id, Word data, u8 nbytes) {
-  auto& crc = snoop_[master_id];
-  for (u8 i = 0; i < nbytes; ++i) {
-    crc.update(static_cast<u8>(data >> (8 * i)));
-  }
+void FcsRfu::on_secondary_trigger(u8 master_id, std::span<const u8> bytes) {
+  snoop_[master_id].update(bytes);
 }
 
 u32 FcsRfu::slave_crc(u8 master_id) const {

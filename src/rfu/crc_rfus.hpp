@@ -9,7 +9,7 @@
 //   * FcsRfu — CRC-32 Frame Check Sequence engine (identical for all three
 //     protocols, §2.3.2.1 #2). Besides its primary ops it acts as the
 //     hard-wired *slave* of the Tx and Rx RFUs: the master raises the
-//     secondary trigger for every word it streams so the FCS accumulates on
+//     secondary trigger for the words it streams so the FCS accumulates on
 //     the fly, then hands the bus over via the grant override so the slave
 //     can append/verify the checksum (thesis §3.6.5 and footnote 10).
 #pragma once
@@ -72,8 +72,8 @@ class FcsRfu final : public StreamingRfu {
   // ---- Hard-wired slave interface (secondary trigger + override) ----
   /// Master resets its snoop context before streaming a frame.
   void slave_reset(u8 master_id);
-  /// Secondary trigger: `nbytes` of `data` (LSB first) pass the master.
-  void on_secondary_trigger(u8 master_id, Word data, u8 nbytes) override;
+  /// Secondary trigger: `bytes` pass the master.
+  void on_secondary_trigger(u8 master_id, std::span<const u8> bytes) override;
   /// Snooped CRC-32 so far for this master.
   u32 slave_crc(u8 master_id) const;
   /// Master asks the slave to append its snooped CRC at byte offset `len`

@@ -32,7 +32,7 @@ void Rfu::rc_configure(u8 new_state) {
   ++reconfig_count_;
 }
 
-void Rfu::on_secondary_trigger(u8 /*master_id*/, Word /*data*/, u8 /*nbytes*/) {
+void Rfu::on_secondary_trigger(u8 /*master_id*/, std::span<const u8> /*bytes*/) {
   // Default: RFU has no slave role (secondary trigger not wired, Fig. 3.8).
 }
 

@@ -12,6 +12,7 @@
 //               memory at one word per cycle, then RDONE.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,8 +68,10 @@ class Rfu : public sim::Clockable {
   /// wake lets the IRC sleep through a unit's whole execution span.
   void set_completion_waker(sim::Clockable* w) noexcept { completion_waker_ = w; }
 
-  /// Hard-wired secondary trigger from a master RFU (thesis §3.6.5 option c).
-  virtual void on_secondary_trigger(u8 master_id, Word data, u8 nbytes);
+  /// Hard-wired secondary trigger from a master RFU (thesis §3.6.5 option c):
+  /// `bytes` passed the master on the packet bus, in stream order — one
+  /// word's worth per cycle, or a slept-through word run's at once.
+  virtual void on_secondary_trigger(u8 master_id, std::span<const u8> bytes);
 
   void tick() final;
 

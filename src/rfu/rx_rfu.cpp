@@ -21,6 +21,17 @@ void RxRfu::on_execute(Op op) {
   assert(buffers_[mode_idx_] != nullptr && "RxRfu not wired to buffers");
 }
 
+void RxRfu::stream_out(std::span<Word> words) {
+  const phy::RxBuffer& buf = *buffers_[mode_idx_];
+  for (std::size_t i = 0; i < words.size(); ++i) words[i] = buf.peek_word(widx_ + i);
+  if (check_fcs_ && fcs_ != nullptr) {
+    const u32 lo = widx_ * 4;
+    const u32 hi = std::min(len_, lo + 4 * static_cast<u32>(words.size()));
+    fcs_->on_secondary_trigger(id(), std::span<const u8>(buf.frame()).subspan(lo, hi - lo));
+  }
+  widx_ += static_cast<u32>(words.size());
+}
+
 bool RxRfu::work_step() {
   phy::RxBuffer& buf = *buffers_[mode_idx_];
   switch (stage_) {
@@ -35,16 +46,10 @@ bool RxRfu::work_step() {
       stage_ = 1;
       return false;
     }
-    case 1: {  // Stream words buffer -> memory; slave snoops each word.
+    case 1: {  // Stream words buffer -> memory; the slave snoops them.
       if (widx_ < nwords_) {
-        if (!bus_granted() || !bus_free()) return false;
-        const Word w = buf.peek_word(widx_);
-        bus_write(dst_ + hw::kPageDataOffset + widx_, w);
-        if (check_fcs_ && fcs_ != nullptr) {
-          const u32 valid = std::min<u32>(4, len_ - widx_ * 4);
-          fcs_->on_secondary_trigger(id(), w, static_cast<u8>(valid));
-        }
-        ++widx_;
+        if (io_idle()) q_stream_out(dst_ + hw::kPageDataOffset + widx_, nwords_ - widx_);
+        io_step();
         return false;
       }
       // Retire the frame in place: only the rx-end timestamp survives, and

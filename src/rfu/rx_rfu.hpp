@@ -1,10 +1,10 @@
 // Reception RFU — drains a completed frame from the mode's translational Rx
-// buffer into the packet memory at architecture speed. The hard-wired FCS
-// slave snoops every word; because the stream includes the frame's own
-// trailing CRC-32, a good frame leaves the slave's register at the CRC-32
-// residue constant, which the Rx RFU converts into the fcs_ok status flag
-// (the "redundancy checked without the software being aware of it" path,
-// thesis §3.5).
+// buffer into the packet memory at architecture speed, as one word run
+// (rfu/streaming.hpp). The hard-wired FCS slave snoops every word; because
+// the stream includes the frame's own trailing CRC-32, a good frame leaves
+// the slave's register at the CRC-32 residue constant, which the Rx RFU
+// converts into the fcs_ok status flag (the "redundancy checked without the
+// software being aware of it" path, thesis §3.5).
 #pragma once
 
 #include <array>
@@ -39,6 +39,7 @@ class RxRfu final : public StreamingRfu {
   //   UWB Imm-ACK; the Event Handler knows from the frame length).
   void on_execute(Op op) override;
   bool work_step() override;
+  void stream_out(std::span<Word> words) override;
 
   void save_extra(sim::snap::Writer& w) override;
   void load_extra(sim::snap::Reader& r) override;

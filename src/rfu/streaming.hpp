@@ -3,10 +3,21 @@
 // Coarse-grained RFUs move packet data through the single packet bus at one
 // word per cycle (§3.6.3); compute-bound units add stall cycles per word.
 // Subclasses enqueue micro-operations (read page, stall, write page, patch
-// bytes) and drive them one bus access per cycle from work_step().
+// bytes, stream words to or from a subclass buffer) and drive them one bus
+// access per cycle from work_step().
+//
+// Every multi-word op is a *word run*: once its first word has moved, the
+// unit holds a grant that is not preemptive, so each remaining word takes
+// exactly one cycle. The unit declares the run to the bus
+// (hw::PacketBus::declare_run) and sleeps through all of it but the final
+// word, whose tick pops the op for real; a settle moves the slept-through
+// words in one call through the bus's bulk path. A compute stall sleeps the
+// same way. Both are exact because every subclass calls io_step() first in
+// work_step() and returns while it is false.
 #pragma once
 
 #include <deque>
+#include <span>
 
 #include "hw/memory_map.hpp"
 #include "rfu/rfu.hpp"
@@ -32,11 +43,19 @@ class StreamingRfu : public Rfu {
   void q_write_len(u32 page_addr, u32 len_bytes);
   /// Queues `n` pure compute cycles.
   void q_stall(Cycle n);
+  /// Queues a run of `nwords` words read from `addr` into stream_in().
+  void q_stream_in(u32 addr, u32 nwords);
+  /// Queues a run of `nwords` words from stream_out() written at `addr`.
+  void q_stream_out(u32 addr, u32 nwords);
+
+  /// Sink of q_stream_in and source of q_stream_out: the next words of the
+  /// run, one per ticked cycle or a slept-through stretch at once.
+  virtual void stream_in(std::span<const Word> /*words*/) {}
+  virtual void stream_out(std::span<Word> /*words*/) {}
 
   /// Quiescence while Running: a Stall at the head of the queue is pure
-  /// countdown, so every tick before the one that pops it is skippable.
-  /// Exact because every subclass that queues a stall calls io_step() first
-  /// in work_step() and returns while it is false.
+  /// countdown, and a declared word run is one access per cycle, so every
+  /// tick before the one that pops the op is skippable.
   Cycle running_quiescent_for() const override;
   void on_running_skip(Cycle n) override;
 
@@ -74,7 +93,9 @@ class StreamingRfu : public Rfu {
 
  private:
   struct IoOp {
-    enum class Kind : u8 { ReadLen, ReadData, ReadWords, WriteLen, WriteData, Patch, Stall };
+    enum class Kind : u8 {
+      ReadLen, ReadData, ReadWords, WriteLen, WriteData, Patch, Stall, StreamIn, StreamOut
+    };
     Kind kind;
     u32 addr = 0;      // Page or word address.
     u32 a = 0;         // Kind-specific (nwords / byte_off / len / stall count).
@@ -90,6 +111,12 @@ class StreamingRfu : public Rfu {
   };
 
   bool step_op(IoOp& op);
+  /// Bus accesses a word-run op has left (0 for the single-access kinds).
+  u32 words_left(const IoOp& op) const;
+  /// The word-run primitive: moves the op's next `n` words, one bus access
+  /// each — one word on the packet bus from a ticked cycle, or the words a
+  /// sleep skipped through the bus's bulk path.
+  void move_words(IoOp& op, u32 n, bool slept);
 
   std::deque<IoOp> ops_;
   std::vector<Word> staged_words_;  // Packed out_bytes_ for the active write.
@@ -99,6 +126,7 @@ class StreamingRfu : public Rfu {
   u32 patch_word0_ = 0;
   u32 patch_nwords_ = 0;
   bool patch_loaded_ = false;
+  std::vector<Word> run_words_;  // One move's words (not state).
 };
 
 }  // namespace drmp::rfu

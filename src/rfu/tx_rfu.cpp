@@ -53,6 +53,32 @@ Cycle TxRfu::latest_start() const {
                            2.0 * mac::cca_latency_default_us(t));
 }
 
+bool TxRfu::stream_words() {
+  if (widx_ >= nwords_) return true;
+  if (io_idle()) q_stream_in(src_ + hw::kPageDataOffset + widx_, nwords_ - widx_);
+  io_step();
+  return false;
+}
+
+void TxRfu::stream_in(std::span<const Word> words) {
+  // Stage 1 pushes the payload bytes [0, len_) and the slave snoops them;
+  // stage 3 re-reads the words covering the appended FCS and pushes only
+  // its bytes [len_, len_ + 4) — those before len_ were pushed already.
+  const u32 base = widx_ * 4;
+  const u32 lo = stage_ == 1 ? base : std::max(base, len_);
+  const u32 hi = std::min(base + 4 * static_cast<u32>(words.size()),
+                          stage_ == 1 ? len_ : len_ + 4);
+  run_bytes_.clear();
+  for (u32 off = lo; off < hi; ++off) {
+    run_bytes_.push_back(static_cast<u8>(words[(off - base) / 4] >> (8 * (off % 4))));
+  }
+  buffers_[mode_idx_]->push_bytes(run_bytes_);
+  if (stage_ == 1 && append_fcs_ && fcs_ != nullptr) {
+    fcs_->on_secondary_trigger(id(), run_bytes_);
+  }
+  widx_ += static_cast<u32>(words.size());
+}
+
 bool TxRfu::work_step() {
   phy::TxBuffer& buf = *buffers_[mode_idx_];
   switch (stage_) {
@@ -66,20 +92,8 @@ bool TxRfu::work_step() {
       stage_ = 1;
       return false;
     }
-    case 1: {  // Stream payload words to the buffer; slave snoops each word.
-      if (widx_ < nwords_) {
-        if (!bus_granted() || !bus_free()) return false;
-        const Word w = bus_read(src_ + hw::kPageDataOffset + widx_);
-        const u32 valid = std::min<u32>(4, len_ - widx_ * 4);
-        for (u32 i = 0; i < valid; ++i) {
-          buf.push_byte(static_cast<u8>(w >> (8 * i)));
-        }
-        if (append_fcs_ && fcs_ != nullptr) {
-          fcs_->on_secondary_trigger(id(), w, static_cast<u8>(valid));
-        }
-        ++widx_;
-        return false;
-      }
+    case 1: {  // Stream payload words to the buffer; the slave snoops them.
+      if (!stream_words()) return false;
       if (!append_fcs_) {
         buf.end_frame(len_, earliest_start(), latest_start(),
                       sifs_after_rx_ ? phy::TxKind::kSifsData : phy::TxKind::kData);
@@ -102,22 +116,7 @@ bool TxRfu::work_step() {
       return false;
     }
     case 3: {  // Stream the FCS tail into the buffer.
-      if (widx_ < nwords_) {
-        if (!bus_granted() || !bus_free()) return false;
-        const Word w = bus_read(src_ + hw::kPageDataOffset + widx_);
-        // Bytes before len_ in the boundary word were already pushed; the
-        // buffer end_frame() truncation plus byte-exact re-push below keeps
-        // the stream correct: we only push the bytes in [len_, len_+4).
-        const u32 word_base = widx_ * 4;
-        for (u32 i = 0; i < 4; ++i) {
-          const u32 off = word_base + i;
-          if (off >= len_ && off < len_ + 4) {
-            buf.push_byte(static_cast<u8>(w >> (8 * i)));
-          }
-        }
-        ++widx_;
-        return false;
-      }
+      if (!stream_words()) return false;
       buf.end_frame(len_ + 4, earliest_start(), latest_start(),
                     sifs_after_rx_ ? phy::TxKind::kSifsData : phy::TxKind::kData);
       ++frames_;

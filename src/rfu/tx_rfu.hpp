@@ -2,6 +2,7 @@
 // MPDU from the packet memory into the mode's translational Tx buffer at
 // architecture speed (thesis §3.6.6), while the hard-wired FCS slave snoops
 // every word to accumulate the CRC-32 on the fly (footnote 10 / §3.6.5).
+// Both streams are word runs (rfu/streaming.hpp).
 // After the last payload word it hands the bus to the slave via the grant
 // override so the slave appends the FCS, then streams the final bytes and
 // marks the frame end.
@@ -53,6 +54,7 @@ class TxRfu final : public StreamingRfu {
   //   re-anchoring behaviour for callers that still want it.
   void on_execute(Op op) override;
   bool work_step() override;
+  void stream_in(std::span<const Word> words) override;
 
   void save_extra(sim::snap::Writer& w) override;
   void load_extra(sim::snap::Reader& r) override;
@@ -77,6 +79,9 @@ class TxRfu final : public StreamingRfu {
 
   Cycle earliest_start() const;
   Cycle latest_start() const;
+  /// Streams words [widx_, nwords_) of the source page through stream_in;
+  /// returns true once they have all moved.
+  bool stream_words();
 
   int stage_ = 0;
   u32 src_ = 0;
@@ -95,6 +100,7 @@ class TxRfu final : public StreamingRfu {
   std::array<phy::TxBuffer*, kNumModes> buffers_{};
   const sim::TimeBase* tb_ = nullptr;
   RxRfu* rx_ = nullptr;
+  Bytes run_bytes_;  ///< stream_in's unpacked bytes (not state).
 };
 
 }  // namespace drmp::rfu

@@ -54,13 +54,16 @@
 //     calls would have produced. Chunking is additive: skip_idle(a) then
 //     skip_idle(b) equals skip_idle(a+b).
 //
-// Quiescent is not the same as idle. Besides idle stretches, three busy
+// Quiescent is not the same as idle. Besides idle stretches, four busy
 // stretches are fixed the cycle they start and are slept through: a CPU
 // handler body (cpu::CpuModel, busy_until_ is set at dispatch), a streaming
 // RFU's compute stall (rfu::StreamingRfu, a Stall micro-op at the head of
-// its queue) and a packet-bus grant held with no access (hw::PacketBus).
+// its queue), a packet-bus grant held with no access (hw::PacketBus) and a
+// word run — a streaming RFU that holds the grant moving one word per
+// cycle (rfu::StreamingRfu declares the rest of the run to the bus with
+// hw::PacketBus::declare_run; the unit and the bus both sleep through it).
 // Their skip_idle adds the busy, hold and wait counts the skipped ticks
-// would have added.
+// would have added, and a run's skip moves its words in one call.
 //
 // Input delivered between runs is state at the next run's entry, not a
 // future wake: wake_self() outside a run only resets next_wake(). A bound
@@ -71,7 +74,11 @@
 // Settle-on-read: a component whose externally visible state is time-
 // derived (media: now(), idle_for(), cca_idle_for() advance every cycle and
 // are polled by transmit gates and access RFUs; the CPU's, bus's and RFUs'
-// cycle counters) calls settle_self() at the top of every public read. The scheduler then bulk-accounts the cycles it
+// cycle counters) calls settle_self() at the top of every public read. The
+// same holds for state a sleeper writes elsewhere: a word run's words land
+// in packet memory only when its unit settles, so every port-B access
+// (hw::PacketMemory cpu_read/cpu_write and the page helpers) settles the
+// streaming unit first. The scheduler then bulk-accounts the cycles it
 // has slept so far — by the catch-up rule below — and leaves it asleep, so
 // the reader sees exactly the every-tick value while the component still
 // executes only its event ticks.

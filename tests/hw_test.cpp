@@ -302,6 +302,119 @@ TEST(BusQuietHold, CountersMatchEveryTick) {
   EXPECT_LE(lazy.bus_executed, 48u);
 }
 
+// ------------------------------------------------------------ word runs
+
+/// A streaming master on the word-run contract of rfu/streaming.hpp: once
+/// it holds the grant it reads one word per cycle, declares the rest of
+/// its run after each ticked word, and on settle moves the words it slept
+/// through on the bus's bulk path.
+class RunMaster : public sim::Clockable {
+ public:
+  RunMaster(PacketBus& bus, u8 id, u32 addr, u32 words)
+      : bus_(bus), id_(id), addr_(addr), words_(words) {}
+  void tick() override {
+    if (got.size() >= words_ || !bus_.granted_rfu(id_) || !bus_.can_access()) return;
+    got.push_back(bus_.read(addr_ + static_cast<u32>(got.size())));
+    if (left() > 1) bus_.declare_run(this, left() - 1);
+  }
+  Cycle quiescent_for() const override {
+    return bus_.in_run(this) && left() > 1 ? left() - 1 : 0;
+  }
+  void skip_idle(Cycle n) override {
+    std::vector<Word> w(n);
+    bus_.read_run(addr_ + static_cast<u32>(got.size()), w);
+    got.insert(got.end(), w.begin(), w.end());
+  }
+  std::vector<Word> got;
+
+ private:
+  Cycle left() const { return words_ - got.size(); }
+  PacketBus& bus_;
+  u8 id_;
+  u32 addr_;
+  u32 words_;
+};
+
+struct StreamRun {
+  BusRun bus;
+  std::vector<Word> got;
+};
+
+constexpr u32 kRunWords = 600;
+
+/// Mode A hands the bus to RFU 5, which reads a 600-word run while `extra`
+/// drives the other request lines; run boundaries fall mid-run.
+StreamRun run_scripted_stream(bool idle_skip, const std::vector<BusAction>& extra) {
+  sim::Scheduler sched(200e6);
+  sched.set_idle_skip(idle_skip);
+  PacketMemory mem;
+  PacketBus bus(mem, nullptr);
+  const u32 src = page_base(Mode::A, Page::Raw);
+  for (u32 i = 0; i < kRunWords; ++i) mem.write(src + i, i * 2654435761u);
+  using K = BusAction::Kind;
+  std::vector<BusAction> script = {{2, K::RequestIrc, Mode::A},
+                                   {4, K::Trigger, Mode::A, 5},
+                                   {5, K::RequestRfu, Mode::A, 5}};
+  script.insert(script.end(), extra.begin(), extra.end());
+  BusScript inputs(bus, script);
+  RunMaster master(bus, 5, src, kRunWords);
+  BusProbe probe(bus);
+  sched.add(bus, "bus", -1);
+  sched.add(inputs, "script");
+  sched.add(master, "rfu5");
+  sched.add(probe, "probe", sim::Scheduler::kStageObserver);
+  StreamRun r;
+  for (int k = 0; k < 3; ++k) {
+    sched.run_cycles(kBusRunCycles / 3);
+    r.bus.grants.push_back(bus.grant());
+  }
+  r.bus.samples = std::move(probe.samples);
+  for (const auto& st : sched.profile().stages) {
+    if (st.stage == -1) r.bus.bus_executed = st.executed;
+  }
+  r.got = std::move(master.got);
+  return r;
+}
+
+void expect_stream_matches(const StreamRun& every, const StreamRun& lazy) {
+  ASSERT_EQ(every.bus.samples.size(), lazy.bus.samples.size());
+  for (std::size_t i = 0; i < every.bus.samples.size(); ++i) {
+    ASSERT_EQ(every.bus.samples[i], lazy.bus.samples[i]) << "sample " << i;
+  }
+  EXPECT_EQ(every.bus.grants, lazy.bus.grants);
+  EXPECT_EQ(every.got, lazy.got);
+}
+
+TEST(BusWordRun, ForeignRequestAndReleaseLeaveTheGrant) {
+  // Mode B asserts and drops its request mid-run: B waits, the grant is
+  // not preempted, and the bus sleeps again after each request-line wake.
+  using K = BusAction::Kind;
+  const std::vector<BusAction> foreign = {{100, K::RequestIrc, Mode::B},
+                                          {300, K::Release, Mode::B}};
+  const StreamRun every = run_scripted_stream(false, foreign);
+  const StreamRun lazy = run_scripted_stream(true, foreign);
+  expect_stream_matches(every, lazy);
+  EXPECT_EQ(lazy.got.size(), kRunWords);
+  EXPECT_EQ(lazy.bus.grants.back(), (PacketBus::Grant{PacketBus::MasterKind::Rfu, Mode::A, 5}));
+  // B's 200 waiting cycles are in the samples compared above.
+  EXPECT_LE(lazy.bus.bus_executed, 24u);
+}
+
+TEST(BusWordRun, OriginReleaseEndsTheRunWhereEveryTickDoes) {
+  // Mode A drops its own request mid-run: the next arbitration drops the
+  // grant, so the master's words stop on the every-tick cycle.
+  using K = BusAction::Kind;
+  const std::vector<BusAction> release = {{100, K::RequestIrc, Mode::B},
+                                          {400, K::Release, Mode::A}};
+  const StreamRun every = run_scripted_stream(false, release);
+  const StreamRun lazy = run_scripted_stream(true, release);
+  expect_stream_matches(every, lazy);
+  EXPECT_GT(lazy.got.size(), 300u);
+  EXPECT_LT(lazy.got.size(), kRunWords);
+  // The bus re-arbitrated to the waiting mode B.
+  EXPECT_EQ(lazy.bus.grants.back(), (PacketBus::Grant{PacketBus::MasterKind::Irc, Mode::B, 0xFF}));
+}
+
 TEST(CtrlLayout, StatusAddressesInsideCtrlPage) {
   const u32 base = page_base(Mode::C, Page::Ctrl);
   const u32 a = ctrl_status_addr(Mode::C, CtrlWord::kSeqOut);

@@ -26,6 +26,7 @@
 #include "rfu/rx_rfu.hpp"
 #include "rfu/seq_rfu.hpp"
 #include "rfu/tx_rfu.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/scheduler.hpp"
 
 namespace drmp::rfu {
@@ -41,9 +42,8 @@ Bytes payload(std::size_t n, u8 seed = 3) {
 }
 
 /// Drives a single RFU the way a TH_M does.
-class RfuHarness : public ::testing::Test {
- protected:
-  RfuHarness() : sched(200e6), bus(mem, &stats), tb(200e6) {}
+struct RfuRig {
+  RfuRig() : sched(200e6), bus(mem, &stats), tb(200e6) {}
 
   Rfu::Env env() {
     Rfu::Env e;
@@ -103,6 +103,8 @@ class RfuHarness : public ::testing::Test {
   sim::TimeBase tb;
   Rfu* rfu_ = nullptr;
 };
+
+class RfuHarness : public ::testing::Test, protected RfuRig {};
 
 // ----------------------------------------------------------------- crypto
 
@@ -279,6 +281,272 @@ TEST_F(RfuHarness, FcsAppendVerifyRoundTrip) {
   const u32 status = hw::ctrl_status_addr(Mode::A, hw::CtrlWord::kFcsOk);
   ASSERT_TRUE(execute(fcs, Op::FcsVerify, {page_base(Mode::A, Page::Tx), status}));
   EXPECT_EQ(mem.read(status), 1u);
+}
+
+// ------------------------------------------------------ word-run cost
+
+// A word run costs its unit and the bus a few ticks per op, not one per
+// word: the unit sleeps through the run bar its final word, and the bus
+// counts the slept-through accesses. Each job runs with idle-skip on and
+// off, and every counter must agree.
+
+enum class Job { Frag, Defrag, Des, TxFcs, RxFcs };
+
+/// Samples both translational buffers every cycle from the observer stage:
+/// a Tx frame stays invisible until end_frame. At `deliver_at` it deposits
+/// a second frame behind the one being drained.
+class BufferProbe : public sim::Clockable {
+ public:
+  BufferProbe(sim::Scheduler& sched, phy::TxBuffer& tx, phy::RxBuffer& rx)
+      : sched_(sched), tx_(tx), rx_(rx) {}
+  void tick() override {
+    samples.push_back(tx_.depth());
+    samples.push_back(rx_.depth());
+    if (sched_.now() == deliver_at) rx_.deliver(payload(200, 9), 999);
+  }
+  Cycle deliver_at = ~Cycle{0};
+  std::vector<u64> samples;
+
+ private:
+  sim::Scheduler& sched_;
+  phy::TxBuffer& tx_;
+  phy::RxBuffer& rx_;
+};
+
+struct JobCost {
+  Cycle cycles = 0;           ///< Trigger handshake to release.
+  u64 rfu_ticks = 0;          ///< Executed ticks of the unit and its slave.
+  u64 bus_ticks = 0;
+  std::vector<u64> counters;  ///< Compared across idle-skip settings.
+};
+
+/// Runs one job of the given size: Frag moves words/2 words in and out,
+/// Defrag streams a words/3-word fragment in and read-modify-writes it into
+/// place, Des reads a words/2-word page, stalls six cycles per word in one
+/// sleep and writes the page back (no per-word interleaving), TxFcs streams a words-word frame out with the FCS handover, and
+/// RxFcs drains a words-word frame with the FCS check while a second frame
+/// arrives behind it.
+JobCost run_job(Job job, u32 words, bool idle_skip) {
+  RfuRig rig;
+  rig.sched.set_idle_skip(idle_skip);
+  Rfu::Env env = rig.env();
+  FragRfu frag(env);
+  DefragRfu defrag(env);
+  CryptoRfu des(env);
+  TxRfu tx(env);
+  RxRfu rx(env);
+  FcsRfu fcs(env);
+  phy::TxBuffer txbuf;
+  phy::RxBuffer rxbuf;
+  tx.wire(&fcs, {&txbuf, nullptr, nullptr}, &rig.tb);
+  rx.wire(&fcs, {&rxbuf, nullptr, nullptr});
+  Rfu* unit = job == Job::Frag     ? static_cast<Rfu*>(&frag)
+              : job == Job::Defrag ? static_cast<Rfu*>(&defrag)
+              : job == Job::Des    ? static_cast<Rfu*>(&des)
+              : job == Job::TxFcs  ? static_cast<Rfu*>(&tx)
+                                   : static_cast<Rfu*>(&rx);
+  rig.sched.add(rig.bus, "bus", -1);
+  rig.sched.add(*unit, "rfu");
+  BufferProbe probe(rig.sched, txbuf, rxbuf);
+  rig.sched.add(probe, "probe", sim::Scheduler::kStageObserver);
+  rig.rmem.load_blob(kCryptoRfu, cfg::kCryptoDes,
+                     CryptoRfu::make_config_blob(cfg::kCryptoDes, payload(8, 7)));
+  rig.reconfigure(*unit, job == Job::Des ? cfg::kCryptoDes : cfg::kProtoWifi);
+  if (job == Job::TxFcs || job == Job::RxFcs) {
+    rig.sched.add(fcs, "fcs");
+    rig.reconfigure(fcs, cfg::kFcsCrc32);
+  }
+
+  const u32 crypt = page_base(Mode::A, Page::Crypt);
+  const u32 scratch = page_base(Mode::A, Page::Scratch);
+  const u32 status = hw::ctrl_status_addr(Mode::A, hw::CtrlWord::kFcsOk);
+  Op op = Op::Nop;
+  std::vector<Word> args;
+  switch (job) {
+    case Job::Frag:
+      rig.mem.write_page_bytes(Mode::A, Page::Crypt, payload(2 * words));
+      op = Op::FragmentWifi;
+      args = {crypt, scratch, 2 * words, 0};
+      break;
+    case Job::Defrag:
+      rig.mem.write_page_bytes(Mode::A, Page::Scratch, payload(4 * (words / 3)));
+      op = Op::DefragAppendWifi;
+      args = {scratch, page_base(Mode::A, Page::Defrag), 1};
+      break;
+    case Job::Des:
+      rig.mem.write_page_bytes(Mode::A, Page::Raw, payload(2 * words));
+      op = Op::EncryptDes;
+      args = {page_base(Mode::A, Page::Raw), crypt, 1, 2};
+      break;
+    case Job::TxFcs:
+      rig.mem.write_page_bytes(Mode::A, Page::Tx, payload(4 * words));
+      op = Op::TxFrameWifi;
+      args = {page_base(Mode::A, Page::Tx), 0, 1};
+      break;
+    case Job::RxFcs: {
+      Bytes frame = payload(4 * words - 4);
+      put_le32(frame, crypto::Crc32::compute(frame));
+      rxbuf.deliver(frame, 777);
+      probe.deliver_at = rig.sched.now() + 40;  // Mid-drain.
+      op = Op::RxDrainWifi;
+      args = {page_base(Mode::A, Page::Rx), 0, 1, status};
+      break;
+    }
+  }
+
+  auto executed = [&](int stage) {
+    for (const auto& st : rig.sched.profile().stages) {
+      if (st.stage == stage) return st.executed;
+    }
+    return u64{0};
+  };
+  JobCost c;
+  const u64 rfu0 = executed(sim::Scheduler::kStageDefault);
+  const u64 bus0 = executed(-1);
+  const Cycle t0 = rig.sched.now();
+  EXPECT_TRUE(rig.execute(*unit, op, args));
+  c.cycles = rig.sched.now() - t0;
+  c.rfu_ticks = executed(sim::Scheduler::kStageDefault) - rfu0;
+  c.bus_ticks = executed(-1) - bus0;
+
+  c.counters = {c.cycles, rig.bus.busy_cycles(), rig.bus.total_cycles(), unit->busy_cycles(),
+                fcs.busy_cycles(), rig.mem.read(status)};
+  for (Mode m : {Mode::A, Mode::B, Mode::C}) {
+    c.counters.push_back(rig.bus.mode_hold_cycles(m));
+    c.counters.push_back(rig.bus.mode_wait_cycles(m));
+  }
+  for (const auto& [name, b] : rig.stats.all_busy()) {
+    c.counters.push_back(b.busy_cycles());
+    c.counters.push_back(b.total_cycles());
+  }
+  const Bytes out = job == Job::TxFcs    ? txbuf.pop().bytes
+                    : job == Job::Frag   ? rig.mem.read_page_bytes(Mode::A, Page::Scratch)
+                    : job == Job::Defrag ? rig.mem.read_page_bytes(Mode::A, Page::Defrag)
+                    : job == Job::Des    ? rig.mem.read_page_bytes(Mode::A, Page::Crypt)
+                                         : rig.mem.read_page_bytes(Mode::A, Page::Rx);
+  c.counters.insert(c.counters.end(), out.begin(), out.end());
+  c.counters.insert(c.counters.end(), probe.samples.begin(), probe.samples.end());
+  if (job == Job::RxFcs) {
+    // The drain took the head frame only; the one delivered behind it waits.
+    EXPECT_EQ(out.size(), 4 * words);
+    EXPECT_EQ(rig.mem.read(status), 1u);
+    EXPECT_EQ(rxbuf.depth(), 1u);
+    EXPECT_EQ(rxbuf.frame(), payload(200, 9));
+  }
+  return c;
+}
+
+TEST(WordRun, CostIsPerOpNotPerWord) {
+  // A page holds 639 payload words, so the Tx and Rx jobs stop at 512.
+  const struct {
+    Job job;
+    const char* name;
+    u32 large;
+  } cases[] = {{Job::Frag, "frag", 1024},
+               {Job::Defrag, "defrag", 1024},
+               {Job::Des, "des", 1024},
+               {Job::TxFcs, "tx+fcs", 512},
+               {Job::RxFcs, "rx+fcs", 512}};
+  for (const auto& k : cases) {
+    SCOPED_TRACE(k.name);
+    const JobCost small = run_job(k.job, 64, true);
+    const JobCost large = run_job(k.job, k.large, true);
+    // Exact: every counter, the cycle count and the data agree with the
+    // every-tick oracle.
+    EXPECT_EQ(small.counters, run_job(k.job, 64, false).counters);
+    EXPECT_EQ(large.counters, run_job(k.job, k.large, false).counters);
+    // The words still take a cycle each...
+    EXPECT_GE(small.cycles, 64u);
+    EXPECT_GE(large.cycles, k.large);
+    if (k.job == Job::Des) EXPECT_GE(large.cycles, 4 * k.large);  // 8 per word moved in.
+    // ...but the ticks do not grow with them: a few per op.
+    EXPECT_EQ(large.rfu_ticks, small.rfu_ticks);
+    EXPECT_EQ(large.bus_ticks, small.bus_ticks);
+    EXPECT_LT(large.rfu_ticks + large.bus_ticks, 64u);
+  }
+}
+
+/// The Tx unit and its FCS slave, mid-way through a 512-word frame.
+struct TxRig : RfuRig {
+  explicit TxRig(bool idle_skip) : tx(env()), fcs(env()) {
+    sched.set_idle_skip(idle_skip);
+    tx.wire(&fcs, {&buf, nullptr, nullptr}, &tb);
+    sched.add(bus, "bus");
+    sched.add(tx, "tx");
+    sched.add(fcs, "fcs");
+  }
+  /// Runs the handshake, then `n` cycles into the frame's word run.
+  void start(Cycle n) {
+    reconfigure(tx, cfg::kProtoWifi);
+    reconfigure(fcs, cfg::kFcsCrc32);
+    mem.write_page_bytes(Mode::A, Page::Tx, payload(2048));
+    bus.request_for_irc(Mode::A);
+    ASSERT_TRUE(sched.run_until([&] { return bus.granted_irc(Mode::A); }, 100));
+    for (Word w : {make_command_word(Op::TxFrameWifi, 3), page_base(Mode::A, Page::Tx), Word{0},
+                   Word{1}, Word{0}}) {
+      bus.write(hw::rfu_trigger_addr(kTxRfu), w);
+      sched.run_cycles(1);
+    }
+    bus.request_for_rfu(Mode::A, kTxRfu);
+    sched.run_cycles(n);
+  }
+  template <class Ar>
+  void persist(Ar& ar) {
+    if constexpr (Ar::kLoading) {
+      sched.load_state(ar);
+      tx.load_state(ar);
+      fcs.load_state(ar);
+    } else {
+      sched.save_state(ar);
+      tx.save_state(ar);
+      fcs.save_state(ar);
+    }
+    bus.persist(ar);
+    mem.persist(ar);
+    buf.persist(ar);
+    stats.persist(ar);
+  }
+  /// Finishes the frame; returns every counter and the staged frame.
+  std::vector<u64> finish() {
+    EXPECT_TRUE(sched.run_until([&] { return tx.done(); }, 10'000));
+    std::vector<u64> c = {sched.now(), bus.busy_cycles(), bus.total_cycles(),
+                          bus.mode_hold_cycles(Mode::A), tx.busy_cycles(), fcs.busy_cycles()};
+    for (const auto& [name, b] : stats.all_busy()) {
+      c.push_back(b.busy_cycles());
+      c.push_back(b.total_cycles());
+    }
+    const Bytes frame = buf.pop().bytes;
+    c.insert(c.end(), frame.begin(), frame.end());
+    return c;
+  }
+  TxRfu tx;
+  FcsRfu fcs;
+  phy::TxBuffer buf;
+};
+
+TEST(WordRun, SnapshotMidRunResumesExactly) {
+  // A snapshot between scheduler runs can land inside a word run: the bus
+  // saves the current cycle's slept-through access as its access flag, and
+  // after a load the unit ticks its next word and declares the rest.
+  TxRig live(true);
+  live.start(300);
+  sim::snap::Writer w;
+  w.begin_record("rig");
+  live.persist(w);
+  w.end_record();
+  const std::vector<u64> want = live.finish();
+  for (const bool idle_skip : {true, false}) {
+    SCOPED_TRACE(idle_skip ? "resumed with idle-skip" : "resumed every-tick");
+    TxRig resumed(idle_skip);
+    sim::snap::Reader r(w.envelope());
+    r.expect("rig");
+    resumed.persist(r);
+    r.leave();
+    EXPECT_EQ(resumed.finish(), want);
+  }
+  TxRig every(false);
+  every.start(300);
+  EXPECT_EQ(every.finish(), want);
 }
 
 // ------------------------------------------------------ frag / defrag

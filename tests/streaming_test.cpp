@@ -3,7 +3,11 @@
 // the word-per-cycle contract every streaming unit relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
 #include "hw/memory_map.hpp"
+#include "rfu/frag_rfu.hpp"
 #include "rfu/streaming.hpp"
 #include "sim/scheduler.hpp"
 
@@ -171,6 +175,130 @@ TEST_F(StreamingTest, NoBusAccessWithoutGrant) {
   bus.request_for_rfu(Mode::A, 31);
   sched.run_until([&] { return probe->done(); }, 100000);
   EXPECT_TRUE(probe->done());
+}
+
+// ------------------------------------------------ port-B settle on read
+
+/// Reads packet memory through port B every cycle, from wherever it sits
+/// in the tick order: one word of the destination page (rotating) and the
+/// whole page. Once, at `write_at`, it writes a word of the source page.
+class PortBProbe : public sim::Clockable {
+ public:
+  PortBProbe(hw::PacketMemory& mem, Cycle write_at) : mem_(mem), write_at_(write_at) {}
+  void tick() override {
+    const u32 dst = page_base(Mode::A, Page::Scratch);
+    samples.push_back(mem_.cpu_read(dst + static_cast<u32>(now_ % hw::kPageWords)));
+    const Bytes page = mem_.read_page_bytes(Mode::A, Page::Scratch);
+    samples.push_back(mem_.page_byte_len(Mode::A, Page::Scratch));
+    samples.push_back(fnv1a(page));
+    if (now_ == write_at_) {
+      mem_.cpu_write(page_base(Mode::A, Page::Crypt) + hw::kPageDataOffset + 1, 0xDEADBEEF);
+    }
+    ++now_;
+  }
+  std::vector<u64> samples;
+
+ private:
+  static u64 fnv1a(const Bytes& b) {
+    u64 h = 1469598103934665603ull;
+    for (u8 x : b) h = (h ^ x) * 1099511628211ull;
+    return h;
+  }
+  hw::PacketMemory& mem_;
+  Cycle write_at_;
+  Cycle now_ = 0;
+};
+
+Bytes frag_source() {
+  Bytes src(1600);
+  for (std::size_t i = 0; i < src.size(); ++i) src[i] = static_cast<u8>(i * 7 + 1);
+  return src;
+}
+
+struct PortBRun {
+  std::vector<u64> before, after;  ///< Samples from either side of the unit.
+  Bytes slice;
+  Cycle done_at = 0;
+  Cycle bus_busy = 0;
+  u64 frag_ticks = 0;
+};
+
+/// A fragment copy (a 400-word read run, then a 400-word write run) while
+/// port-B probes read its destination every cycle, one before the unit in
+/// the default stage and one in the observer stage. The earlier probe
+/// overwrites source word 1 mid-read-run, after every-tick mode read it.
+PortBRun run_port_b(bool idle_skip) {
+  sim::Scheduler sched(200e6);
+  sched.set_idle_skip(idle_skip);
+  hw::PacketMemory mem;
+  hw::PacketBus bus(mem, nullptr);
+  hw::ReconfigMemory rmem;
+  sim::TimeBase tb(200e6);
+  Rfu::Env env;
+  env.bus = &bus;
+  env.rmem = &rmem;
+  env.timebase = &tb;
+  FragRfu frag(env);
+  PortBProbe before(mem, 200), after(mem, ~Cycle{0});
+  sched.add(bus, "bus", -1);
+  sched.add(before, "before");
+  sched.add(frag, "frag");
+  sched.add(after, "after", sim::Scheduler::kStageObserver);
+  mem.write_page_bytes(Mode::A, Page::Crypt, frag_source());
+  // The default stage holds the unit and the probe that ticks every cycle.
+  auto default_stage_ticks = [&] {
+    for (const auto& st : sched.profile().stages) {
+      if (st.stage == sim::Scheduler::kStageDefault) return st.executed;
+    }
+    return u64{0};
+  };
+
+  bus.request_for_irc(Mode::A);
+  sched.run_until([&] { return bus.granted_irc(Mode::A); }, 100);
+  for (Word w : {make_command_word(Op::FragmentWifi, 4), page_base(Mode::A, Page::Crypt),
+                 page_base(Mode::A, Page::Scratch), Word{1600}, Word{0}, Word{0}}) {
+    bus.write(hw::rfu_trigger_addr(kFragRfu), w);
+    sched.run_cycles(1);
+  }
+  bus.request_for_rfu(Mode::A, kFragRfu);
+  const u64 ticks0 = default_stage_ticks();
+  const Cycle t0 = sched.now();
+  EXPECT_TRUE(sched.run_until([&] { return frag.done(); }, 10'000));
+  PortBRun r;
+  r.frag_ticks = default_stage_ticks() - ticks0 - (sched.now() - t0);
+  r.done_at = sched.now();
+  frag.clear_done();
+  bus.release(Mode::A);
+  sched.run_cycles(5);
+  r.bus_busy = bus.busy_cycles();
+  r.before = std::move(before.samples);
+  r.after = std::move(after.samples);
+  r.slice = mem.read_page_bytes(Mode::A, Page::Scratch);
+  return r;
+}
+
+TEST(PortBSettle, ReadersMatchEveryTickEitherSideOfTheUnit) {
+  const PortBRun every = run_port_b(false);
+  const PortBRun lazy = run_port_b(true);
+  for (const auto& [e, l, side] : {std::tuple{&every.before, &lazy.before, "before"},
+                                   std::tuple{&every.after, &lazy.after, "after"}}) {
+    const std::size_t n = std::min(e->size(), l->size());
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ((*e)[i], (*l)[i]) << side << "-probe sample " << i;
+    }
+    EXPECT_EQ(e->size(), l->size()) << side;
+  }
+  EXPECT_EQ(every.done_at, lazy.done_at);
+  EXPECT_EQ(every.bus_busy, lazy.bus_busy);
+  EXPECT_EQ(every.slice, lazy.slice);
+  // Not vacuous: word 1 was copied before the overwrite landed, the
+  // probes watched the destination's length go from 0 to the slice's, and
+  // reads did not wake the unit.
+  EXPECT_EQ(every.slice, frag_source());
+  EXPECT_EQ(every.after[1], 0u);
+  EXPECT_EQ(every.after[every.after.size() - 2], 1600u);
+  EXPECT_LT(lazy.frag_ticks, 16u);
+  EXPECT_GT(every.frag_ticks, 800u);
 }
 
 }  // namespace
