@@ -1,5 +1,7 @@
 #include "mac/wifi_frames.hpp"
 
+#include <algorithm>
+
 #include "crypto/crc.hpp"
 
 namespace drmp::mac::wifi {
@@ -70,18 +72,34 @@ Bytes build_data_mpdu(const DataHeader& hdr, std::span<const u8> body) {
   return out;
 }
 
-Bytes build_ack(const MacAddr& ra, u16 duration_us) {
-  Bytes out;
-  ByteWriter w(out);
+namespace {
+
+/// ACK, CTS (one address), RTS and CF-End (two) share one layout: frame
+/// control, duration, the addresses, FCS. The buffer is sized up front.
+Bytes build_control(Subtype subtype, u16 duration_us, const MacAddr& a1,
+                    const MacAddr* a2 = nullptr) {
   FrameControl fc;
   fc.type = FrameType::Control;
-  fc.subtype = Subtype::Ack;
-  w.u16le(fc.encode());
-  w.u16le(duration_us);
-  w.bytes(ra.b);
-  const u32 fcs = crypto::Crc32::compute(out);
-  put_le32(out, fcs);
+  fc.subtype = subtype;
+  const std::size_t addr = a1.b.size();
+  const std::size_t addrs = addr * (a2 != nullptr ? 2 : 1);
+  Bytes out(4 + addrs + 4);
+  const u16 fcv = fc.encode();
+  out[0] = static_cast<u8>(fcv & 0xFF);
+  out[1] = static_cast<u8>(fcv >> 8);
+  out[2] = static_cast<u8>(duration_us & 0xFF);
+  out[3] = static_cast<u8>(duration_us >> 8);
+  std::copy(a1.b.begin(), a1.b.end(), out.begin() + 4);
+  if (a2 != nullptr) std::copy(a2->b.begin(), a2->b.end(), out.begin() + 4 + addr);
+  const u32 fcs = crypto::Crc32::compute(std::span<const u8>(out).first(4 + addrs));
+  for (std::size_t i = 0; i < 4; ++i) out[4 + addrs + i] = static_cast<u8>(fcs >> (8 * i));
   return out;
+}
+
+}  // namespace
+
+Bytes build_ack(const MacAddr& ra, u16 duration_us) {
+  return build_control(Subtype::Ack, duration_us, ra);
 }
 
 std::optional<ParsedMpdu> parse_data_mpdu(std::span<const u8> mpdu) {
@@ -99,32 +117,11 @@ std::optional<ParsedMpdu> parse_data_mpdu(std::span<const u8> mpdu) {
 }
 
 Bytes build_rts(const MacAddr& ra, const MacAddr& ta, u16 duration_us) {
-  Bytes out;
-  ByteWriter w(out);
-  FrameControl fc;
-  fc.type = FrameType::Control;
-  fc.subtype = Subtype::Rts;
-  w.u16le(fc.encode());
-  w.u16le(duration_us);
-  w.bytes(ra.b);
-  w.bytes(ta.b);
-  const u32 fcs = crypto::Crc32::compute(out);
-  put_le32(out, fcs);
-  return out;
+  return build_control(Subtype::Rts, duration_us, ra, &ta);
 }
 
 Bytes build_cts(const MacAddr& ra, u16 duration_us) {
-  Bytes out;
-  ByteWriter w(out);
-  FrameControl fc;
-  fc.type = FrameType::Control;
-  fc.subtype = Subtype::Cts;
-  w.u16le(fc.encode());
-  w.u16le(duration_us);
-  w.bytes(ra.b);
-  const u32 fcs = crypto::Crc32::compute(out);
-  put_le32(out, fcs);
-  return out;
+  return build_control(Subtype::Cts, duration_us, ra);
 }
 
 u16 cts_duration_from_rts(u16 rts_duration_us, const ProtocolTiming& t) {
@@ -137,18 +134,8 @@ u16 cts_duration_from_rts(u16 rts_duration_us, const ProtocolTiming& t) {
 }
 
 Bytes build_cf_end(const MacAddr& ra, const MacAddr& bssid, bool with_ack) {
-  Bytes out;
-  ByteWriter w(out);
-  FrameControl fc;
-  fc.type = FrameType::Control;
-  fc.subtype = with_ack ? Subtype::CfEndAck : Subtype::CfEnd;
-  w.u16le(fc.encode());
-  w.u16le(0);  // Duration 0: the CFP is over, NAVs reset.
-  w.bytes(ra.b);
-  w.bytes(bssid.b);
-  const u32 fcs = crypto::Crc32::compute(out);
-  put_le32(out, fcs);
-  return out;
+  // Duration 0: the CFP is over, NAVs reset.
+  return build_control(with_ack ? Subtype::CfEndAck : Subtype::CfEnd, 0, ra, &bssid);
 }
 
 Bytes BeaconBody::encode() const {

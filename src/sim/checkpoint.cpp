@@ -1,5 +1,6 @@
 #include "sim/checkpoint.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -53,16 +54,16 @@ void Writer::end_record() {
 
 Bytes Writer::envelope() const {
   if (!open_.empty()) throw std::logic_error("Writer::envelope with open records");
-  Bytes out;
-  out.reserve(kHeaderBytes + buf_.size() + kTrailerBytes);
-  out.insert(out.end(), kMagic, kMagic + 8);
-  const u32 ver = kSnapshotVersion;
-  for (std::size_t i = 0; i < 4; ++i) out.push_back(static_cast<u8>(ver >> (8 * i)));
-  const u64 len = buf_.size();
-  for (std::size_t i = 0; i < 8; ++i) out.push_back(static_cast<u8>(len >> (8 * i)));
-  out.insert(out.end(), buf_.begin(), buf_.end());
-  const u32 crc = crypto::Crc32::compute(buf_);
-  for (std::size_t i = 0; i < 4; ++i) out.push_back(static_cast<u8>(crc >> (8 * i)));
+  // Sized up front and filled in place: magic, version, length, payload, CRC.
+  Bytes out(kHeaderBytes + buf_.size() + kTrailerBytes);
+  const auto put_le = [&out](std::size_t at, u64 v, std::size_t bytes) {
+    for (std::size_t i = 0; i < bytes; ++i) out[at + i] = static_cast<u8>(v >> (8 * i));
+  };
+  std::copy(kMagic, kMagic + 8, out.begin());
+  put_le(8, kSnapshotVersion, 4);
+  put_le(12, buf_.size(), 8);
+  std::copy(buf_.begin(), buf_.end(), out.begin() + kHeaderBytes);
+  put_le(kHeaderBytes + buf_.size(), crypto::Crc32::compute(buf_), 4);
   return out;
 }
 

@@ -29,6 +29,25 @@ struct RoundState {
 
 MultiScheduler::RunResult MultiScheduler::run(Cycle max_cycles, Cycle stride,
                                               unsigned workers) {
+  // Every lane is held (Scheduler::run_held); whatever run_rounds left
+  // open closes here, after its worker pool is joined — on a throw too.
+  RunResult res;
+  try {
+    res = run_rounds(max_cycles, stride, workers);
+  } catch (...) {
+    close_lanes();
+    throw;
+  }
+  close_lanes();
+  return res;
+}
+
+void MultiScheduler::close_lanes() {
+  for (Lane& lane : lanes_) lane.sched->close_held();
+}
+
+MultiScheduler::RunResult MultiScheduler::run_rounds(Cycle max_cycles, Cycle stride,
+                                                     unsigned workers) {
   if (stride == 0) stride = 1;
   RunResult res;
 
@@ -53,9 +72,9 @@ MultiScheduler::RunResult MultiScheduler::run(Cycle max_cycles, Cycle stride,
   const auto run_lane = [&](std::size_t idx) {
     Lane& lane = lanes_[idx];
     const Cycle want = round.chunk + deferred[idx];
-    // next_wake() is exact between rounds (nothing mutates a lane outside
-    // its own run), so a lane with no possible tick before the round target
-    // can skip the dispatch entirely.
+    // next_wake() is a lower bound between rounds (a hook's input wakes its
+    // target, which collapses it), so a lane with no possible tick before
+    // the round target can skip the dispatch entirely.
     if (lane.sched->next_wake() >= lane.sched->now() + want) {
       deferred[idx] = want;
       // Lane-stall profile: each lane only ever writes its own slot, so
@@ -65,12 +84,12 @@ MultiScheduler::RunResult MultiScheduler::run(Cycle max_cycles, Cycle stride,
       return;
     }
     deferred[idx] = 0;
-    lane.sched->run_cycles(want);
+    lane.sched->run_held(want);
     lane.cycles_run += want;
   };
   const auto flush_lane = [&](std::size_t idx) {
     if (deferred[idx] == 0) return;
-    lanes_[idx].sched->run_cycles(deferred[idx]);
+    lanes_[idx].sched->run_held(deferred[idx]);
     lanes_[idx].cycles_run += deferred[idx];
     deferred[idx] = 0;
   };
@@ -144,6 +163,7 @@ MultiScheduler::RunResult MultiScheduler::run(Cycle max_cycles, Cycle stride,
       Lane& lane = lanes_[idx];
       if (lane.done && lane.done()) {
         flush_lane(idx);
+        lane.sched->close_held();
         lane.finished = true;
       } else {
         active[kept++] = idx;
@@ -161,7 +181,10 @@ MultiScheduler::RunResult MultiScheduler::run(Cycle max_cycles, Cycle stride,
     // multiple — not every round — so round skipping keeps its effect
     // between checkpoints.
     if (edge_hook_ && res.cycles >= edge_next) {
-      for (std::size_t idx : active) flush_lane(idx);
+      for (std::size_t idx : active) {
+        flush_lane(idx);
+        lanes_[idx].sched->close_held();
+      }
       edge_hook_(res.cycles);
       edge_next = (res.cycles / edge_every_ + 1) * edge_every_;
     }

@@ -22,15 +22,30 @@
 // the original fully-independent behaviour.
 //
 // Quiescence-aware round skipping: after each run a lane's scheduler
-// publishes next_wake() — the earliest cycle any of its components could
-// execute a real tick. A lane whose wake lies beyond the round's target is
-// not dispatched at all (not even for a fast-forward call); the cycles it
-// owes accumulate and are replayed in one run_cycles call the moment its wake
+// publishes next_wake() — a lower bound on the cycle any of its components
+// could execute a real tick. A lane whose wake lies beyond the round's
+// target is not dispatched at all (not even for a fast-forward call); the
+// cycles it owes accumulate and are replayed in one run the moment its wake
 // falls inside a round (or at run exit, so lane clocks still line up with
-// the lockstep clock). Nothing mutates a lane between rounds except its
-// done-predicate, which must be a pure read, so the skip decision is exact
-// and the results remain bit-identical to dispatching every round — with
-// any worker count.
+// the lockstep clock). Between rounds a lane is read by its done-predicate
+// and mutated only by the round hook, whose every input wakes its target
+// (which collapses next_wake()), so the skip decision is exact and the
+// results remain bit-identical to dispatching every round — with any
+// worker count.
+//
+// Held lanes: every lane runs through Scheduler::run_held, which keeps the
+// lane's quiescence state (active set, wake wheel, sleeper marks) open
+// between rounds. A round costs the lane its wakes and executed ticks, not
+// a re-partition and a settle of every component; a skip span reported to
+// a SchedulerObserver ends where its component wakes or the state closes,
+// not at a round edge. The state is closed
+// — every sleeper settled, as a direct run_cycles leaves it — when a lane
+// retires, for every lane before the edge hook, and at the end of run(),
+// on a throw too, once the worker pool is joined. Between held rounds
+// sleepers are unsettled, so a done-predicate and the round hook read
+// only event state (completion counters, callback flags) or state that
+// settles on read; a hook that mutates a lane component calls wake_self()
+// on it first.
 #pragma once
 
 #include <functional>
@@ -58,18 +73,21 @@ class MultiScheduler {
   /// point: cross-lane event couplers (net::ChannelCoupler) drain their
   /// outboxes here, so anything one lane generated in the round just ended
   /// is visible to its peers before any lane enters the next round. The
-  /// hook may mutate lane components and wake them (Clockable::wake_self
-  /// between runs resets the lane's next_wake hint, so a round-skipped lane
-  /// is dispatched again); it must schedule effects only at or after the
-  /// current round edge, or bit-identity across worker counts is lost.
+  /// hook may mutate lane components after waking them (Clockable::wake_self
+  /// settles the component and collapses the lane's next_wake hint, so a
+  /// round-skipped lane is dispatched again); it reads held lanes' sleepers
+  /// only through event or settle-on-read state, and it must schedule
+  /// effects only at or after the current round edge, or bit-identity
+  /// across worker counts is lost.
   void set_round_hook(std::function<void()> hook) { round_hook_ = std::move(hook); }
 
   /// Installs a hook fired at the first round edge at or past every multiple
   /// of `every` run-relative cycles, after the round hook, with workers
   /// parked. Before it fires, every still-active lane's deferred cycles are
   /// flushed (skipped rounds are provably no-op replays, so flushing early
-  /// is bit-identical), which puts *every* lane — retired lanes were flushed
-  /// at retirement — exactly on the lockstep edge: the quiescent state the
+  /// is bit-identical) and its held state closed, which puts *every* lane —
+  /// retired lanes were flushed and closed at retirement — exactly on the
+  /// lockstep edge with every component settled: the quiescent state the
   /// checkpoint machinery (scenario::ScenarioEngine::checkpoint_every)
   /// snapshots. The hook receives the run-relative elapsed cycle count and
   /// must not advance any lane.
@@ -95,8 +113,9 @@ class MultiScheduler {
   /// and predicates run on the calling thread while workers are parked, so
   /// the result is bit-identical to the single-threaded run — only
   /// wall-clock time changes. An exception from a lane (on any thread), a
-  /// predicate or a hook stops and joins the pool, then propagates to the
-  /// caller; the lanes are left mid-run.
+  /// predicate or a hook stops and joins the pool, closes every lane that
+  /// did not fault, then propagates to the caller; the lanes are left
+  /// mid-run, each settled at its own now().
   RunResult run(Cycle max_cycles, Cycle stride = kDefaultStride,
                 unsigned workers = 1);
 
@@ -124,6 +143,11 @@ class MultiScheduler {
     u64 rounds_skipped = 0;
     Cycle stall_cycles = 0;
   };
+
+  /// run() without the final close: the lockstep rounds and the pool.
+  RunResult run_rounds(Cycle max_cycles, Cycle stride, unsigned workers);
+  /// Closes every lane's held quiescence state (Scheduler::close_held).
+  void close_lanes();
 
   std::vector<Lane> lanes_;
   std::function<void()> round_hook_;

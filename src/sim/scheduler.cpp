@@ -65,17 +65,28 @@ void Scheduler::freeze() {
 }
 
 template <typename Done>
-bool Scheduler::advance(Cycle n, const Done& done) {
+bool Scheduler::advance(Cycle n, const Done& done, bool hold) {
   if (!fault_.empty()) throw SchedulerFaulted(fault_);
-  if (done()) return true;
-  if (batch_dirty_) freeze();
-  try {
-    return idle_skip_ && !batch_.empty() ? run_skipping(now_ + n, done)
-                                         : run_every_tick(n, done);
-  } catch (...) {  // Zero-cost until a tick throws.
-    fault();
-    throw;
+  bool fired = done();
+  if (!fired) {
+    if (batch_dirty_) {  // A late add() re-freezes: the held indices go.
+      close_held();
+      freeze();
+    }
+    try {
+      fired = idle_skip_ && !batch_.empty() ? run_skipping(now_ + n, done)
+                                            : run_every_tick(n, done);
+    } catch (...) {  // Zero-cost until a tick throws.
+      fault();
+      throw;
+    }
   }
+  if (!hold) {
+    close_held();
+  } else if (in_batched_run_) {
+    publish_wake_hint();  // Held exit: nothing is settled.
+  }
+  return fired;
 }
 
 template <typename Done>
@@ -132,7 +143,13 @@ void Scheduler::enter_batched() {
   }
 }
 
+void Scheduler::close_held() {
+  if (in_batched_run_) exit_batched();
+}
+
 void Scheduler::exit_batched() {
+  // The hint first: the settle below retires every wheel entry.
+  publish_wake_hint();
   // Settle: every sleeping component is caught up through the last executed
   // cycle, so introspection (stats, counters, internal clocks) between runs
   // is indistinguishable from every-tick mode.
@@ -140,21 +157,18 @@ void Scheduler::exit_batched() {
     if (states_[i].sleeping) end_sleep(i);
   }
   in_batched_run_ = false;
-  // Lane-level wake hint for MultiScheduler: when the whole scheduler is
-  // quiescent, report the earliest cycle a real tick could occur.
-  Cycle min_q = Clockable::kIdleForever;
-  for (Clockable* c : batch_) {
-    const Cycle q = c->quiescent_for();
-    min_q = std::min(min_q, q);
-    if (min_q == 0) break;
-  }
-  if (min_q == 0 || batch_.empty()) {
+}
+
+void Scheduler::publish_wake_hint() {
+  // Lane-level wake hint for MultiScheduler: with nothing awake, the
+  // earliest live wheel bound (sleepers outside the wheel sleep until
+  // woken). A bound already due reads as now_.
+  if (active_.size() != 0) {
     next_wake_ = now_;
-  } else if (min_q == Clockable::kIdleForever || min_q > Clockable::kIdleForever - now_) {
-    next_wake_ = Clockable::kIdleForever;
-  } else {
-    next_wake_ = now_ + min_q;
+    return;
   }
+  const auto live = [this](const TimingWheel::Entry& e) { return is_live(e); };
+  next_wake_ = std::max(now_, wheel_.next_live_bound(live));
 }
 
 void Scheduler::settle_sleeper(u32 idx) {
@@ -201,6 +215,9 @@ void Scheduler::wake_component(u32 idx) {
   // now_ if its slot has not passed this cycle, at now_+1 otherwise.
   end_sleep(idx);
   active_.insert(idx);
+  // Between held runs, a round-skipped lane must be dispatched again (a
+  // run's own exit recomputes the hint anyway).
+  next_wake_ = now_;
 }
 
 void Scheduler::drain_wheel() {
@@ -220,10 +237,7 @@ void Scheduler::drain_wheel() {
   // behind; sweep them out as soon as they are the majority so the wheel's
   // depth tracks the *sleeping* population, not the wake history.
   if (wheel_stale_ >= kPurgeMinStale && wheel_stale_ * 2 >= wheel_.size()) {
-    wheel_.purge([this](const TimingWheel::Entry& e) {
-      const CompState& st = states_[e.index];
-      return st.sleeping && st.gen == e.gen;
-    });
+    wheel_.purge([this](const TimingWheel::Entry& e) { return is_live(e); });
     wheel_stale_ = 0;
     ++wheel_purges_;
   }
@@ -231,7 +245,7 @@ void Scheduler::drain_wheel() {
 
 template <typename Done>
 bool Scheduler::run_skipping(Cycle limit, const Done& done) {
-  enter_batched();
+  if (!in_batched_run_) enter_batched();  // A held state resumes as it is.
   bool fired = false;
   while (now_ < limit && !fired) {
     drain_wheel();
@@ -290,16 +304,19 @@ bool Scheduler::run_skipping(Cycle limit, const Done& done) {
     ++now_;
     fired = done();
   }
-  exit_batched();
-  return fired;
+  return fired;  // advance() closes or holds the state.
 }
 
 void Scheduler::run_cycles(Cycle n) {
-  advance(n, [] { return false; });  // Folds out of the kernel's loops.
+  advance(n, [] { return false; }, false);  // Folds out of the kernel's loops.
+}
+
+void Scheduler::run_held(Cycle n) {
+  advance(n, [] { return false; }, true);
 }
 
 bool Scheduler::run_until(const std::function<bool()>& done, Cycle max_cycles) {
-  return advance(max_cycles, done);
+  return advance(max_cycles, done, false);
 }
 
 void Scheduler::fault() {
@@ -338,6 +355,7 @@ SchedulerProfile Scheduler::profile() const {
 
 void Scheduler::save_state(snap::Writer& w) {
   if (!fault_.empty()) throw SchedulerFaulted(fault_);
+  close_held();
   w.io(now_);
   w.io(ticks_executed_);
   w.io(ticks_skipped_);

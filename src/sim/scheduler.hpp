@@ -69,7 +69,13 @@
 // future wake: wake_self() outside a run only resets next_wake(). A bound
 // must therefore read every input it depends on — a CPU's pending
 // interrupts, a bus's request lines and trigger flags — rather than rely
-// on being woken when it arrives.
+// on being woken when it arrives. The exception is a held lane
+// (MultiScheduler): between its rounds the quiescence state stays open, so
+// input between runs is input mid-run — wake_self() settles the target,
+// activates it and collapses next_wake() to now(), and every mutation from
+// a round hook must call it before mutating. Between held rounds sleepers
+// are unsettled: a done predicate or hook reads event state or settle-on-
+// read state only, the rule run_until's done() follows.
 //
 // Settle-on-read: a component whose externally visible state is time-
 // derived (media: now(), idle_for(), cca_idle_for() advance every cycle and
@@ -100,7 +106,9 @@
 // Globally-quiescent gaps: when no component is awake, the scheduler
 // fast-forwards now_ to the earliest wake bound in one step (the timing
 // wheel holds sleeping components' bounds). Sleepers are settled lazily —
-// on read, on wake, or at run exit — so a gap costs one jump, not a sweep.
+// on read, on wake, or when the run's state closes (at run exit, or for a
+// held lane at MultiScheduler's close points) — so a gap costs one jump,
+// not a sweep.
 #pragma once
 
 #include <array>
@@ -181,7 +189,9 @@ struct SchedulerFaulted : std::logic_error {
 /// observability layer (src/obs/ may include sim/, never the reverse); the
 /// flight recorder attaches through this interface to record skip spans and
 /// fast-forwards. Callbacks fire only with idle-skip on, on the
-/// thread running the scheduler, and must not mutate simulation state.
+/// thread running the scheduler (for a MultiScheduler lane, also on the
+/// thread running MultiScheduler::run, where a round hook's wake or a
+/// close settles it), and must not mutate simulation state.
 class SchedulerObserver {
  public:
   virtual ~SchedulerObserver() = default;
@@ -322,28 +332,28 @@ class TimingWheel {
   /// kNever when empty. Valid after advance() caught the wheel up to now.
   Cycle next_bound() const noexcept {
     Cycle nb = overflow_min_;
-    if (occ_[0] != 0) {
-      const u64 c = base_ & 63;
-      const u64 hi = occ_[0] & ~((u64{2} << c) - 1);
-      const Cycle frame0 = base_ & ~Cycle{63};
-      nb = std::min(nb, hi != 0 ? frame0 + static_cast<Cycle>(std::countr_zero(hi))
-                                : frame0 + 64 +
-                                      static_cast<Cycle>(std::countr_zero(occ_[0])));
+    for (int l = 0; l < kLevels; ++l) {
+      if (occ_[l] != 0) nb = std::min(nb, first_bucket(l).second);
     }
-    for (int l = 1; l < kLevels; ++l) {
+    return nb;
+  }
+
+  /// next_bound() tightened by one bucket scan per level: the earliest
+  /// wake time `live` accepts in each level's earliest bucket (which holds
+  /// that level's earliest entry), or the bucket floor when every entry
+  /// there is stale. Still a lower bound, exact whenever those buckets hold
+  /// a live entry.
+  template <typename P>
+  Cycle next_live_bound(P&& live) const {
+    Cycle nb = overflow_min_;
+    for (int l = 0; l < kLevels; ++l) {
       if (occ_[l] == 0) continue;
-      const int shift = kSlotBits * l;
-      const Cycle width = Cycle{1} << shift;
-      const Cycle frame = width << kSlotBits;
-      const Cycle frame_base = base_ & ~(frame - 1);
-      const u64 c = (base_ >> shift) & 63;
-      const u64 hi = occ_[l] & ~((u64{2} << c) - 1);
-      nb = std::min(nb, hi != 0
-                            ? frame_base + width * static_cast<Cycle>(
-                                               std::countr_zero(hi))
-                            : frame_base + frame +
-                                  width * static_cast<Cycle>(
-                                              std::countr_zero(occ_[l])));
+      const auto [s, floor] = first_bucket(l);
+      Cycle best = kNever;
+      for (const Entry& e : buckets_[static_cast<std::size_t>(l)][s]) {
+        if (e.wake_at < best && live(e)) best = e.wake_at;
+      }
+      nb = std::min(nb, best != kNever ? best : floor);
     }
     return nb;
   }
@@ -370,6 +380,21 @@ class TimingWheel {
   u64 cascades() const noexcept { return cascades_; }
 
  private:
+  /// Earliest occupied bucket of level l (occ_[l] != 0): its slot and the
+  /// first cycle of its window. Slot order wraps at the base's own slot,
+  /// whose window the wheel has already entered and drained.
+  std::pair<std::size_t, Cycle> first_bucket(int l) const noexcept {
+    const u64 occ = occ_[static_cast<std::size_t>(l)];
+    const int shift = kSlotBits * l;
+    const Cycle width = Cycle{1} << shift;
+    const Cycle frame = width << kSlotBits;
+    const Cycle frame_base = base_ & ~(frame - 1);
+    const u64 c = (base_ >> shift) & 63;
+    const u64 hi = occ & ~((u64{2} << c) - 1);
+    const auto s = static_cast<std::size_t>(std::countr_zero(hi != 0 ? hi : occ));
+    return {s, (hi != 0 ? frame_base : frame_base + frame) + width * s};
+  }
+
   /// Requires e.wake_at > base_ (due entries are drained before placement).
   void place(const Entry& e) {
     const Cycle delta = e.wake_at - base_;
@@ -490,21 +515,26 @@ class Scheduler {
   bool run_until(const std::function<bool()>& done, Cycle max_cycles);
 
   /// false selects every-tick mode: every component ticks every cycle (the
-  /// baseline the equivalence tests compare against). Toggling mid-run
-  /// invalidates the published next_wake() hint — the bound was computed
-  /// under the other policy — so it collapses to now(): always safe (a
-  /// dispatched lane with nothing to do just fast-forwards), never stale.
-  void set_idle_skip(bool enabled) noexcept {
-    if (idle_skip_ != enabled) next_wake_ = now_;
+  /// baseline the equivalence tests compare against). A toggle closes a
+  /// held lane's quiescence state (see MultiScheduler) and invalidates the
+  /// published next_wake() hint — the bound was computed under the other
+  /// policy — so it collapses to now(): always safe (a dispatched lane with
+  /// nothing to do just fast-forwards), never stale.
+  void set_idle_skip(bool enabled) {
+    if (idle_skip_ == enabled) return;
+    close_held();
+    next_wake_ = now_;
     idle_skip_ = enabled;
   }
   bool idle_skip() const noexcept { return idle_skip_; }
 
-  /// Earliest cycle at which any component might execute a real tick, as
-  /// established at the end of the last run: now() when anything is
-  /// active, kIdleForever when every component is quiescent indefinitely.
-  /// Valid until a component is externally mutated; MultiScheduler uses it
-  /// to skip lockstep rounds for fully-quiescent lanes.
+  /// A lower bound on the first cycle at which any component might execute
+  /// a real tick, as established at the end of the last run: now() when
+  /// anything is awake, else the earliest live wake-wheel bound (stale
+  /// entries can only pull it earlier), and kIdleForever when every
+  /// component sleeps until woken. A wake between
+  /// runs collapses it to now(). MultiScheduler uses it to skip lockstep
+  /// rounds for fully-quiescent lanes.
   Cycle next_wake() const noexcept { return next_wake_; }
 
   Cycle now() const noexcept { return now_; }
@@ -533,19 +563,32 @@ class Scheduler {
   void set_observer(SchedulerObserver* o) noexcept { observer_ = o; }
 
   // ---- Checkpoint (sim/checkpoint.hpp) ----
-  /// Persists the clock and execution counters. Legal only between runs:
-  /// the only simulation state a scheduler carries across runs is now_ —
+  /// Persists the clock and execution counters. Legal only between runs.
+  /// A held lane's quiescence state is closed (every sleeper settled)
+  /// first, so the only simulation state a scheduler carries is now_ —
   /// enter_batched rebuilds the whole quiescence apparatus (active set,
-  /// wake wheel, per-component states) from component bounds at entry.
-  /// load_state collapses next_wake() to now(), which is always safe and
-  /// never stale (the set_idle_skip argument).
+  /// wake wheel, per-component states) from component bounds at the next
+  /// entry. load_state collapses next_wake() to now(), which is always safe
+  /// and never stale (the set_idle_skip argument).
   void save_state(snap::Writer& w);
   void load_state(snap::Reader& r);
 
  private:
+  friend class MultiScheduler;
+  /// run_cycles for a MultiScheduler lane: a skipping run leaves its
+  /// quiescence state (active set, wake wheel, sleeper marks) open, so the
+  /// next held run resumes it instead of re-partitioning every component,
+  /// and the exit settles nobody. Between held runs sleepers are unsettled
+  /// unless read through settle-on-read, and a wake settles the component,
+  /// activates it and collapses next_wake() to now().
+  void run_held(Cycle n);
+  /// Closes a held state: settles every sleeper, as every direct run does
+  /// at its exit. No-op when nothing is held or the scheduler faulted.
+  void close_held();
+
   /// The kernel, templated on the stop predicate: run_cycles' folds away.
   template <typename Done>
-  bool advance(Cycle n, const Done& done);
+  bool advance(Cycle n, const Done& done, bool hold);
   template <typename Done>
   bool run_every_tick(Cycle n, const Done& done);
   template <typename Done>
@@ -554,6 +597,8 @@ class Scheduler {
   void freeze();
   void enter_batched();
   void exit_batched();
+  /// Sets next_wake() from the active set and the wake wheel.
+  void publish_wake_hint();
   /// Settles a sleeping component and re-inserts it into the active set.
   void wake_component(u32 idx);
   /// Catches a sleeping component up through the catch-up rule (it stays
@@ -574,7 +619,7 @@ class Scheduler {
   };
 
   /// Per-component quiescence state, parallel to batch_; live only inside
-  /// a skipping run.
+  /// a skipping run or between held runs.
   struct CompState {
     bool sleeping = false;
     bool in_wheel = false;  ///< A live wheel entry exists for this sleep.
@@ -593,6 +638,11 @@ class Scheduler {
   /// Drains due wheel entries at now_ and purges when stale entries
   /// dominate (the lazy-deletion leak fix).
   void drain_wheel();
+  /// A wheel entry still names its component's current sleep.
+  bool is_live(const TimingWheel::Entry& e) const noexcept {
+    const CompState& st = states_[e.index];
+    return st.sleeping && st.gen == e.gen;
+  }
 
   TimeBase timebase_;
   Cycle now_ = 0;
@@ -602,6 +652,7 @@ class Scheduler {
   bool batch_dirty_ = false;
 
   bool idle_skip_ = true;
+  /// The quiescence state is open: inside a skipping run, or held after one.
   bool in_batched_run_ = false;
   bool in_cycle_ = false;
   std::size_t cursor_ = kNoCursor;  ///< Frozen index currently ticking.

@@ -146,7 +146,9 @@ TEST(Aes128, CtrRoundTripArbitraryLength) {
     const Bytes orig = data;
     Aes128 aes(key);
     aes.ctr_process(nonce, data);
-    if (len > 0) EXPECT_NE(data, orig);
+    if (len > 0) {
+      EXPECT_NE(data, orig);
+    }
     aes.ctr_process(nonce, data);
     EXPECT_EQ(data, orig) << "len=" << len;
   }

@@ -458,7 +458,9 @@ TEST(WordRun, CostIsPerOpNotPerWord) {
     // The words still take a cycle each...
     EXPECT_GE(small.cycles, 64u);
     EXPECT_GE(large.cycles, k.large);
-    if (k.job == Job::Des) EXPECT_GE(large.cycles, 4 * k.large);  // 8 per word moved in.
+    if (k.job == Job::Des) {
+      EXPECT_GE(large.cycles, 4 * k.large);  // 8 per word moved in.
+    }
     // ...but the ticks do not grow with them: a few per op.
     EXPECT_EQ(large.rfu_ticks, small.rfu_ticks);
     EXPECT_EQ(large.bus_ticks, small.bus_ticks);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -401,6 +402,7 @@ class PeriodicWorker : public Clockable {
     }
   }
   Cycle quiescent_for() const override {
+    ++bound_calls;
     return next_due_ > clock_ ? next_due_ - clock_ : 0;
   }
   void skip_idle(Cycle n) override {
@@ -411,6 +413,7 @@ class PeriodicWorker : public Clockable {
   Cycle clock() const noexcept { return clock_; }
   std::vector<Cycle> work_log;
   Cycle skipped = 0;
+  mutable u64 bound_calls = 0;  ///< quiescent_for() calls.
 
  private:
   Cycle period_;
@@ -575,9 +578,8 @@ TEST(Quiescence, SettleOnReadMatchesEveryTickEitherSideOfTheReader) {
 }
 
 TEST(Quiescence, SplitRunsMatchOneRun) {
-  // run_cycles(a); run_cycles(b) must equal one (a+b) run —
-  // the settle/re-partition at the boundary is what MultiScheduler strides
-  // rely on.
+  // run_cycles(a); run_cycles(b) must equal one (a+b) run: the settle and
+  // re-partition at the boundary change nothing.
   Scheduler one(200e6), split(200e6);
   PeriodicWorker w1(97), w2(97);
   one.add(w1, "w");
@@ -657,6 +659,241 @@ TEST(Quiescence, MultiSchedulerSkipsQuiescentLanesBitIdentically) {
     ref.add(wr, "w");
     ref.run_cycles(100'000);
     EXPECT_EQ(w1.work_log, wr.work_log) << "workers=" << workers;
+  }
+}
+
+// ---- Held lanes: quiescence state kept across lockstep rounds ------------
+
+/// Sleeps until woken; post(at) stamps an input due at cycle `at` (never
+/// before the round edge it is posted at), and the first tick at or past
+/// `at` consumes it — the shape of a coupler's foreign-carrier image.
+class StampedInbox : public Clockable {
+ public:
+  void tick() override {
+    if (clock_ >= due_) {
+      fired.push_back(clock_);
+      due_ = kNever;
+    }
+    ++clock_;
+  }
+  Cycle quiescent_for() const override {
+    if (due_ == kNever) return kIdleForever;
+    return due_ > clock_ ? due_ - clock_ : 0;
+  }
+  void skip_idle(Cycle n) override { clock_ += n; }
+  void post(Cycle at) {
+    wake_self();
+    due_ = at;
+  }
+
+  Cycle clock() const noexcept { return clock_; }
+  std::vector<Cycle> fired;
+
+ private:
+  static constexpr Cycle kNever = ~Cycle{0};
+  Cycle due_ = kNever;
+  Cycle clock_ = 0;
+};
+
+TEST(HeldLanes, WakeBetweenRoundsRedispatchesASkippedLane) {
+  // Lane 0 holds one forever-sleeper, so it is round-skipped from round 2
+  // on. The round hook posts into it at edge 10; it must consume the input
+  // on the every-tick cycle, and the hook must see that at edge 11.
+  constexpr Cycle kStride = 256;
+  for (const unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
+    std::vector<std::vector<std::size_t>> seen_by_mode;
+    for (const bool skip : {true, false}) {
+      Scheduler s0(200e6), s1(200e6);
+      s0.set_idle_skip(skip);
+      s1.set_idle_skip(skip);
+      StampedInbox inbox;
+      PeriodicWorker w(100);
+      s0.add(inbox, "inbox");
+      s1.add(w, "w");
+      MultiScheduler multi;
+      multi.add(s0);
+      multi.add(s1);
+      std::vector<std::size_t> seen;  // inbox.fired.size() at each edge.
+      Cycle edge = 0;
+      multi.set_round_hook([&] {
+        edge += kStride;
+        seen.push_back(inbox.fired.size());
+        if (edge == 10 * kStride) inbox.post(edge + 7);
+      });
+      multi.run(20 * kStride, kStride, workers);
+      EXPECT_EQ(inbox.fired, (std::vector<Cycle>{10 * kStride + 7}));
+      EXPECT_EQ(inbox.clock(), 20 * kStride);
+      ASSERT_EQ(seen.size(), 20u);
+      EXPECT_EQ(seen[9], 0u);   // Edge 10: posted, not yet consumed.
+      EXPECT_EQ(seen[10], 1u);  // Edge 11: consumed inside round 11.
+      EXPECT_EQ(multi.lane_rounds_skipped(0) > 0, skip);
+      seen_by_mode.push_back(seen);
+    }
+    EXPECT_EQ(seen_by_mode[0], seen_by_mode[1]);
+  }
+}
+
+TEST(HeldLanes, BoundCallsScaleWithTicksNotRounds) {
+  // A round re-partitioning and settling every component would cost
+  // quiescent_for() calls per component per round. Held lanes pay one per
+  // executed tick, plus one per component each time a lane (re)opens: at
+  // its first run and after each edge-hook close.
+  Scheduler s0(200e6), s1(200e6);
+  PeriodicWorker a(5'000), b(7'000), c(11'000), d(3'000);
+  s0.add(a, "a");
+  s0.add(b, "b");
+  s0.add(c, "c");
+  s1.add(d, "d");
+  MultiScheduler multi;
+  multi.add(s0);
+  multi.add(s1, [&] { return d.work_log.size() >= 3; });  // Retires early.
+  u64 firings = 0;
+  multi.set_edge_hook(100 * 64, [&](Cycle) { ++firings; });
+  const auto res = multi.run(1'000 * 64, 64);
+  ASSERT_EQ(res.rounds, 1'000u);
+  EXPECT_TRUE(multi.lane_finished(1));
+  EXPECT_EQ(firings, 10u);
+  const u64 calls = a.bound_calls + b.bound_calls + c.bound_calls + d.bound_calls;
+  const u64 ticks = s0.ticks_executed() + s1.ticks_executed();
+  constexpr u64 kComponents = 4;
+  constexpr u64 kRetirements = 1;
+  EXPECT_LE(calls, ticks + kComponents * (1 + firings + kRetirements))
+      << "ticks " << ticks;
+  EXPECT_LT(ticks, 100u);  // Mostly asleep: the bound is not vacuous.
+}
+
+/// Three lanes under one round hook and one checkpoint edge hook. Lane A
+/// works often, lane B rarely (round-skipped, and it retires), lane C
+/// receives hook input.
+struct HeldRig {
+  static constexpr Cycle kStride = 256;
+  static constexpr Cycle kRounds = 200;
+  static constexpr Cycle kEdgeEvery = 4 * kStride;
+
+  Scheduler sa{200e6}, sb{200e6}, sc{200e6};
+  PeriodicWorker a1{97}, a2{1'500}, b1{5'000}, c2{300};
+  StampedInbox c1;
+  Cycle edge = 0;
+  std::vector<std::vector<u64>> round_samples, edge_samples;
+
+  explicit HeldRig(bool skip) {
+    for (Scheduler* s : {&sa, &sb, &sc}) s->set_idle_skip(skip);
+    sa.add(a1, "a1");
+    sa.add(a2, "a2");
+    sb.add(b1, "b1");
+    sc.add(c1, "c1");
+    sc.add(c2, "c2");
+  }
+  bool b_done() const { return b1.work_log.size() >= 6; }
+  /// Event state only: a held lane's sleepers are unsettled here.
+  void round_hook() {
+    edge += kStride;
+    round_samples.push_back({a1.work_log.size(), a2.work_log.size(),
+                             b1.work_log.size(), c1.fired.size(),
+                             c2.work_log.size()});
+    if ((edge / kStride) % 7 == 3) c1.post(edge + 5);
+  }
+  /// Every lane is flushed and settled: every counter is exact.
+  void edge_hook(Cycle cycles) {
+    edge_samples.push_back({cycles, sa.now(), sb.now(), sc.now(), a1.clock(),
+                            a2.clock(), b1.clock(), c1.clock(), c2.clock()});
+    for (const PeriodicWorker* w : {&a1, &a2, &b1, &c2}) {
+      edge_samples.back().insert(edge_samples.back().end(), w->work_log.begin(),
+                                 w->work_log.end());
+    }
+  }
+};
+
+TEST(HeldLanes, RoundsMatchDispatchEveryRoundAndEveryTick) {
+  // Reference: a hand-driven lockstep that calls run_cycles on every live
+  // lane every round (each run closes), with the same hooks.
+  HeldRig ref(true);
+  {
+    bool b_finished = false;
+    Cycle edge_next = HeldRig::kEdgeEvery;
+    for (Cycle done = 0; done < HeldRig::kRounds * HeldRig::kStride;) {
+      ref.sa.run_cycles(HeldRig::kStride);
+      if (!b_finished) ref.sb.run_cycles(HeldRig::kStride);
+      ref.sc.run_cycles(HeldRig::kStride);
+      done += HeldRig::kStride;
+      if (!b_finished && ref.b_done()) b_finished = true;
+      ref.round_hook();
+      if (done >= edge_next) {
+        ref.edge_hook(done);
+        edge_next = (done / HeldRig::kEdgeEvery + 1) * HeldRig::kEdgeEvery;
+      }
+    }
+    ASSERT_TRUE(b_finished);
+  }
+  for (const unsigned workers : {1u, 4u}) {
+    for (const bool skip : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "workers=" << workers << " skip=" << skip);
+      HeldRig rig(skip);
+      MultiScheduler multi;
+      multi.add(rig.sa);
+      multi.add(rig.sb, [&] { return rig.b_done(); });
+      multi.add(rig.sc);
+      multi.set_round_hook([&] { rig.round_hook(); });
+      multi.set_edge_hook(HeldRig::kEdgeEvery, [&](Cycle c) { rig.edge_hook(c); });
+      multi.run(HeldRig::kRounds * HeldRig::kStride, HeldRig::kStride, workers);
+      EXPECT_EQ(rig.round_samples, ref.round_samples);
+      EXPECT_EQ(rig.edge_samples, ref.edge_samples);
+      EXPECT_EQ(rig.c1.fired, ref.c1.fired);
+      EXPECT_EQ(rig.b1.clock(), ref.b1.clock());
+      EXPECT_TRUE(multi.lane_finished(1));
+      EXPECT_EQ(multi.lane_rounds_skipped(1) > 0, skip);
+    }
+  }
+  EXPECT_FALSE(ref.c1.fired.empty());
+}
+
+TEST(HeldLanes, ALaneThrowingLeavesTheOthersSettled) {
+  // The exception reaches the caller with every other lane closed: plain
+  // (not settle-on-read) counters equal every-tick at the lane's now().
+  class Thrower : public Clockable {
+   public:
+    void tick() override {
+      if (clock_++ == 5'123) throw std::runtime_error("lane fault");
+    }
+
+   private:
+    Cycle clock_ = 0;
+  };
+  for (const unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
+    std::vector<std::unique_ptr<Scheduler>> lanes;
+    std::vector<std::unique_ptr<PeriodicWorker>> fast, slow;
+    Thrower thrower;
+    MultiScheduler multi;
+    for (std::size_t i = 0; i < 4; ++i) {
+      lanes.push_back(std::make_unique<Scheduler>(200e6));
+      if (i < 3) {
+        fast.push_back(std::make_unique<PeriodicWorker>(700 + 300 * i));
+        slow.push_back(std::make_unique<PeriodicWorker>(40'000));
+        lanes[i]->add(*fast[i], "fast");
+        lanes[i]->add(*slow[i], "slow");
+      } else {
+        lanes[i]->add(thrower, "thrower");  // Last: usually a pool thread.
+      }
+      multi.add(*lanes[i]);
+    }
+    EXPECT_THROW((void)multi.run(100'000, 256, workers), std::runtime_error);
+    for (std::size_t i = 0; i < 3; ++i) {
+      SCOPED_TRACE(i);
+      const Cycle now = lanes[i]->now();
+      EXPECT_GT(now, 0u);
+      EXPECT_EQ(fast[i]->clock(), now);
+      EXPECT_EQ(slow[i]->clock(), now);
+      Scheduler ref(200e6);
+      ref.set_idle_skip(false);
+      PeriodicWorker rf(700 + 300 * i), rs(40'000);
+      ref.add(rf, "fast");
+      ref.add(rs, "slow");
+      ref.run_cycles(now);
+      EXPECT_EQ(fast[i]->work_log, rf.work_log);
+      EXPECT_EQ(slow[i]->work_log, rs.work_log);
+    }
   }
 }
 

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "drmp/testbench.hpp"
-#include "mac/wifi_ctrl.hpp"
 #include "mac/wifi_frames.hpp"
 #include "net/contended_medium.hpp"
 #include "scenario/scenario_engine.hpp"
@@ -19,10 +18,6 @@ Bytes payload(std::size_t n, u8 seed = 1) {
   Bytes b(n);
   for (std::size_t i = 0; i < n; ++i) b[i] = static_cast<u8>(i * 11 + seed);
   return b;
-}
-
-ctrl::WifiCtrl& wifi(Testbench& tb) {
-  return static_cast<ctrl::WifiCtrl&>(tb.device().protocol_ctrl(Mode::A));
 }
 
 // ---------------------------------------------------------------------------
