@@ -134,10 +134,13 @@ DrmpDevice::DrmpDevice(sim::Scheduler& sched, DrmpConfig cfg, int station_id)
     cpu_->raise_hw_interrupt(m, static_cast<u32>(ev), param);
   };
 
-  // Quiescence wiring: frame deliveries wake the Event Handler, and the
-  // trace recorder (when enabled) pins the bus awake — active task handlers
-  // record state channels against its cycle counter.
+  // Quiescence wiring: frame deliveries wake the Event Handler, a bus grant
+  // to a mode's IRC wakes the IRC (a task handler waiting for the bus
+  // sleeps until then), and the trace recorder (when enabled) pins the bus
+  // awake — active task handlers record state channels against its cycle
+  // counter.
   bus_->set_trace_gate(&trace_);
+  bus_->set_grant_waker(irc_.get());
   for (std::size_t i = 0; i < kNumModes; ++i) {
     const Mode m = mode_from_index(i);
     rx_bufs_[i].on_deliver = [this, i, m] {

@@ -169,14 +169,13 @@ void PacketBus::arbitrate() {
     const auto& r = requests_[i];
     if (!r.active) continue;
     const Mode m = mode_from_index(i);
-    if (!r.for_rfu) {
-      grant_ = Grant{MasterKind::Irc, m, 0xFF};
-    } else if (triggers_.triggered_flag(r.rfu_id)) {
+    if (r.for_rfu && triggers_.triggered_flag(r.rfu_id)) {
       triggers_.clear_triggered_flag(r.rfu_id);
       grant_ = Grant{MasterKind::Rfu, m, r.rfu_id};
     } else {
-      // Request on behalf of a not-yet-triggered RFU: grant the IRC so it can
-      // perform the trigger (delay semantics).
+      // A request for the IRC itself, or on behalf of a not-yet-triggered
+      // RFU: grant the IRC so it can perform the trigger (delay semantics).
+      if (grant_waker_ != nullptr) grant_waker_->wake_self();
       grant_ = Grant{MasterKind::Irc, m, 0xFF};
     }
     break;

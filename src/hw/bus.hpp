@@ -127,6 +127,14 @@ class PacketBus : public sim::Clockable {
   /// Trace recorder whose enabled() gates bus quiescence (see above);
   /// wired by DrmpDevice, null = no gate.
   void set_trace_gate(const sim::TraceRecorder* t) noexcept { trace_gate_ = t; }
+  /// Component woken whenever arbitration makes a new MasterKind::Irc grant
+  /// (the plain grant and the grant-delay grant alike), so a task handler
+  /// waiting for the bus can sleep until its grant instead of polling
+  /// granted_irc() every cycle. The grant happens in the bus's own tick,
+  /// and the bus ticks before the IRC, so the catch-up rule has the IRC
+  /// tick on the grant cycle, as every-tick mode does. Wired by DrmpDevice
+  /// to the IRC; null = no waker.
+  void set_grant_waker(sim::Clockable* c) noexcept { grant_waker_ = c; }
 
   // ---- Instrumentation ----
   Cycle busy_cycles() const noexcept {
@@ -197,6 +205,7 @@ class PacketBus : public sim::Clockable {
   sim::BusyCounter* busy_stat_ = nullptr;  ///< Cached per-tick stats sink.
   BusTraceRecorder* recorder_ = nullptr;
   const sim::TraceRecorder* trace_gate_ = nullptr;
+  sim::Clockable* grant_waker_ = nullptr;
   RfuTriggerLogic triggers_;
 
   std::array<ModeRequest, kNumModes> requests_{};

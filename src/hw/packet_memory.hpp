@@ -55,11 +55,15 @@ class PacketMemory {
     if (!watches_.empty()) notify_watchers(addr);
   }
 
-  /// Address watch: wakes `c` whenever port B writes `addr`. Used for the
-  /// doorbell registers, where the CPU's device driver rings the IRC without
-  /// any signal the IRC could otherwise sleep against. The set is tiny (one
-  /// doorbell per mode), so the hot-path cost is one emptiness branch.
-  void watch_write(u32 addr, sim::Clockable* c) { watches_.push_back({addr, c}); }
+  /// Address watch: wakes `c` whenever port B writes `addr`, then sets
+  /// `*written`. Used for the doorbell registers, where the CPU's device
+  /// driver rings the IRC without any signal the IRC could otherwise sleep
+  /// against; the flag spares the IRC reading its doorbells until one may
+  /// have been rung. The set is tiny (one doorbell per mode), so the
+  /// hot-path cost is one emptiness branch.
+  void watch_write(u32 addr, sim::Clockable* c, bool* written) {
+    watches_.push_back({addr, c, written});
+  }
 
   // ---- Page helpers (byte-level view used by software models & tests) ----
   void write_page_bytes(Mode m, Page p, std::span<const u8> bytes);
@@ -86,6 +90,7 @@ class PacketMemory {
   struct Watch {
     u32 addr;
     sim::Clockable* component;
+    bool* written;
   };
   void settle_streamer() const noexcept {
     if (streamer_ != nullptr) streamer_->settle_self();
@@ -97,7 +102,9 @@ class PacketMemory {
   }
   void notify_watchers(u32 addr) const {
     for (const Watch& w : watches_) {
-      if (w.addr == addr) w.component->wake_self();
+      if (w.addr != addr) continue;
+      w.component->wake_self();
+      *w.written = true;
     }
   }
 

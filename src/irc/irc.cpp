@@ -42,7 +42,8 @@ Irc::Irc(Env env) : env_(env) {
   // side of Table 3.2); watch them so a sleeping IRC is woken to poll.
   if (env_.mem != nullptr) {
     for (std::size_t i = 0; i < kNumModes; ++i) {
-      env_.mem->watch_write(iface_base(mode_from_index(i)) + kDoorbellOffset, this);
+      env_.mem->watch_write(iface_base(mode_from_index(i)) + kDoorbellOffset, this,
+                            &doorbell_rung_);
     }
   }
 }
@@ -73,13 +74,7 @@ Cycle Irc::quiescent_for() const {
     // to a per-cycle dispatch poll.
     if (!pending_[i].empty() && handlers_[i]->idle()) return 0;
   }
-  if (env_.mem != nullptr) {
-    for (std::size_t i = 0; i < kNumModes; ++i) {
-      if (env_.mem->cpu_read(iface_base(mode_from_index(i)) + kDoorbellOffset) != 0) {
-        return 0;
-      }
-    }
-  }
+  if (doorbell_rung_) return 0;
   // Every controller contributes a per-state bound: 0 while a statechart can
   // transition, kIdleForever when it is parked in a wait whose release is
   // guaranteed to wake this component (submit(), the doorbell watch, or an
@@ -121,7 +116,7 @@ void Irc::irq_raise(Mode mode, IrqEvent ev, Word param) {
 }
 
 void Irc::poll_doorbells() {
-  if (env_.mem == nullptr) return;
+  if (!doorbell_rung_) return;
   for (std::size_t i = 0; i < kNumModes; ++i) {
     const Mode m = mode_from_index(i);
     const u32 base = iface_base(m);
@@ -145,6 +140,9 @@ void Irc::poll_doorbells() {
     env_.mem->cpu_write(base + kDoorbellOffset, 0);  // Accept the request.
     submit(m, std::move(req));
   }
+  // Every doorbell now reads zero, found so or cleared by the accepting
+  // write above (whose watch set the flag again).
+  doorbell_rung_ = false;
 }
 
 void Irc::dispatch() {

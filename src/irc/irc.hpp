@@ -79,16 +79,20 @@ class Irc : public sim::Clockable {
   // ---- Quiescence contract (sim/scheduler.hpp) ----
   /// The IRC — the single most expensive idle ticker of a device (three
   /// TH_R/TH_M pairs plus the RC, each sampling occupancy statistics every
-  /// cycle) — is skippable when no request is queued, no doorbell is rung,
-  /// and every controller statechart sits in a wait whose release is
-  /// trigger-driven: Idle (submit() / the doorbell PacketMemory watch wake
-  /// it), Sleep* (released only by sibling handlers of this same IRC), and
+  /// cycle) — is skippable when no request is queued, no doorbell may be
+  /// rung, and every controller statechart sits in a wait whose release is
+  /// event-driven: Idle (submit() / the doorbell PacketMemory watch wake
+  /// it), Sleep* (released only by sibling handlers of this same IRC),
   /// Wait4RfuDone / TriggerRcnfgWait / UseRcWait (an RFU's DONE/RDONE
-  /// transition fires the completion waker installed by register_rfu). Any
-  /// state polling an externally-paced condition — bus grants, table
-  /// mutexes — bounds the IRC to 0. Gated off while an attached trace
-  /// recorder is enabled: the task handlers record state channels against
-  /// the bus cycle counter, which lazy accounting would skew.
+  /// transition fires the completion waker installed by register_rfu) and
+  /// Wait4Pbus before its grant (the bus's grant waker, wired by
+  /// DrmpDevice, wakes the IRC when arbitration grants it). States that
+  /// poll table mutexes bound the IRC to 0. Doorbells are read only while
+  /// a flag says one may be rung: the doorbell watch sets it, a poll
+  /// clears it (every doorbell reads zero after a poll's accepting
+  /// writes), and a checkpoint load sets it. Gated off while an attached
+  /// trace recorder is enabled: the task handlers record state channels
+  /// against the bus cycle counter, which lazy accounting would skew.
   Cycle quiescent_for() const override;
   void skip_idle(Cycle n) override;
 
@@ -113,6 +117,9 @@ class Irc : public sim::Clockable {
     ar.io(pending_);
     ar.io(irq_queue_);
     ar.io(next_tag_);
+    // The doorbell flag is not saved: a load may bring rung doorbells with
+    // it, so the first poll after it reads them all.
+    if constexpr (Ar::kLoading) doorbell_rung_ = env_.mem != nullptr;
   }
 
  private:
@@ -132,6 +139,9 @@ class Irc : public sim::Clockable {
   std::array<std::deque<ServiceRequest>, kNumModes> pending_;
   std::deque<IrqInfo> irq_queue_;
   u32 next_tag_ = 1;
+  /// A doorbell may be non-zero: set by the doorbell watch and by a load,
+  /// cleared by poll_doorbells.
+  bool doorbell_rung_ = false;
 };
 
 /// Serializes a ServiceRequest into the mode's interface-register block

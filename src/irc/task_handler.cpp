@@ -103,8 +103,7 @@ void TaskHandler::complete_request() {
   if (on_complete) on_complete(mode_, req_);
 }
 
-void TaskHandler::ensure_sinks() {
-  if (sinks_.ready) return;
+void TaskHandler::resolve_sinks() {
   // One-time sink resolution: string-keyed lookups are too hot for the
   // per-cycle path (they dominated simulation wall time).
   const std::string m = to_string(mode_);
@@ -155,6 +154,11 @@ Cycle TaskHandler::quiescent_for_bound() const noexcept {
     case ThMState::Sleep2:
       thm_q = thm_woken_ ? 0 : sim::Clockable::kIdleForever;
       break;
+    case ThMState::Wait4Pbus:
+      // Arbitration grants the bus in the bus's own tick and wakes the IRC
+      // through the grant waker, so the IRC ticks on the grant cycle.
+      thm_q = env_.bus->granted_irc(mode_) ? 0 : sim::Clockable::kIdleForever;
+      break;
     case ThMState::Wait4RfuDone: {
       // The unit's DONE transition fires the completion waker registered by
       // Irc::register_rfu, so sleeping through the execution span observes
@@ -181,8 +185,13 @@ void TaskHandler::skip_idle(Cycle n) {
 }
 
 void TaskHandler::tick() {
-  tick_thr();
-  tick_thm();
+  if (active_) {
+    tick_thr();
+    tick_thm();
+  } else {
+    // Between requests both charts sit in Idle: the tick only samples.
+    assert(thr_state_ == ThRState::Idle && thm_state_ == ThMState::Idle);
+  }
   ensure_sinks();
   if (sinks_.thr_occ != nullptr) {
     sinks_.thr_occ->sample(static_cast<int>(thr_state_));
@@ -190,8 +199,11 @@ void TaskHandler::tick() {
     sinks_.thr_busy->sample(thr_state_ != ThRState::Idle);
     sinks_.thm_busy->sample(thm_state_ != ThMState::Idle);
   }
-  if (sinks_.thr_chan != nullptr) {
-    // Recorded every tick; the channel stores change events only.
+  if (sinks_.thr_chan != nullptr &&
+      (sinks_.thr_chan->enabled() || sinks_.thm_chan->enabled())) {
+    // Recorded every tick; the channel stores change events only. A muted
+    // channel would drop the events, so it skips reading the bus clock
+    // (which settles a sleeping bus) too.
     const Cycle now = env_.bus->total_cycles();
     sinks_.thr_chan->record(now, static_cast<int>(thr_state_));
     sinks_.thm_chan->record(now, static_cast<int>(thm_state_));

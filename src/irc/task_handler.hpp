@@ -121,9 +121,9 @@ class TaskHandler : public sim::Clockable {
   /// parked in a wait whose release path is guaranteed to wake the IRC —
   /// Idle (submit/doorbell wakes), Sleep* (released by a sibling handler of
   /// the same IRC, which only runs while the IRC is awake), Wait4RfuDone /
-  /// UseRcWait (the RFU's DONE/RDONE completion waker). Every other state
-  /// polls externally-paced conditions (bus grants, table mutexes) and
-  /// returns 0.
+  /// UseRcWait (the RFU's DONE/RDONE completion waker), Wait4Pbus until the
+  /// grant (the bus's grant waker). Every other state polls table mutexes
+  /// or the bus's per-cycle access slot and returns 0.
   Cycle quiescent_for_bound() const noexcept;
   /// Bulk-accounts n skipped ticks (constant-Idle occupancy/busy samples).
   /// Trace channels store change events only, so a skipped constant-state
@@ -156,7 +156,10 @@ class TaskHandler : public sim::Clockable {
   }
 
  private:
-  void ensure_sinks();
+  void ensure_sinks() {
+    if (!sinks_.ready) resolve_sinks();
+  }
+  void resolve_sinks();
   void tick_thr();
   void tick_thm();
   /// TH_R finished preparing op `idx` (reconfig done or not needed).

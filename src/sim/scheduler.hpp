@@ -91,9 +91,9 @@
 //
 // Wake invalidation: a quiescence bound is conditional on "no external
 // input". Every path that delivers input to a potentially-sleeping component
-// (bus trigger push, bus request, release and access, interrupt/host-
-// request/timer arm, medium begin_tx and frame delivery, Tx/Rx buffer
-// pushes, IRC submissions, doorbell writes)
+// (bus trigger push, bus request, release and access, bus grant to an IRC
+// mode, interrupt/host-request/timer arm, medium begin_tx and frame
+// delivery, Tx/Rx buffer pushes, IRC submissions, doorbell writes)
 // must call wake_self() on the target before mutating it. The scheduler then
 // settles the component (the catch-up rule) and re-inserts it into the
 // active set. Catch-up rule: mid-cycle, a component whose tick slot has not

@@ -5,6 +5,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <map>
 #include <stdexcept>
@@ -48,32 +50,67 @@ class BusyCounter {
   Cycle total_ = 0;
 };
 
-/// Per-state cycle histogram for a finite-state controller.
+/// Per-state cycle histogram for a finite-state controller. States are
+/// small non-negative enum values (the IRC's statecharts have at most 11),
+/// so the histogram is a flat array; the seen-mask records which states
+/// were ever sampled, even for 0 cycles, and a snapshot lists exactly
+/// those.
 class StateOccupancy {
  public:
-  void sample(int state) { ++cycles_[state]; }
+  static constexpr int kMaxStates = 16;
+
+  void sample(int state) { ++slot(state); }
   /// Bulk form: n consecutive cycles in one state (quiescence skip path).
-  void sample_n(int state, Cycle n) { cycles_[state] += n; }
-  Cycle cycles_in(int state) const {
-    auto it = cycles_.find(state);
-    return it == cycles_.end() ? 0 : it->second;
+  void sample_n(int state, Cycle n) { slot(state) += n; }
+  Cycle cycles_in(int state) const noexcept {
+    return in_range(state) ? cycles_[static_cast<std::size_t>(state)] : 0;
   }
-  Cycle total() const {
+  Cycle total() const noexcept {
     Cycle t = 0;
-    for (const auto& [s, c] : cycles_) t += c;
+    for (Cycle c : cycles_) t += c;
     return t;
   }
-  const std::map<int, Cycle>& table() const noexcept { return cycles_; }
-  void reset() { cycles_.clear(); }
+  void reset() noexcept {
+    cycles_.fill(0);
+    seen_ = 0;
+  }
 
-  /// Checkpoint support (sim/checkpoint.hpp).
+  /// Checkpoint support (sim/checkpoint.hpp). The encoding is a
+  /// std::map<int, Cycle>'s — a u64 count, then each sampled state's (int,
+  /// Cycle) pair in ascending state order — so snapshots written while the
+  /// histogram was such a map still load.
   template <class Ar>
   void persist(Ar& ar) {
-    ar.io(cycles_);
+    u64 n = static_cast<u64>(std::popcount(seen_));
+    ar.io(n);
+    if constexpr (Ar::kLoading) {
+      reset();
+      for (u64 i = 0; i < n; ++i) {
+        int state = 0;
+        ar.io(state);
+        ar.io(slot(state));
+      }
+    } else {
+      for (int s = 0; s < kMaxStates; ++s) {
+        if ((seen_ >> s & 1u) == 0) continue;
+        ar.io(s);
+        ar.io(cycles_[static_cast<std::size_t>(s)]);
+      }
+    }
   }
 
  private:
-  std::map<int, Cycle> cycles_;
+  static constexpr bool in_range(int state) noexcept {
+    return state >= 0 && state < kMaxStates;
+  }
+  Cycle& slot(int state) {
+    if (!in_range(state)) throw std::out_of_range("state occupancy: state out of range");
+    seen_ |= u32{1} << state;
+    return cycles_[static_cast<std::size_t>(state)];
+  }
+
+  std::array<Cycle, kMaxStates> cycles_{};
+  u32 seen_ = 0;  ///< Bit s: state s was sampled (a map key existed).
 };
 
 /// Simple scalar series with summary statistics (latencies, slacks).

@@ -2,7 +2,10 @@
 // grant delay, grant override), trigger decode, reconfiguration memory.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "hw/bus.hpp"
 #include "hw/ctrl_layout.hpp"
@@ -192,9 +195,15 @@ class BusScript : public sim::Clockable {
   BusScript(PacketBus& bus, std::vector<BusAction> script)
       : bus_(bus), script_(std::move(script)) {}
   void tick() override {
-    while (next_ < script_.size() && script_[next_].at == now_) apply(bus_, script_[next_++]);
+    while (next_ < script_.size() && script_[next_].at == now_) {
+      apply(bus_, script_[next_]);
+      if (on_apply) on_apply(script_[next_]);
+      ++next_;
+    }
     ++now_;
   }
+  /// Called after each action the script applies.
+  std::function<void(const BusAction&)> on_apply;
 
  private:
   PacketBus& bus_;
@@ -413,6 +422,109 @@ TEST(BusWordRun, OriginReleaseEndsTheRunWhereEveryTickDoes) {
   EXPECT_LT(lazy.got.size(), kRunWords);
   // The bus re-arbitrated to the waiting mode B.
   EXPECT_EQ(lazy.bus.grants.back(), (PacketBus::Grant{PacketBus::MasterKind::Irc, Mode::B, 0xFF}));
+}
+
+// ------------------------------------------------------------ grant waker
+
+/// A task handler's WAIT4_PBUS on its own: armed when its mode raises a
+/// request line, it sleeps until arbitration grants that mode's IRC and
+/// records the cycle it sees the grant. Once armed, only the bus's grant
+/// waker can wake it.
+class GrantWaiter : public sim::Clockable {
+ public:
+  explicit GrantWaiter(const PacketBus& bus) : bus_(bus) {}
+  void arm(Mode m) {
+    wake_self();
+    armed_[index(m)] = true;
+  }
+  void tick() override {
+    ++ticks;
+    for (std::size_t i = 0; i < kNumModes; ++i) {
+      const Mode m = mode_from_index(i);
+      if (!armed_[i] || !bus_.granted_irc(m)) continue;
+      seen.emplace_back(now_, m);
+      armed_[i] = false;
+    }
+    ++now_;
+  }
+  Cycle quiescent_for() const override {
+    for (std::size_t i = 0; i < kNumModes; ++i) {
+      if (armed_[i] && bus_.granted_irc(mode_from_index(i))) return 0;
+    }
+    return kIdleForever;
+  }
+  void skip_idle(Cycle n) override { now_ += n; }
+
+  std::vector<std::pair<Cycle, Mode>> seen;
+  u64 ticks = 0;
+
+ private:
+  const PacketBus& bus_;
+  std::array<bool, kNumModes> armed_{};
+  Cycle now_ = 0;
+};
+
+struct GrantRun {
+  BusRun bus;
+  std::vector<std::pair<Cycle, Mode>> seen;
+  u64 waiter_ticks = 0;
+};
+
+GrantRun run_grant_waits(bool idle_skip) {
+  sim::Scheduler sched(200e6);
+  sched.set_idle_skip(idle_skip);
+  PacketMemory mem;
+  PacketBus bus(mem, nullptr);
+  using K = BusAction::Kind;
+  // C takes the idle bus; B waits behind C and gets a plain grant when C
+  // releases; A asks on behalf of RFU 7 behind B and gets the grant-delay
+  // grant when B releases, which its trigger then promotes.
+  const std::vector<BusAction> script = {
+      {5, K::RequestIrc, Mode::C},      {20, K::Access, Mode::C},
+      {50, K::RequestIrc, Mode::B},     {400, K::Release, Mode::C},
+      {402, K::Access, Mode::B},        {450, K::RequestRfu, Mode::A, 7},
+      {1200, K::Release, Mode::B},      {1250, K::Trigger, Mode::A, 7},
+      {1800, K::Release, Mode::A},
+  };
+  BusScript inputs(bus, script);
+  GrantWaiter waiter(bus);
+  inputs.on_apply = [&waiter](const BusAction& a) {
+    if (a.kind == K::RequestIrc || a.kind == K::RequestRfu) waiter.arm(a.mode);
+  };
+  BusProbe probe(bus);
+  bus.set_grant_waker(&waiter);
+  sched.add(bus, "bus", -1);
+  sched.add(inputs, "script");
+  sched.add(waiter, "waiter");
+  sched.add(probe, "probe", sim::Scheduler::kStageObserver);
+  GrantRun r;
+  for (int k = 0; k < 3; ++k) {
+    sched.run_cycles(kBusRunCycles);
+    r.bus.grants.push_back(bus.grant());
+  }
+  r.bus.samples = std::move(probe.samples);
+  r.seen = std::move(waiter.seen);
+  r.waiter_ticks = waiter.ticks;
+  return r;
+}
+
+TEST(BusGrantWaker, WaitingIrcSleepsUntilItsGrant) {
+  const GrantRun every = run_grant_waits(false);
+  const GrantRun lazy = run_grant_waits(true);
+  ASSERT_EQ(every.bus.samples.size(), lazy.bus.samples.size());
+  for (std::size_t i = 0; i < every.bus.samples.size(); ++i) {
+    ASSERT_EQ(every.bus.samples[i], lazy.bus.samples[i]) << "sample " << i;
+  }
+  EXPECT_EQ(every.bus.grants, lazy.bus.grants);
+  // Each grant is seen on the cycle the bus makes it: C's on the idle bus,
+  // B's plain grant and A's grant-delay grant on the cycle after a release.
+  const std::vector<std::pair<Cycle, Mode>> expected = {
+      {6, Mode::C}, {401, Mode::B}, {1201, Mode::A}};
+  EXPECT_EQ(every.seen, expected);
+  EXPECT_EQ(lazy.seen, expected);
+  // The waiter ticks when armed (the arming wake) and on each grant; the
+  // rest it sleeps.
+  EXPECT_EQ(lazy.waiter_ticks, 2 * expected.size());
 }
 
 TEST(CtrlLayout, StatusAddressesInsideCtrlPage) {

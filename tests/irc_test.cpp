@@ -1,13 +1,20 @@
 // IRC tests: super-op-code delegation through the TH_R/TH_M statecharts,
 // dynamic reconfiguration via the RC, cross-mode queueing (sleep/wake),
-// table mutexes, the In-Interface doorbell path, and request queueing.
+// table mutexes, the In-Interface doorbell path, request queueing, and the
+// IRC's sleep through bus waits and between doorbells.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "crypto/crc.hpp"
 #include "drmp/testbench.hpp"
 #include "hw/ctrl_layout.hpp"
 #include "irc/irc.hpp"
 #include "rfu/rfu_ids.hpp"
+#include "sim/checkpoint.hpp"
 
 namespace drmp {
 namespace {
@@ -248,6 +255,259 @@ TEST_F(IrcTest, TaskHandlerStateOccupancyRecorded) {
   const auto& thm = occ.at("irc.thm.A");
   Cycle non_idle = thm.total() - thm.cycles_in(static_cast<int>(irc::ThMState::Idle));
   EXPECT_GT(non_idle, 0u);
+}
+
+// ------------------------------------------------ the IRC's event-paced sleep
+
+/// A device with every protocol mode off and tracing muted: no controller
+/// traffic, so the IRC works only on the requests a test hands it and may
+/// sleep (an enabled trace recorder pins it awake).
+DrmpConfig quiet_config() {
+  DrmpConfig cfg;
+  cfg.trace_enabled = false;
+  return cfg;
+}
+
+/// Counts the IRC's slept-through cycles (observer callbacks fire with
+/// idle-skip on only; every run settles its sleepers at exit).
+class IrcSkipTally : public sim::SchedulerObserver {
+ public:
+  void on_skip_span(std::string_view name, Cycle, Cycle len) override {
+    if (name == "irc") skipped += len;
+  }
+  void on_fast_forward(Cycle, Cycle) override {}
+  Cycle skipped = 0;
+};
+
+/// Every IRC statistic (TH_R/TH_M/RC occupancy per state and busy counts)
+/// and the bus's cycle, hold and wait counters, flattened for comparison.
+std::vector<Cycle> irc_and_bus_counters(DrmpDevice& dev) {
+  std::vector<Cycle> v;
+  for (const auto& [name, occ] : dev.stats().all_occupancy()) {
+    if (name.rfind("irc.", 0) != 0) continue;
+    for (int s = 0; s < sim::StateOccupancy::kMaxStates; ++s) {
+      v.push_back(occ.cycles_in(s));
+    }
+  }
+  for (const auto& [name, busy] : dev.stats().all_busy()) {
+    if (name.rfind("irc.", 0) != 0) continue;
+    v.push_back(busy.busy_cycles());
+    v.push_back(busy.total_cycles());
+  }
+  const hw::PacketBus& bus = dev.bus();
+  v.push_back(bus.busy_cycles());
+  v.push_back(bus.total_cycles());
+  for (Mode m : {Mode::A, Mode::B, Mode::C}) {
+    v.push_back(bus.mode_hold_cycles(m));
+    v.push_back(bus.mode_wait_cycles(m));
+  }
+  return v;
+}
+
+ServiceRequest engine_request(std::vector<irc::OpCall> ops, u32 tag) {
+  ServiceRequest r;
+  r.ops = std::move(ops);
+  r.from_cpu = false;
+  r.tag = tag;
+  return r;
+}
+
+struct WaitPhase {
+  Cycle cycles = 0;        ///< Length of the measured phase.
+  u64 irc_executed = 0;    ///< IRC ticks executed in it.
+  Cycle b_wait4pbus = 0;   ///< Mode B's TH_M cycles in WAIT4_PBUS, all told.
+  std::vector<Cycle> counters;
+};
+
+/// Mode A's frag RFU moves `words` words (a read run, then a write run)
+/// while mode B's TH_M, submitted once the RFU holds the bus, waits for the
+/// grant in WAIT4_PBUS. A warm-up pair of requests configures both RFUs
+/// first, so the measured phase holds no reconfiguration.
+WaitPhase wait_through_run(bool idle_skip, u32 words) {
+  Testbench tb(quiet_config());
+  tb.scheduler().set_idle_skip(idle_skip);
+  IrcSkipTally tally;
+  tb.scheduler().set_observer(&tally);
+  DrmpDevice& dev = tb.device();
+  auto& irc = dev.irc();
+  auto& mem = dev.memory();
+  std::map<Mode, int> done;
+  irc.on_complete = [&](Mode m, const ServiceRequest&) { ++done[m]; };
+  const u32 raw = page_base(Mode::A, Page::Raw);
+  const u32 scratch = page_base(Mode::A, Page::Scratch);
+  const u32 seq_b = ctrl_status_addr(Mode::B, CtrlWord::kSeqOut);
+  auto frag = [&](u32 bytes, u32 tag) {
+    mem.write_page_bytes(Mode::A, Page::Raw, payload(bytes));
+    irc.submit(Mode::A,
+               engine_request({{Op::FragmentWifi, {raw, scratch, bytes, 0}}}, tag));
+  };
+  auto seq = [&](u32 tag) {
+    irc.submit(Mode::B, engine_request({{Op::SeqAssign, {1, seq_b}}}, tag));
+  };
+
+  frag(16, 1);
+  seq(2);
+  auto both_done = [&](int n) {
+    return [&done, n] { return done[Mode::A] == n && done[Mode::B] == n; };
+  };
+  EXPECT_TRUE(tb.run_until(both_done(1), 100'000));
+
+  WaitPhase r;
+  const Cycle t0 = tb.scheduler().now();
+  const Cycle skipped0 = tally.skipped;
+  frag(2 * words, 3);
+  const hw::PacketBus& bus = dev.bus();
+  EXPECT_TRUE(tb.run_until([&] { return bus.granted_rfu(rfu::kFragRfu); }, 100'000));
+  seq(4);
+  EXPECT_TRUE(tb.run_until(both_done(2), 100'000));
+  r.cycles = tb.scheduler().now() - t0;
+  r.irc_executed = idle_skip ? r.cycles - (tally.skipped - skipped0) : r.cycles;
+  r.b_wait4pbus = dev.stats().all_occupancy().at("irc.thm.B").cycles_in(
+      static_cast<int>(irc::ThMState::Wait4Pbus));
+  r.counters = irc_and_bus_counters(dev);
+  EXPECT_EQ(mem.read_page_bytes(Mode::A, Page::Scratch), payload(2 * words));
+  tb.scheduler().set_observer(nullptr);
+  return r;
+}
+
+TEST(IrcSleep, WaitingHandlerSleepsThroughAnotherModesRun) {
+  std::vector<u64> executed;
+  for (u32 words : {64u, 1024u}) {
+    SCOPED_TRACE(words);
+    const WaitPhase every = wait_through_run(false, words);
+    const WaitPhase lazy = wait_through_run(true, words);
+    EXPECT_EQ(every.cycles, lazy.cycles);
+    EXPECT_EQ(every.counters, lazy.counters);
+    // Not vacuous: B waited for the bus through A's read run at least.
+    EXPECT_GE(every.b_wait4pbus, words / 2);
+    EXPECT_LT(lazy.irc_executed, every.irc_executed);
+    executed.push_back(lazy.irc_executed);
+  }
+  // The IRC's cost is per event: the run's length does not reach it.
+  EXPECT_EQ(executed[0], executed[1]);
+}
+
+/// What the doorbell tests ring mode B's doorbell with.
+constexpr u32 kDoorbellTag = 77;
+ServiceRequest doorbell_request() {
+  ServiceRequest req;
+  req.ops = {{Op::SeqAssign, {1, ctrl_status_addr(Mode::B, CtrlWord::kSeqOut)}}};
+  req.tag = kDoorbellTag;
+  return req;
+}
+
+/// Rings mode B's doorbell from its own tick at cycle `at`, from a stage
+/// before the device (the IRC's slot has not passed) or after it.
+class DoorbellRinger : public sim::Clockable {
+ public:
+  DoorbellRinger(hw::PacketMemory& mem, Cycle at) : mem_(mem), at_(at) {}
+  void tick() override {
+    if (now_++ == at_) irc::write_super_op_code(mem_, Mode::B, doorbell_request());
+  }
+
+ private:
+  hw::PacketMemory& mem_;
+  Cycle at_;
+  Cycle now_ = 0;
+};
+
+struct DoorbellRun {
+  Cycle completed_at = 0;
+  u64 irc_executed_before = 0;  ///< IRC ticks before the ring.
+  std::vector<Cycle> counters;
+};
+
+DoorbellRun ring_while_asleep(bool idle_skip, int ringer_stage) {
+  constexpr Cycle kRingAt = 3000;
+  Testbench tb(quiet_config());
+  tb.scheduler().set_idle_skip(idle_skip);
+  IrcSkipTally tally;
+  tb.scheduler().set_observer(&tally);
+  DoorbellRinger ringer(tb.device().memory(), kRingAt);
+  tb.scheduler().add(ringer, "ringer", ringer_stage);
+  DoorbellRun r;
+  tb.device().irc().on_complete = [&](Mode, const ServiceRequest& req) {
+    if (req.tag == kDoorbellTag) r.completed_at = tb.scheduler().now();
+  };
+  tb.run_cycles(kRingAt);
+  r.irc_executed_before = idle_skip ? kRingAt - tally.skipped : kRingAt;
+  EXPECT_TRUE(tb.run_until([&] { return r.completed_at != 0; }, 100'000));
+  r.counters = irc_and_bus_counters(tb.device());
+  tb.scheduler().set_observer(nullptr);
+  return r;
+}
+
+TEST(IrcSleep, DoorbellRungWhileAsleepDispatchesOnTheEveryTickCycle) {
+  for (int stage : {sim::Scheduler::kStageMedium, sim::Scheduler::kStageObserver}) {
+    SCOPED_TRACE(stage);
+    const DoorbellRun every = ring_while_asleep(false, stage);
+    const DoorbellRun lazy = ring_while_asleep(true, stage);
+    EXPECT_EQ(every.completed_at, lazy.completed_at);
+    EXPECT_EQ(every.counters, lazy.counters);
+    // Not vacuous: the IRC slept until the ring, reading no doorbell.
+    EXPECT_LE(lazy.irc_executed_before, 2u);
+  }
+}
+
+/// The scheduler's clock and the whole device (an all-modes-off testbench
+/// has no media or peers to carry).
+Bytes save_quiet(Testbench& tb) {
+  sim::snap::Writer w;
+  tb.scheduler().save_state(w);
+  tb.device().save_state(w);
+  return w.envelope();
+}
+
+void load_quiet(Testbench& tb, const Bytes& snap) {
+  sim::snap::Reader r(snap);
+  tb.scheduler().load_state(r);
+  tb.device().load_state(r);
+  ASSERT_TRUE(r.at_end());
+}
+
+struct ResumeRun {
+  Cycle completed_at = 0;
+  Bytes final_state;  ///< The device's snapshot 500 cycles after completion.
+};
+
+/// Runs `tb` until the doorbell request completes, and 500 cycles more.
+ResumeRun finish(Testbench& tb) {
+  ResumeRun r;
+  tb.device().irc().on_complete = [&](Mode, const ServiceRequest& req) {
+    if (req.tag == kDoorbellTag) r.completed_at = tb.scheduler().now();
+  };
+  EXPECT_TRUE(tb.run_until([&] { return r.completed_at != 0; }, 100'000));
+  tb.run_cycles(500);
+  sim::snap::Writer w;
+  tb.device().save_state(w);
+  r.final_state = w.envelope();
+  return r;
+}
+
+TEST(IrcSleep, SnapshotWithARungUnpolledDoorbellResumesExactly) {
+  // The doorbell is rung between runs and saved before any IRC tick polls
+  // it: the snapshot holds the rung doorbell, not the flag that says so.
+  for (bool saved_skip : {false, true}) {
+    SCOPED_TRACE(saved_skip);
+    Testbench tb(quiet_config());
+    tb.scheduler().set_idle_skip(saved_skip);
+    tb.run_cycles(2000);
+    irc::write_super_op_code(tb.device().memory(), Mode::B, doorbell_request());
+    const Bytes snap = save_quiet(tb);
+    const ResumeRun uninterrupted = finish(tb);
+    for (bool skip : {false, true}) {
+      SCOPED_TRACE(skip);
+      Testbench resumed(quiet_config());
+      resumed.scheduler().set_idle_skip(skip);
+      // A run-in IRC has polled its doorbells: nothing of its own says
+      // one is rung when the load lands.
+      resumed.run_cycles(10);
+      load_quiet(resumed, snap);
+      const ResumeRun r = finish(resumed);
+      EXPECT_EQ(r.completed_at, uninterrupted.completed_at);
+      EXPECT_EQ(r.final_state, uninterrupted.final_state);
+    }
+  }
 }
 
 }  // namespace

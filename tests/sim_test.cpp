@@ -2,11 +2,14 @@
 // bookkeeping, statistics collectors.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
 
+#include "sim/checkpoint.hpp"
 #include "sim/clock.hpp"
 #include "sim/multi_scheduler.hpp"
 #include "sim/scheduler.hpp"
@@ -360,6 +363,101 @@ TEST(Stats, StateOccupancyTotals) {
   EXPECT_EQ(occ.cycles_in(2), 5u);
   EXPECT_EQ(occ.cycles_in(7), 0u);
   EXPECT_EQ(occ.total(), 15u);
+}
+
+/// Walks a statechart through fixed dwell times, sampling its state into a
+/// StateOccupancy each tick and sleeping through the rest of a dwell.
+class StateWalker : public Clockable {
+ public:
+  explicit StateWalker(StateOccupancy& occ) : occ_(occ) {}
+  void tick() override {
+    occ_.sample(state());
+    advance(1);
+  }
+  Cycle quiescent_for() const override { return left_ - 1; }
+  void skip_idle(Cycle n) override {
+    occ_.sample_n(state(), n);
+    advance(n);
+  }
+
+ private:
+  static constexpr std::array<int, 5> kStates = {0, 9, 3, 9, 15};
+  static constexpr std::array<Cycle, 5> kDwell = {40, 7, 1, 120, 33};
+  int state() const { return kStates[at_]; }
+  void advance(Cycle n) {
+    left_ -= n;
+    if (left_ != 0) return;
+    at_ = (at_ + 1) % kStates.size();
+    left_ = kDwell[at_];
+  }
+  StateOccupancy& occ_;
+  std::size_t at_ = 0;
+  Cycle left_ = kDwell[0];
+};
+
+Bytes occupancy_bytes(StateOccupancy& occ) {
+  snap::Writer w;
+  w.io(occ);
+  return w.envelope();
+}
+
+TEST(Stats, StateOccupancySnapshotIsTheMapEncoding) {
+  // The histogram used to be a std::map<int, Cycle>; snapshots written then
+  // must load now and the bytes written now must be the same, in both
+  // idle-skip modes. State 7 is sampled for 0 cycles: still a key.
+  std::map<int, Cycle> ref;
+  for (bool skip : {false, true}) {
+    SCOPED_TRACE(skip);
+    Scheduler s(100e6);
+    s.set_idle_skip(skip);
+    StateOccupancy occ;
+    StateWalker walker(occ);
+    s.add(walker, "walker");
+    s.run_cycles(1000);
+    occ.sample_n(7, 0);
+    if (!skip) {
+      for (int st = 0; st < StateOccupancy::kMaxStates; ++st) {
+        if (occ.cycles_in(st) != 0 || st == 7) ref[st] = occ.cycles_in(st);
+      }
+      EXPECT_EQ(ref.size(), 5u);
+    }
+    snap::Writer wm;
+    wm.io(ref);
+    EXPECT_EQ(occupancy_bytes(occ), wm.envelope());
+
+    // Map bytes in: the load replaces what was there.
+    StateOccupancy back;
+    back.sample_n(4, 11);
+    snap::Reader r(wm.envelope());
+    r.io(back);
+    EXPECT_TRUE(r.at_end());
+    EXPECT_EQ(back.cycles_in(4), 0u);
+    for (const auto& [st, c] : ref) EXPECT_EQ(back.cycles_in(st), c);
+    EXPECT_EQ(back.total(), occ.total());
+    // ...and back out as the same map.
+    snap::Reader r2(occupancy_bytes(back));
+    std::map<int, Cycle> again;
+    r2.io(again);
+    EXPECT_EQ(again, ref);
+  }
+}
+
+TEST(Stats, StateOccupancyRange) {
+  StateOccupancy occ;
+  occ.sample(StateOccupancy::kMaxStates - 1);
+  EXPECT_EQ(occ.cycles_in(StateOccupancy::kMaxStates - 1), 1u);
+  EXPECT_EQ(occ.cycles_in(2), 0u);  // Unseen.
+  EXPECT_EQ(occ.cycles_in(-1), 0u);
+  EXPECT_EQ(occ.cycles_in(StateOccupancy::kMaxStates), 0u);
+  EXPECT_EQ(occ.cycles_in(1 << 20), 0u);
+  EXPECT_THROW(occ.sample(StateOccupancy::kMaxStates), std::out_of_range);
+  EXPECT_THROW(occ.sample_n(-1, 3), std::out_of_range);
+  // A snapshot naming a state the histogram cannot hold is refused.
+  std::map<int, Cycle> bad = {{StateOccupancy::kMaxStates, 1}};
+  snap::Writer w;
+  w.io(bad);
+  snap::Reader r(w.envelope());
+  EXPECT_THROW(r.io(occ), std::out_of_range);
 }
 
 TEST(Stats, LatencyPercentiles) {
