@@ -161,9 +161,10 @@ class Probe : public sim::Clockable {
     auto& tr = tb_.device().trace();
     auto& dev = tb_.device();
     tr.channel("cpu").record(now, dev.cpu().busy() ? 1 : 0);
-    tr.channel("bus").record(now, dev.bus().grant().kind == hw::PacketBus::MasterKind::None
+    const auto& grant = dev.bus().grant();
+    tr.channel("bus").record(now, grant.kind == hw::PacketBus::MasterKind::None
                                       ? 0
-                                      : static_cast<int>(index(grant_mode())) + 1);
+                                      : static_cast<int>(index(grant.mode)) + 1);
     for (const rfu::Rfu* r : dev.rfus()) {
       tr.channel("rfu." + r->name()).record(now, r->busy() ? (r->reconfiguring() ? 2 : 1) : 0);
     }
@@ -172,10 +173,7 @@ class Probe : public sim::Clockable {
       const Mode m = mode_from_index(i);
       tr.channel("medium." + std::string(to_string(m)))
           .record(now, tb_.medium(m).busy() ? 1 : 0);
-      tr.channel("txbuf." + std::string(to_string(m)))
-          .record(now, static_cast<i64>(dev.tx_buffer(m).depth()));
     }
-    tr.channel("eh").record(now, 0);  // Placeholder kept for channel ordering.
   }
 
   /// Registers the probe with the testbench scheduler.
@@ -187,10 +185,6 @@ class Probe : public sim::Clockable {
   }
 
  private:
-  Mode grant_mode() const {
-    const auto& g = tb_.device().bus().grant();
-    return g.kind == hw::PacketBus::MasterKind::Irc ? g.mode : g.mode;
-  }
   Testbench& tb_;
 };
 
@@ -201,8 +195,7 @@ inline Bytes make_payload(std::size_t n, u8 seed = 1) {
 }
 
 /// Prints the ASCII waveform of the standard entity set over [from, to).
-inline void print_waveform(Testbench& tb, Cycle from, Cycle to,
-                           const std::vector<std::string>& extra = {}) {
+inline void print_waveform(Testbench& tb, Cycle from, Cycle to) {
   std::vector<std::string> chans = {"cpu", "bus"};
   for (const rfu::Rfu* r : tb.device().rfus()) chans.push_back("rfu." + r->name());
   for (std::size_t i = 0; i < kNumModes; ++i) {
@@ -210,7 +203,6 @@ inline void print_waveform(Testbench& tb, Cycle from, Cycle to,
       chans.push_back("medium." + std::string(to_string(mode_from_index(i))));
     }
   }
-  for (const auto& e : extra) chans.push_back(e);
   std::cout << "time axis: " << std::fixed << std::setprecision(1)
             << tb.device().timebase().cycles_to_us(from) << " us .. "
             << tb.device().timebase().cycles_to_us(to)

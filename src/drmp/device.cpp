@@ -91,14 +91,14 @@ DrmpConfig DrmpConfig::for_station(int station_id) const {
 
 DrmpDevice::DrmpDevice(sim::Scheduler& sched, DrmpConfig cfg, int station_id)
     : cfg_(std::move(cfg)), station_id_(station_id), tb_(cfg_.arch_freq_hz),
-      trace_(cfg_.trace_enabled), sched_(&sched) {
+      sched_(&sched) {
   bus_ = std::make_unique<hw::PacketBus>(mem_, &stats_);
 
   irc::Irc::Env irc_env;
   irc_env.bus = bus_.get();
   irc_env.mem = &mem_;
   irc_env.stats = &stats_;
-  irc_env.trace = &trace_;
+  irc_env.trace = cfg_.trace_enabled ? &trace_ : nullptr;
   irc_ = std::make_unique<irc::Irc>(irc_env);
   irc_->rfu_table().set_queue_policy(cfg_.rfu_queue_priority
                                          ? irc::RfuTable::QueuePolicy::Priority
@@ -134,12 +134,9 @@ DrmpDevice::DrmpDevice(sim::Scheduler& sched, DrmpConfig cfg, int station_id)
     cpu_->raise_hw_interrupt(m, static_cast<u32>(ev), param);
   };
 
-  // Quiescence wiring: frame deliveries wake the Event Handler, a bus grant
-  // to a mode's IRC wakes the IRC (a task handler waiting for the bus
-  // sleeps until then), and the trace recorder (when enabled) pins the bus
-  // awake — active task handlers record state channels against its cycle
-  // counter.
-  bus_->set_trace_gate(&trace_);
+  // Quiescence wiring: frame deliveries wake the Event Handler, and a bus
+  // grant to a mode's IRC wakes the IRC (a task handler waiting for the bus
+  // sleeps until then).
   bus_->set_grant_waker(irc_.get());
   for (std::size_t i = 0; i < kNumModes; ++i) {
     const Mode m = mode_from_index(i);

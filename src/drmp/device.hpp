@@ -55,9 +55,9 @@ struct DrmpConfig {
   /// instead of the oldest. Off (FCFS) in the thesis prototype.
   bool rfu_queue_priority = false;
   u16 backoff_seed = 0xACE1;
-  /// Per-cycle signal tracing (sim::TraceRecorder scopes). Fleet assemblers
-  /// set this false so devices are born muted — no trace-channel work ever
-  /// reaches the scheduler hot path, not even construction-time edges.
+  /// Task-handler state channels (thr.* / thm.*) in trace(). Fleet
+  /// assemblers set this false: the IRC then gets no trace recorder, so
+  /// no channel grows and no event is recorded.
   bool trace_enabled = true;
   std::array<ModeConfig, kNumModes> modes{};
 

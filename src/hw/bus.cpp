@@ -89,6 +89,7 @@ void PacketBus::declare_run(sim::Clockable* master, Cycle n) {
 
 void PacketBus::read_run(u32 addr, std::span<Word> out) const {
   assert(grant_.kind == MasterKind::Rfu && "word run without an RFU master");
+  if (recorder_ != nullptr) recorder_->on_run(grant_origin_mode(), out.size());
   mem_.read_words(addr, out);
 }
 
@@ -97,6 +98,7 @@ void PacketBus::write_run(u32 addr, std::span<const Word> in) {
   assert(addr != kOverrideAddr && !triggers_.decodes(addr) &&
          !triggers_.decodes(addr + static_cast<u32>(in.size()) - 1) &&
          "a word run writes packet memory only");
+  if (recorder_ != nullptr) recorder_->on_run(grant_origin_mode(), in.size());
   mem_.write_words(addr, in);
 }
 
@@ -196,8 +198,6 @@ void PacketBus::account_hold(Cycle n) {
 }
 
 Cycle PacketBus::quiescent_for() const {
-  if (recorder_ != nullptr) return 0;
-  if (trace_gate_ != nullptr && trace_gate_->enabled()) return 0;
   if (accessed_this_cycle_) return 0;
   if (grant_.kind == MasterKind::None) {
     // Idle: any asserted request line is granted on the next tick.

@@ -28,7 +28,6 @@
 #include "hw/trigger.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/stats.hpp"
-#include "sim/trace.hpp"
 
 namespace drmp::hw {
 
@@ -101,13 +100,14 @@ class PacketBus : public sim::Clockable {
   /// when it is settled. Port B of the memory settles the master first.
   void declare_run(sim::Clockable* master, Cycle n);
   /// True while `master` may sleep through its declared run: the run still
-  /// has cycles to count and sleep is not disabled (recorder or trace gate,
-  /// below), so every access the recorders stamp is a ticked one.
+  /// has cycles to count.
   bool in_run(const sim::Clockable* master) const noexcept {
-    return run_master_ == master && run_left_ > 0 && sleep_allowed();
+    return run_master_ == master && run_left_ > 0;
   }
   /// Bulk port-A path for a declared run's slept-through words (no
-  /// per-cycle bookkeeping: declare_run accounted those cycles).
+  /// per-cycle bookkeeping: declare_run accounted those cycles). An
+  /// attached recorder credits the words to the open tenure here, as they
+  /// move, so a run cut short by a dropped grant is not over-counted.
   void read_run(u32 addr, std::span<Word> out) const;
   void write_run(u32 addr, std::span<const Word> in);
 
@@ -118,15 +118,10 @@ class PacketBus : public sim::Clockable {
   /// way a tick is pure cycle, access, hold and wait accounting. Request
   /// lines, releases and accesses wake the bus; the counters below settle
   /// on read. A tick that drops a grant mid-run wakes the run's master
-  /// first, which settles it while it still holds the grant. Disabled
-  /// while a transaction recorder or an enabled trace recorder is
-  /// attached: both stamp events with the bus's cycle count from other
-  /// components' ticks.
+  /// first, which settles it while it still holds the grant. Recorders
+  /// stamp events with total_cycles_, which every input settles first.
   Cycle quiescent_for() const override;
   void skip_idle(Cycle n) override;
-  /// Trace recorder whose enabled() gates bus quiescence (see above);
-  /// wired by DrmpDevice, null = no gate.
-  void set_trace_gate(const sim::TraceRecorder* t) noexcept { trace_gate_ = t; }
   /// Component woken whenever arbitration makes a new MasterKind::Irc grant
   /// (the plain grant and the grant-delay grant alike), so a task handler
   /// waiting for the bus can sleep until its grant instead of polling
@@ -196,15 +191,11 @@ class PacketBus : public sim::Clockable {
   void arbitrate();
   /// Adds n post-arbitration cycles of hold and wait counts.
   void account_hold(Cycle n);
-  bool sleep_allowed() const noexcept {
-    return recorder_ == nullptr && (trace_gate_ == nullptr || !trace_gate_->enabled());
-  }
 
   PacketMemory& mem_;
   sim::StatsRegistry* stats_;
   sim::BusyCounter* busy_stat_ = nullptr;  ///< Cached per-tick stats sink.
   BusTraceRecorder* recorder_ = nullptr;
-  const sim::TraceRecorder* trace_gate_ = nullptr;
   sim::Clockable* grant_waker_ = nullptr;
   RfuTriggerLogic triggers_;
 

@@ -52,17 +52,21 @@ void BusTraceRecorder::on_access(Mode origin, Cycle now, bool rfu_region) {
   }
 }
 
+void BusTraceRecorder::on_run(Mode origin, std::size_t n) {
+  // A run continues a tenure whose declaring access was recorded.
+  auto& t = open_[index(origin)];
+  if (!t.active) return;
+  t.tx.last_access += n;
+  t.tx.words += static_cast<u32>(n);
+  t.tx.touched_mem = true;
+}
+
 void BusTraceRecorder::finish(Cycle now) {
   for (std::size_t i = 0; i < kNumModes; ++i) close(i, now);
   std::sort(done_.begin(), done_.end(),
             [](const BusTransaction& a, const BusTransaction& b) {
               return a.request < b.request;
             });
-}
-
-void BusTraceRecorder::clear() {
-  done_.clear();
-  for (auto& o : open_) o.active = false;
 }
 
 }  // namespace drmp::hw

@@ -29,6 +29,7 @@ struct BusTransaction {
   u32 words = 0;           ///< Word transfers performed during the tenure.
   bool touched_mem = false;  ///< Any access hit the packet memory.
   bool touched_rfu = false;  ///< Any access decoded as RFU trigger/argument.
+  bool operator==(const BusTransaction&) const = default;
 
   /// Cycles the master held the bus without moving a word (RFU-internal
   /// processing, trigger hand-off) — these do not shrink with bus width.
@@ -48,13 +49,15 @@ class BusTraceRecorder {
   /// `rfu_region` — the access decoded as an RFU trigger/argument (or the
   /// override address) rather than a packet-memory word.
   void on_access(Mode origin, Cycle now, bool rfu_region);
+  /// `n` packet-memory words of a declared word run, moved in the `n`
+  /// cycles after the tenure's last access (PacketBus::read_run/write_run).
+  void on_run(Mode origin, std::size_t n);
 
   /// Closes any still-open tenures (end of recording window).
   void finish(Cycle now);
 
   const std::vector<BusTransaction>& transactions() const { return done_; }
   std::size_t size() const { return done_.size(); }
-  void clear();
 
  private:
   struct Open {

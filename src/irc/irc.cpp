@@ -66,7 +66,6 @@ u32 Irc::submit(Mode mode, ServiceRequest req) {
 }
 
 Cycle Irc::quiescent_for() const {
-  if (env_.trace != nullptr && env_.trace->enabled()) return 0;
   for (std::size_t i = 0; i < kNumModes; ++i) {
     // A queued request is only actionable once its handler is idle, and a
     // handler goes idle inside complete_request — during an (awake) IRC

@@ -90,9 +90,9 @@ class Irc : public sim::Clockable {
   /// poll table mutexes bound the IRC to 0. Doorbells are read only while
   /// a flag says one may be rung: the doorbell watch sets it, a poll
   /// clears it (every doorbell reads zero after a poll's accepting
-  /// writes), and a checkpoint load sets it. Gated off while an attached
-  /// trace recorder is enabled: the task handlers record state channels
-  /// against the bus cycle counter, which lazy accounting would skew.
+  /// writes), and a checkpoint load sets it. A sleeping IRC changes no
+  /// chart state, so the task handlers' change-only trace channels lose
+  /// nothing, and the bus cycle counter they stamp settles on read.
   Cycle quiescent_for() const override;
   void skip_idle(Cycle n) override;
 

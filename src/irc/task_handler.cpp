@@ -103,6 +103,18 @@ void TaskHandler::complete_request() {
   if (on_complete) on_complete(mode_, req_);
 }
 
+TaskHandler::TaskHandler(Mode mode, ThEnv env) : mode_(mode), env_(env) {
+  if (env_.trace == nullptr) return;
+  // The state channels open with the charts' reset state, before the bus's
+  // first cycle, so a trace reads the same whether the IRC's first ticks
+  // ran or were slept through.
+  const std::string m = to_string(mode_);
+  sinks_.thr_chan = &env_.trace->channel("thr." + m);
+  sinks_.thm_chan = &env_.trace->channel("thm." + m);
+  sinks_.thr_chan->record(0, static_cast<int>(ThRState::Idle));
+  sinks_.thm_chan->record(0, static_cast<int>(ThMState::Idle));
+}
+
 void TaskHandler::resolve_sinks() {
   // One-time sink resolution: string-keyed lookups are too hot for the
   // per-cycle path (they dominated simulation wall time).
@@ -112,10 +124,6 @@ void TaskHandler::resolve_sinks() {
     sinks_.thm_occ = &env_.stats->occupancy("irc.thm." + m);
     sinks_.thr_busy = &env_.stats->busy("irc.thr." + m);
     sinks_.thm_busy = &env_.stats->busy("irc.thm." + m);
-  }
-  if (env_.trace != nullptr) {
-    sinks_.thr_chan = &env_.trace->channel("thr." + m);
-    sinks_.thm_chan = &env_.trace->channel("thm." + m);
   }
   sinks_.ready = true;
 }
@@ -199,11 +207,8 @@ void TaskHandler::tick() {
     sinks_.thr_busy->sample(thr_state_ != ThRState::Idle);
     sinks_.thm_busy->sample(thm_state_ != ThMState::Idle);
   }
-  if (sinks_.thr_chan != nullptr &&
-      (sinks_.thr_chan->enabled() || sinks_.thm_chan->enabled())) {
-    // Recorded every tick; the channel stores change events only. A muted
-    // channel would drop the events, so it skips reading the bus clock
-    // (which settles a sleeping bus) too.
+  if (sinks_.thr_chan != nullptr) {
+    // Recorded every tick; the channel stores change events only.
     const Cycle now = env_.bus->total_cycles();
     sinks_.thr_chan->record(now, static_cast<int>(thr_state_));
     sinks_.thm_chan->record(now, static_cast<int>(thm_state_));

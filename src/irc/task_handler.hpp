@@ -100,7 +100,7 @@ struct ThEnv {
 
 class TaskHandler : public sim::Clockable {
  public:
-  TaskHandler(Mode mode, ThEnv env) : mode_(mode), env_(env) {}
+  TaskHandler(Mode mode, ThEnv env);
 
   Mode mode() const noexcept { return mode_; }
   bool idle() const noexcept { return !active_; }

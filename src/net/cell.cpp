@@ -263,8 +263,8 @@ void Cell::build_station(std::size_t local_index, u64 scenario_seed) {
   const int station_id = first_station_id_ + static_cast<int>(local_index);
   DrmpConfig cfg =
       shared() ? shared_identity(dspec.cfg, local_index) : dspec.cfg;
-  // Born muted: no per-cycle trace-channel work in fleets, not even the
-  // construction-time edges a post-hoc set_enabled(false) would record.
+  // No task-handler trace channels in fleets: nothing reads them, and
+  // their event vectors would grow with every station.
   cfg.trace_enabled = false;
 
   auto st = std::make_unique<Station>();

@@ -6,7 +6,6 @@
 namespace drmp::sim {
 
 void TraceChannel::record(Cycle cycle, i64 value) {
-  if (!enabled_) return;
   if (!events_.empty() && events_.back().value == value) return;
   if (!events_.empty() && events_.back().cycle == cycle) {
     events_.back().value = value;
@@ -44,30 +43,7 @@ Cycle TraceChannel::active_cycles(Cycle from, Cycle to) const {
 }
 
 TraceChannel& TraceRecorder::channel(const std::string& name) {
-  auto it = channels_.find(name);
-  if (it == channels_.end()) {
-    it = channels_.emplace(name, TraceChannel{name}).first;
-    it->second.set_enabled(enabled_);
-  }
-  return it->second;
-}
-
-void TraceRecorder::set_enabled(bool v) {
-  enabled_ = v;
-  for (auto& [name, ch] : channels_) ch.set_enabled(v);
-}
-
-u64 TraceRecorder::dropped() const noexcept {
-  u64 total = 0;
-  for (const auto& [name, ch] : channels_) total += ch.dropped();
-  return total;
-}
-
-std::vector<std::string> TraceRecorder::channel_names() const {
-  std::vector<std::string> out;
-  out.reserve(channels_.size());
-  for (const auto& [k, v] : channels_) out.push_back(k);
-  return out;
+  return channels_.try_emplace(name, name).first->second;
 }
 
 std::string TraceRecorder::ascii_waveform(const std::vector<std::string>& names, Cycle from,
@@ -101,34 +77,6 @@ std::string TraceRecorder::ascii_waveform(const std::vector<std::string>& names,
       }
     }
     os << "|\n";
-  }
-  return os.str();
-}
-
-std::string TraceRecorder::csv(const std::vector<std::string>& names, Cycle from, Cycle to) const {
-  std::ostringstream os;
-  os << "cycle";
-  for (const auto& n : names) os << ',' << n;
-  os << '\n';
-  // Collect all change cycles in range.
-  std::vector<Cycle> points;
-  for (const auto& n : names) {
-    auto it = channels_.find(n);
-    if (it == channels_.end()) continue;
-    for (const auto& e : it->second.events()) {
-      if (e.cycle >= from && e.cycle < to) points.push_back(e.cycle);
-    }
-  }
-  std::sort(points.begin(), points.end());
-  points.erase(std::unique(points.begin(), points.end()), points.end());
-  for (Cycle c : points) {
-    os << c;
-    for (const auto& n : names) {
-      auto it = channels_.find(n);
-      os << ',';
-      if (it != channels_.end()) os << it->second.value_at(c).value_or(0);
-    }
-    os << '\n';
   }
   return os.str();
 }

@@ -1,7 +1,7 @@
 // Signal tracing: the cycle-approximate equivalent of the Simulink scopes the
 // thesis uses for Figs. 5.1-5.9. Components publish named integer channels;
-// the recorder stores change events and can render ASCII timing diagrams and
-// CSV series for the bench harnesses.
+// the recorder stores change events and renders ASCII timing diagrams for the
+// bench harnesses.
 #pragma once
 
 #include <map>
@@ -17,6 +17,7 @@ namespace drmp::sim {
 struct TraceEvent {
   Cycle cycle;
   i64 value;
+  bool operator==(const TraceEvent&) const = default;
 };
 
 class TraceChannel {
@@ -34,11 +35,6 @@ class TraceChannel {
   /// Once `capacity()` change events are retained, further *new* events are
   /// dropped (counted in dropped()); same-cycle overwrites still apply.
   void record(Cycle cycle, i64 value);
-
-  /// A muted channel drops record() calls (fleet runs disable tracing so the
-  /// per-cycle hot path does no event-vector work).
-  void set_enabled(bool v) noexcept { enabled_ = v; }
-  bool enabled() const noexcept { return enabled_; }
 
   void set_capacity(std::size_t cap) noexcept {
     capacity_ = cap == 0 ? 1 : cap;
@@ -61,34 +57,12 @@ class TraceChannel {
   std::vector<TraceEvent> events_;
   std::size_t capacity_ = kDefaultCapacity;
   u64 dropped_ = 0;
-  bool enabled_ = true;
 };
 
 class TraceRecorder {
  public:
-  TraceRecorder() = default;
-  /// Constructs with tracing already on or off: fleet paths build their
-  /// devices muted from the first cycle instead of muting after the fact
-  /// (which used to let construction-time edges slip into the buffers).
-  explicit TraceRecorder(bool enabled) : enabled_(enabled) {}
-
   /// Returns (creating on first use) the channel with the given name.
   TraceChannel& channel(const std::string& name);
-
-  /// Mutes / unmutes every existing and future channel. Fleet simulations
-  /// disable their per-device recorders: with dozens of devices the trace
-  /// event vectors are pure overhead on the batched hot path.
-  void set_enabled(bool v);
-  bool enabled() const noexcept { return enabled_; }
-
-  bool has_channel(const std::string& name) const { return channels_.count(name) != 0; }
-
-  /// Change events dropped across all channels (capacity caps hit).
-  u64 dropped() const noexcept;
-
-  const TraceChannel& channel_const(const std::string& name) const { return channels_.at(name); }
-
-  std::vector<std::string> channel_names() const;
 
   /// Renders an ASCII waveform of the selected channels over [from, to),
   /// sampled into `width` columns. Non-zero values print as their value digit
@@ -97,12 +71,8 @@ class TraceRecorder {
   std::string ascii_waveform(const std::vector<std::string>& names, Cycle from, Cycle to,
                              std::size_t width = 100) const;
 
-  /// CSV dump: cycle,<ch1>,<ch2>,... at every change point.
-  std::string csv(const std::vector<std::string>& names, Cycle from, Cycle to) const;
-
  private:
   std::map<std::string, TraceChannel> channels_;
-  bool enabled_ = true;
 };
 
 }  // namespace drmp::sim

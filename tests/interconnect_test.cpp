@@ -70,6 +70,41 @@ TEST(BusTraceRecorderTest, FinishClosesOpenTenures) {
   EXPECT_EQ(rec.transactions()[0].words, 1u);
 }
 
+TEST(BusTraceRecorderTest, WordRunExtendsTheOpenTenure) {
+  BusTraceRecorder rec;
+  rec.on_request(Mode::A, 10);
+  rec.on_access(Mode::A, 12, /*rfu_region=*/true);
+  rec.on_run(Mode::A, 5);  // Cycles 13..17.
+  rec.on_release(Mode::A, 18);
+  rec.finish(20);
+  ASSERT_EQ(rec.size(), 1u);
+  const BusTransaction& t = rec.transactions()[0];
+  EXPECT_EQ(t.words, 6u);
+  EXPECT_EQ(t.first_access, 12u);
+  EXPECT_EQ(t.last_access, 17u);
+  EXPECT_TRUE(t.touched_mem);
+  EXPECT_TRUE(t.touched_rfu);
+  EXPECT_EQ(t.stall_cycles(), 0u);
+}
+
+TEST(BusTraceRecorderTest, SplitRunEqualsOneRun) {
+  auto record = [](std::initializer_list<std::size_t> settles) {
+    BusTraceRecorder rec;
+    rec.on_request(Mode::B, 0);
+    rec.on_access(Mode::B, 3, /*rfu_region=*/false);
+    for (std::size_t n : settles) rec.on_run(Mode::B, n);
+    rec.on_access(Mode::B, 11, /*rfu_region=*/false);
+    rec.on_release(Mode::B, 12);
+    rec.finish(12);
+    return rec.transactions();
+  };
+  const auto whole = record({7});
+  EXPECT_EQ(record({3, 4}), whole);
+  ASSERT_EQ(whole.size(), 1u);
+  EXPECT_EQ(whole[0].words, 9u);
+  EXPECT_EQ(whole[0].stall_cycles(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Replay-model unit tests on hand-built traces.
 // ---------------------------------------------------------------------------

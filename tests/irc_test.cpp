@@ -1,7 +1,8 @@
 // IRC tests: super-op-code delegation through the TH_R/TH_M statecharts,
 // dynamic reconfiguration via the RC, cross-mode queueing (sleep/wake),
-// table mutexes, the In-Interface doorbell path, request queueing, and the
-// IRC's sleep through bus waits and between doorbells.
+// table mutexes, the In-Interface doorbell path, request queueing, the
+// IRC's sleep through bus waits and between doorbells, and tracing that
+// observes without changing execution.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -11,6 +12,7 @@
 
 #include "crypto/crc.hpp"
 #include "drmp/testbench.hpp"
+#include "hw/bus_trace.hpp"
 #include "hw/ctrl_layout.hpp"
 #include "irc/irc.hpp"
 #include "rfu/rfu_ids.hpp"
@@ -259,14 +261,9 @@ TEST_F(IrcTest, TaskHandlerStateOccupancyRecorded) {
 
 // ------------------------------------------------ the IRC's event-paced sleep
 
-/// A device with every protocol mode off and tracing muted: no controller
-/// traffic, so the IRC works only on the requests a test hands it and may
-/// sleep (an enabled trace recorder pins it awake).
-DrmpConfig quiet_config() {
-  DrmpConfig cfg;
-  cfg.trace_enabled = false;
-  return cfg;
-}
+/// A device with every protocol mode off: no controller traffic, so the
+/// IRC works only on the requests a test hands it and may sleep.
+DrmpConfig quiet_config() { return DrmpConfig{}; }
 
 /// Counts the IRC's slept-through cycles (observer callbacks fire with
 /// idle-skip on only; every run settles its sleepers at exit).
@@ -507,6 +504,73 @@ TEST(IrcSleep, SnapshotWithARungUnpolledDoorbellResumesExactly) {
       EXPECT_EQ(r.completed_at, uninterrupted.completed_at);
       EXPECT_EQ(r.final_state, uninterrupted.final_state);
     }
+  }
+}
+
+// ------------------------------------------- tracing observes, never steers
+
+/// What one three-mode transmit leaves behind: the execution cost, the
+/// counters, the task handlers' state channels and the bus tenures.
+struct TracedRun {
+  u64 ticks_executed = 0;
+  std::vector<Cycle> counters;
+  std::map<std::string, std::vector<sim::TraceEvent>> handler_events;
+  std::vector<hw::BusTransaction> transactions;
+};
+
+TracedRun three_mode_tx(bool trace, bool bus_recorder, bool idle_skip) {
+  DrmpConfig cfg = DrmpConfig::standard_three_mode();
+  cfg.trace_enabled = trace;
+  Testbench tb(cfg);
+  tb.scheduler().set_idle_skip(idle_skip);
+  hw::BusTraceRecorder rec;
+  if (bus_recorder) tb.device().bus().attach_recorder(&rec);
+  for (Mode m : {Mode::A, Mode::B, Mode::C}) {
+    tb.send_async(m, payload(400, static_cast<u8>(index(m) + 1)));
+  }
+  for (Mode m : {Mode::A, Mode::B, Mode::C}) {
+    EXPECT_TRUE(tb.wait_tx_count(m, 1, 600'000'000));
+  }
+  DrmpDevice& dev = tb.device();
+  rec.finish(dev.bus().total_cycles());
+  TracedRun r;
+  r.ticks_executed = tb.scheduler().ticks_executed();
+  r.counters = irc_and_bus_counters(dev);
+  for (const char* kind : {"thr.", "thm."}) {
+    for (Mode m : {Mode::A, Mode::B, Mode::C}) {
+      const std::string name = kind + std::string(to_string(m));
+      r.handler_events[name] = dev.trace().channel(name).events();
+    }
+  }
+  r.transactions = rec.transactions();
+  return r;
+}
+
+TEST(TraceObserver, TracingDoesNotChangeExecution) {
+  const TracedRun traced = three_mode_tx(true, true, true);
+  const TracedRun bare = three_mode_tx(false, false, true);
+  const TracedRun every = three_mode_tx(true, true, false);
+  // A live scope and a bus recorder leave the sleeping path as it is.
+  EXPECT_EQ(traced.ticks_executed, bare.ticks_executed);
+  EXPECT_EQ(traced.counters, bare.counters);
+  EXPECT_LT(traced.ticks_executed, every.ticks_executed);
+  // And they see what the every-tick oracle sees.
+  EXPECT_EQ(traced.handler_events, every.handler_events);
+  EXPECT_EQ(traced.transactions, every.transactions);
+  // Not vacuous: every handler traced its charts, and the tenures moved
+  // words.
+  for (const auto& [name, events] : traced.handler_events) {
+    EXPECT_GT(events.size(), 2u) << name;
+  }
+  u64 words = 0;
+  for (const hw::BusTransaction& t : traced.transactions) words += t.words;
+  EXPECT_GT(words, 300u);
+}
+
+TEST(TraceObserver, DisabledDeviceRecordsNoHandlerEvents) {
+  const TracedRun bare = three_mode_tx(false, false, true);
+  for (const auto& [name, events] : bare.handler_events) {
+    EXPECT_TRUE(events.empty()) << name;
   }
 }
 

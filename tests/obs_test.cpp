@@ -119,13 +119,6 @@ TEST(TraceChannel, CapsRetainedEventsAndCountsDrops) {
   EXPECT_EQ(ch.events().back().value, 42);
 }
 
-TEST(TraceRecorder, ConstructMutedRecordsNothing) {
-  sim::TraceRecorder tr(/*enabled=*/false);
-  tr.channel("sig").record(0, 1);
-  tr.channel("sig").record(1, 2);
-  EXPECT_TRUE(tr.channel("sig").events().empty());
-}
-
 // ---- Recorder-on fleet runs ----------------------------------------------
 
 scenario::FleetStats run_contended4(unsigned workers, bool idle_skip,

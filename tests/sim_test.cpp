@@ -286,19 +286,6 @@ TEST(Stats, DigestIsOrderSensitiveAndStable) {
   EXPECT_NE(Digest{}.value(), d1.value());
 }
 
-TEST(Trace, DisabledRecorderDropsEventsUntilReenabled) {
-  TraceRecorder rec;
-  rec.channel("sig").record(0, 1);
-  rec.set_enabled(false);
-  rec.channel("sig").record(10, 2);    // Dropped: existing channel muted.
-  rec.channel("other").record(11, 7);  // Dropped: new channels inherit mute.
-  EXPECT_EQ(rec.channel("sig").events().size(), 1u);
-  EXPECT_EQ(rec.channel("other").events().size(), 0u);
-  rec.set_enabled(true);
-  rec.channel("sig").record(20, 3);
-  EXPECT_EQ(rec.channel("sig").events().size(), 2u);
-}
-
 TEST(TimeBase, CycleConversionsAt200MHz) {
   TimeBase tb(200e6);
   EXPECT_EQ(tb.us_to_cycles(10.0), 2000u);       // SIFS = 10 us.
