@@ -15,13 +15,14 @@ int main() {
                "(3 modes x 3 packets) ===\n\n";
   run_three_mode_tx(tb, 3, 1000);
 
-  const auto& occ = tb.device().stats().all_occupancy();
+  const sim::StatsRegistry stats = tb.device().stats();
+  const auto& occ = stats.all_occupancy();
   {
     est::Table t({"TH_M state", "mode A %", "mode B %", "mode C %"});
     for (int s = 0; s <= static_cast<int>(irc::ThMState::UseRfut2); ++s) {
       std::vector<std::string> row = {to_string(static_cast<irc::ThMState>(s))};
       for (const char* m : {"A", "B", "C"}) {
-        const auto& o = occ.at(std::string("irc.thm.") + m);
+        const sim::StateOccupancy& o = *occ.at(std::string("irc.thm.") + m);
         row.push_back(est::Table::num(
             100.0 * static_cast<double>(o.cycles_in(s)) / static_cast<double>(o.total()), 3));
       }
@@ -35,7 +36,7 @@ int main() {
     for (int s = 0; s <= static_cast<int>(irc::ThRState::UseRfut2); ++s) {
       std::vector<std::string> row = {to_string(static_cast<irc::ThRState>(s))};
       for (const char* m : {"A", "B", "C"}) {
-        const auto& o = occ.at(std::string("irc.thr.") + m);
+        const sim::StateOccupancy& o = *occ.at(std::string("irc.thr.") + m);
         row.push_back(est::Table::num(
             100.0 * static_cast<double>(o.cycles_in(s)) / static_cast<double>(o.total()), 3));
       }

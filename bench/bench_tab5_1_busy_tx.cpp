@@ -15,16 +15,16 @@ int main() {
   const Cycle t1 = tb.scheduler().now();
   print_busy_table(tb, t0, t1, "3-mode transmission (1000 B per mode)");
 
-  // IRC controllers (busy = non-IDLE), from the statistics registry.
-  const auto& busy = tb.device().stats().all_busy();
+  // IRC controllers (busy = non-IDLE), from the device's statistics view.
+  const sim::StatsRegistry stats = tb.device().stats();
+  const auto& busy = stats.all_busy();
   const auto& tbase = tb.device().timebase();
   est::Table t({"IRC controller", "Busy (us)", "Busy (%)"});
   for (const auto& name : {"irc.thm.A", "irc.thm.B", "irc.thm.C", "irc.thr.A",
                            "irc.thr.B", "irc.thr.C", "irc.rc", "cpu"}) {
-    auto it = busy.find(name);
-    if (it == busy.end()) continue;
-    t.add_row({name, est::Table::num(tbase.cycles_to_us(it->second.busy_cycles()), 1),
-               est::Table::num(100.0 * it->second.busy_fraction(), 3)});
+    const sim::BusyCounter& c = *busy.at(name);
+    t.add_row({name, est::Table::num(tbase.cycles_to_us(c.busy_cycles()), 1),
+               est::Table::num(100.0 * c.busy_fraction(), 3)});
   }
   std::cout << "\n";
   t.print(std::cout);

@@ -60,12 +60,8 @@ void CpuModel::skip_idle(Cycle n) {
   // The bound never crosses a completion tick, so the stretch is a busy
   // prefix (the rest of the running body) followed by pure idle.
   const Cycle b = now_ < busy_until_ ? std::min(n, busy_until_ - now_) : 0;
-  if (stats_ != nullptr) {
-    if (busy_stat_ == nullptr) busy_stat_ = &stats_->busy("cpu");
-    busy_stat_->sample_n(true, b);
-    busy_stat_->sample_n(false, n - b);
-  }
-  busy_cycles_ += b;
+  busy_.sample_n(true, b);
+  busy_.sample_n(false, n - b);
   if (running_) mode_cycles_[index(*running_)] += b;
   now_ += n;
 }
@@ -119,14 +115,8 @@ void CpuModel::tick() {
   }
 
   const bool was_busy = now_ < busy_until_;
-  if (stats_ != nullptr) {
-    if (busy_stat_ == nullptr) busy_stat_ = &stats_->busy("cpu");
-    busy_stat_->sample(was_busy);
-  }
-  if (was_busy) {
-    ++busy_cycles_;
-    if (running_) ++mode_cycles_[index(*running_)];
-  }
+  busy_.sample(was_busy);
+  if (was_busy && running_) ++mode_cycles_[index(*running_)];
 
   // Completion: the running handler's budget is spent — pop back into the
   // handler that it pre-empted, if any (innermost-last nesting stack).

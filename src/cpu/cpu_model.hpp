@@ -97,16 +97,19 @@ class CpuModel : public sim::Clockable {
   }
   Cycle busy_cycles() const noexcept {
     settle_self();
-    return busy_cycles_;
+    return busy_.busy_cycles();
   }
   Cycle total_cycles() const noexcept {
     settle_self();
-    return now_;
+    return busy_.total_cycles();
   }
   double busy_fraction() const {
     settle_self();
-    return now_ == 0 ? 0.0 : static_cast<double>(busy_cycles_) / static_cast<double>(now_);
+    return busy_.busy_fraction();
   }
+  /// Handler-busy cycles of all cycles (DrmpDevice::stats() names it
+  /// "cpu"). Raw: the caller settles.
+  sim::BusyCounter& busy_counter() noexcept { return busy_; }
   u64 isr_invocations() const noexcept { return isr_count_; }
   Cycle mode_cpu_cycles(Mode m) const {
     settle_self();
@@ -122,19 +125,18 @@ class CpuModel : public sim::Clockable {
   /// Mode of the handler currently executing, if any.
   std::optional<Mode> running_mode() const noexcept { return running_; }
 
-  void attach_stats(sim::StatsRegistry* stats) { stats_ = stats; }
-
   const Config& config() const noexcept { return cfg_; }
 
   /// Checkpoint support (sim/checkpoint.hpp). The timer min-heap vector
   /// travels verbatim — heap layout is deterministic for a given arm/cancel
   /// history, so restoring it byte-for-byte preserves pop order. Handlers
-  /// and stats sinks are wiring.
+  /// are wiring; the busy counter's total travels in the device's "stats"
+  /// record.
   template <class Ar>
   void persist(Ar& ar) {
     ar.io(now_);
     ar.io(busy_until_);
-    ar.io(busy_cycles_);
+    ar.io(busy_.busy_slot());
     ar.io(isr_count_);
     ar.io(preemption_count_);
     ar.io(max_dispatch_latency_);
@@ -213,7 +215,7 @@ class CpuModel : public sim::Clockable {
   Config cfg_;
   Cycle now_ = 0;
   Cycle busy_until_ = 0;
-  Cycle busy_cycles_ = 0;
+  sim::BusyCounter busy_;
   u64 isr_count_ = 0;
   u64 preemption_count_ = 0;
   Cycle max_dispatch_latency_ = 0;
@@ -225,9 +227,6 @@ class CpuModel : public sim::Clockable {
   std::deque<PendingIsr> pending_;
   std::vector<Timer> timers_;  ///< Min-heap on (fire_at, seq); see Timer.
   u64 timer_seq_ = 0;
-  sim::StatsRegistry* stats_ = nullptr;
-  /// Cached stats sink (string-keyed lookup is too hot for the tick path).
-  sim::BusyCounter* busy_stat_ = nullptr;
 };
 
 }  // namespace drmp::cpu

@@ -92,12 +92,11 @@ DrmpConfig DrmpConfig::for_station(int station_id) const {
 DrmpDevice::DrmpDevice(sim::Scheduler& sched, DrmpConfig cfg, int station_id)
     : cfg_(std::move(cfg)), station_id_(station_id), tb_(cfg_.arch_freq_hz),
       sched_(&sched) {
-  bus_ = std::make_unique<hw::PacketBus>(mem_, &stats_);
+  bus_ = std::make_unique<hw::PacketBus>(mem_);
 
   irc::Irc::Env irc_env;
   irc_env.bus = bus_.get();
   irc_env.mem = &mem_;
-  irc_env.stats = &stats_;
   irc_env.trace = cfg_.trace_enabled ? &trace_ : nullptr;
   irc_ = std::make_unique<irc::Irc>(irc_env);
   irc_->rfu_table().set_queue_policy(cfg_.rfu_queue_priority
@@ -109,7 +108,6 @@ DrmpDevice::DrmpDevice(sim::Scheduler& sched, DrmpConfig cfg, int station_id)
   cpu_cfg.arch_freq_hz = cfg_.arch_freq_hz;
   cpu_cfg.preemptive = cfg_.cpu_preemptive;
   cpu_ = std::make_unique<cpu::CpuModel>(cpu_cfg);
-  cpu_->attach_stats(&stats_);
 
   api_ = std::make_unique<api::cDRMP>(&mem_);
 
@@ -127,7 +125,6 @@ DrmpDevice::DrmpDevice(sim::Scheduler& sched, DrmpConfig cfg, int station_id)
     eh_env.nav[i] = &navs_[i];
   }
   eh_env.tb = &tb_;
-  eh_env.stats = &stats_;
   event_handler_ = std::make_unique<EventHandler>(eh_env);
   event_handler_->raise_irq = [this](Mode m, irc::IrqEvent ev, Word param) {
     irc_->irq_raise(m, ev, param);  // Memory-mapped source registers.
@@ -243,7 +240,6 @@ void DrmpDevice::build_rfus(sim::Scheduler& /*sched*/) {
   rfu::Rfu::Env env;
   env.bus = bus_.get();
   env.rmem = &rmem_;
-  env.stats = &stats_;
   env.timebase = &tb_;
 
   crypto_ = std::make_unique<rfu::CryptoRfu>(env);
@@ -320,6 +316,27 @@ void DrmpDevice::set_flight_recorder(obs::FlightRecorder* rec, u16 track) {
   }
 }
 
+sim::StatsRegistry DrmpDevice::stats() {
+  sim::StatsRegistry s;
+  s.add("cpu", cpu_->busy_counter());
+  s.add("event_handler", event_handler_->busy_counter());
+  irc::ReconfController& rc = irc_->rc();
+  s.add("irc.rc", rc.busy_counter());
+  s.add("irc.rc", rc.occupancy());
+  for (Mode m : {Mode::A, Mode::B, Mode::C}) {
+    irc::TaskHandler& h = irc_->handler(m);
+    for (irc::ThKind k : {irc::ThKind::ThR, irc::ThKind::ThM}) {
+      const std::string name =
+          std::string(k == irc::ThKind::ThR ? "irc.thr." : "irc.thm.") + to_string(m);
+      s.add(name, h.busy_counter(k));
+      s.add(name, h.occupancy(k));
+    }
+  }
+  s.add("packet_bus", bus_->busy_counter());
+  for (rfu::Rfu* r : all_rfus_) s.add("rfu." + r->name(), r->busy_counter());
+  return s;
+}
+
 void DrmpDevice::host_send(Mode m, Bytes msdu) {
   assert(ctrls_[index(m)] != nullptr && "host_send on a disabled mode");
   ctrls_[index(m)]->host_enqueue(std::move(msdu));
@@ -334,7 +351,8 @@ void DrmpDevice::persist_device(Ar& ar) {
   ar.io(mem_);
   close_record(ar);
   open_record(ar, "stats");
-  ar.io(stats_);
+  sim::StatsRegistry view = stats();
+  ar.io(view);
   close_record(ar);
   open_record(ar, "bus");
   ar.io(*bus_);

@@ -96,7 +96,11 @@ class DrmpDevice {
   EventHandler& event_handler() { return *event_handler_; }
   api::cDRMP& api() { return *api_; }
   ctrl::ProtocolCtrl& protocol_ctrl(Mode m) { return *ctrls_[index(m)]; }
-  sim::StatsRegistry& stats() { return stats_; }
+  /// Every busy counter and occupancy of the device by name ("cpu",
+  /// "event_handler", "irc.rc", "irc.thr.A", "irc.thm.A", ..., "packet_bus",
+  /// "rfu.<name>"), built on each call. The view points into the
+  /// components: keep it in a variable, and no longer than the device.
+  sim::StatsRegistry stats();
   sim::TraceRecorder& trace() { return trace_; }
   const sim::TimeBase& timebase() const { return tb_; }
   const DrmpConfig& config() const { return cfg_; }
@@ -150,7 +154,6 @@ class DrmpDevice {
   DrmpConfig cfg_;
   int station_id_;
   sim::TimeBase tb_;
-  sim::StatsRegistry stats_;
   sim::TraceRecorder trace_;
 
   hw::PacketMemory mem_;

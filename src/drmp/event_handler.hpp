@@ -21,6 +21,7 @@
 #include "phy/buffers.hpp"
 #include "phy/phy_model.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/stats.hpp"
 
 namespace drmp {
 
@@ -36,7 +37,6 @@ class EventHandler : public sim::Clockable {
     /// duration fields of overheard frames when ident.nav_enabled.
     std::array<mac::NavTimer*, kNumModes> nav{};
     const sim::TimeBase* tb = nullptr;
-    sim::StatsRegistry* stats = nullptr;
   };
 
   explicit EventHandler(Env env) : env_(std::move(env)) {}
@@ -67,6 +67,9 @@ class EventHandler : public sim::Clockable {
   u32 rx_acks_generated(Mode m) const { return acked_[index(m)]; }
   u32 rx_frames_handled(Mode m) const { return handled_[index(m)]; }
   u32 rx_ctss_generated(Mode m) const { return cts_[index(m)]; }
+  /// One non-Idle sample per enabled mode per cycle (DrmpDevice::stats()
+  /// names it "event_handler").
+  sim::BusyCounter& busy_counter() noexcept { return busy_; }
 
   /// Delivery-time snoop, invoked from the Rx buffer's deliver hook at frame
   /// end. Real MAC hardware acts the moment a frame's FCS checks out —
@@ -86,8 +89,8 @@ class EventHandler : public sim::Clockable {
   void rx_snoop(Mode m, const Bytes& frame);
 
   /// Checkpoint support (sim/checkpoint.hpp): the per-mode statecharts,
-  /// request tags and counters. The env wiring and sink cache persist as
-  /// wiring.
+  /// request tags and counters. The env is wiring; the busy counter travels
+  /// in the device's "stats" record.
   template <class Ar>
   void persist(Ar& ar) {
     ar.io(st_);
@@ -118,7 +121,7 @@ class EventHandler : public sim::Clockable {
   std::array<u32, kNumModes> acked_{};
   std::array<u32, kNumModes> handled_{};
   std::array<u32, kNumModes> cts_{};
-  sim::BusyCounter* busy_stat_ = nullptr;  ///< Cached per-tick stats sink.
+  sim::BusyCounter busy_;
 };
 
 }  // namespace drmp

@@ -4,13 +4,12 @@
 
 namespace drmp::hw {
 
-PacketBus::PacketBus(PacketMemory& mem, sim::StatsRegistry* stats)
-    : mem_(mem), stats_(stats) {}
+PacketBus::PacketBus(PacketMemory& mem) : mem_(mem) {}
 
 void PacketBus::request_for_irc(Mode m) {
   wake_self();  // An asserted request line re-enters arbitration next tick.
   auto& r = requests_[index(m)];
-  if (recorder_ != nullptr && !r.active) recorder_->on_request(m, total_cycles_);
+  if (recorder_ != nullptr && !r.active) recorder_->on_request(m, busy_.total_cycles());
   r.active = true;
   r.for_rfu = false;
   r.rfu_id = 0xFF;
@@ -19,7 +18,7 @@ void PacketBus::request_for_irc(Mode m) {
 void PacketBus::request_for_rfu(Mode m, u8 rfu_id) {
   wake_self();
   auto& r = requests_[index(m)];
-  if (recorder_ != nullptr && !r.active) recorder_->on_request(m, total_cycles_);
+  if (recorder_ != nullptr && !r.active) recorder_->on_request(m, busy_.total_cycles());
   r.active = true;
   r.for_rfu = true;
   r.rfu_id = rfu_id;
@@ -30,7 +29,7 @@ void PacketBus::release(Mode m) {
   assert(override_stack_.empty() &&
          "bus released by IRC while a grant override is outstanding");
   if (recorder_ != nullptr && requests_[index(m)].active) {
-    recorder_->on_release(m, total_cycles_);
+    recorder_->on_release(m, busy_.total_cycles());
   }
   requests_[index(m)] = ModeRequest{};
 }
@@ -41,7 +40,7 @@ Word PacketBus::read(u32 addr) {
   assert(!accessed_this_cycle_ && "second bus access in one cycle");
   accessed_this_cycle_ = true;
   if (recorder_ != nullptr) {
-    recorder_->on_access(grant_origin_mode(), total_cycles_, /*rfu_region=*/false);
+    recorder_->on_access(grant_origin_mode(), busy_.total_cycles(), /*rfu_region=*/false);
   }
   return mem_.read(addr);
 }
@@ -53,7 +52,7 @@ void PacketBus::write(u32 addr, Word data) {
   accessed_this_cycle_ = true;
   if (recorder_ != nullptr) {
     const bool rfu_region = addr == kOverrideAddr || triggers_.decodes(addr);
-    recorder_->on_access(grant_origin_mode(), total_cycles_, rfu_region);
+    recorder_->on_access(grant_origin_mode(), busy_.total_cycles(), rfu_region);
   }
 
   if (addr == kOverrideAddr) {
@@ -220,13 +219,8 @@ void PacketBus::skip_idle(Cycle n) {
   // the accessed cycles are exactly the run's.
   const Cycle run = std::min(n, run_left_);
   run_left_ -= run;
-  total_cycles_ += n;
-  busy_cycles_ += run;
-  if (stats_ != nullptr) {
-    if (busy_stat_ == nullptr) busy_stat_ = &stats_->busy("packet_bus");
-    busy_stat_->sample_n(true, run);
-    busy_stat_->sample_n(false, n - run);
-  }
+  busy_.sample_n(true, run);
+  busy_.sample_n(false, n - run);
   account_hold(n);
   accessed_last_cycle_ = run == n;
 }
@@ -234,17 +228,12 @@ void PacketBus::skip_idle(Cycle n) {
 void PacketBus::tick() {
   // Account the cycle that just completed; a declared run's cycle counts
   // as accessed whether its master slept through it or not.
-  ++total_cycles_;
   bool accessed = accessed_this_cycle_;
   if (run_left_ > 0) {
     --run_left_;
     accessed = true;
   }
-  if (accessed) ++busy_cycles_;
-  if (stats_ != nullptr) {
-    if (busy_stat_ == nullptr) busy_stat_ = &stats_->busy("packet_bus");
-    busy_stat_->sample(accessed);
-  }
+  busy_.sample(accessed);
   accessed_last_cycle_ = accessed;
   accessed_this_cycle_ = false;
 

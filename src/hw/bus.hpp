@@ -62,7 +62,7 @@ class PacketBus : public sim::Clockable {
     }
   };
 
-  PacketBus(PacketMemory& mem, sim::StatsRegistry* stats);
+  explicit PacketBus(PacketMemory& mem);
 
   // ---- Request lines (driven by the mode task handlers) ----
   void request_for_irc(Mode m);
@@ -119,7 +119,7 @@ class PacketBus : public sim::Clockable {
   /// lines, releases and accesses wake the bus; the counters below settle
   /// on read. A tick that drops a grant mid-run wakes the run's master
   /// first, which settles it while it still holds the grant. Recorders
-  /// stamp events with total_cycles_, which every input settles first.
+  /// stamp events with the raw cycle count, which every input settles first.
   Cycle quiescent_for() const override;
   void skip_idle(Cycle n) override;
   /// Component woken whenever arbitration makes a new MasterKind::Irc grant
@@ -134,11 +134,11 @@ class PacketBus : public sim::Clockable {
   // ---- Instrumentation ----
   Cycle busy_cycles() const noexcept {
     settle_self();
-    return busy_cycles_;
+    return busy_.busy_cycles();
   }
   Cycle total_cycles() const noexcept {
     settle_self();
-    return total_cycles_;
+    return busy_.total_cycles();
   }
   Cycle mode_hold_cycles(Mode m) const {
     settle_self();
@@ -149,14 +149,17 @@ class PacketBus : public sim::Clockable {
     settle_self();
     return mode_wait_cycles_[index(m)];
   }
+  /// Accessed cycles of all cycles (DrmpDevice::stats() names it
+  /// "packet_bus"). Raw: the caller settles.
+  sim::BusyCounter& busy_counter() noexcept { return busy_; }
 
   /// Attaches a transaction recorder for interconnect exploration
   /// (§3.6.3/§7.1 alternatives); pass nullptr to detach.
   void attach_recorder(BusTraceRecorder* r) noexcept { recorder_ = r; }
 
   /// Checkpoint support (sim/checkpoint.hpp). The arbiter state machine,
-  /// the trigger latches and every cycle counter travel; the memory, stats
-  /// sinks and recorders are wiring owned elsewhere, and the quiet-cycle
+  /// the trigger latches and every cycle counter travel; the memory and
+  /// recorders are wiring owned elsewhere, and the quiet-cycle
   /// hint only decides when the bus sleeps.
   ///
   /// A run is not state: the current cycle's slept-through access is saved
@@ -176,8 +179,8 @@ class PacketBus : public sim::Clockable {
       bool accessed = accessed_this_cycle_ || run_left_ > 0;
       ar.io(accessed);
     }
-    ar.io(busy_cycles_);
-    ar.io(total_cycles_);
+    ar.io(busy_.busy_slot());
+    ar.io(busy_.total_slot());
     ar.io(mode_hold_cycles_);
     ar.io(mode_wait_cycles_);
   }
@@ -193,8 +196,6 @@ class PacketBus : public sim::Clockable {
   void account_hold(Cycle n);
 
   PacketMemory& mem_;
-  sim::StatsRegistry* stats_;
-  sim::BusyCounter* busy_stat_ = nullptr;  ///< Cached per-tick stats sink.
   BusTraceRecorder* recorder_ = nullptr;
   sim::Clockable* grant_waker_ = nullptr;
   RfuTriggerLogic triggers_;
@@ -209,8 +210,7 @@ class PacketBus : public sim::Clockable {
   /// flag says (the first one accounts the declaring access itself).
   sim::Clockable* run_master_ = nullptr;
   Cycle run_left_ = 0;
-  Cycle busy_cycles_ = 0;
-  Cycle total_cycles_ = 0;
+  sim::BusyCounter busy_;
   std::array<Cycle, kNumModes> mode_hold_cycles_{};
   std::array<Cycle, kNumModes> mode_wait_cycles_{};
 };

@@ -16,7 +16,6 @@ Irc::Irc(Env env) : env_(env) {
   rc_env.oct_mutex = &oct_mutex_;
   rc_env.rfut_mutex = &rfut_mutex_;
   rc_env.rfus = &rfus_;
-  rc_env.stats = env_.stats;
   rc_ = std::make_unique<ReconfController>(rc_env);
 
   ThEnv th_env;
@@ -28,7 +27,6 @@ Irc::Irc(Env env) : env_(env) {
   th_env.bus = env_.bus;
   th_env.rfus = &rfus_;
   th_env.handlers = &handlers_;
-  th_env.stats = env_.stats;
   th_env.trace = env_.trace;
   for (std::size_t i = 0; i < kNumModes; ++i) {
     handler_storage_[i] = std::make_unique<TaskHandler>(mode_from_index(i), th_env);

@@ -39,7 +39,6 @@ class Irc : public sim::Clockable {
   struct Env {
     hw::PacketBus* bus = nullptr;
     hw::PacketMemory* mem = nullptr;  ///< Interface-register access (direct).
-    sim::StatsRegistry* stats = nullptr;
     sim::TraceRecorder* trace = nullptr;
   };
 

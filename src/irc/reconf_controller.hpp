@@ -26,7 +26,6 @@ class ReconfController : public sim::Clockable {
     TableMutex* oct_mutex = nullptr;
     TableMutex* rfut_mutex = nullptr;
     std::array<rfu::Rfu*, hw::kMaxRfus>* rfus = nullptr;
-    sim::StatsRegistry* stats = nullptr;
   };
 
   explicit ReconfController(Env env) : env_(env) {}
@@ -43,6 +42,10 @@ class ReconfController : public sim::Clockable {
 
   State state() const noexcept { return state_; }
   u64 reconfigs_performed() const noexcept { return count_; }
+  /// Non-Idle cycles and per-state cycles, sampled every cycle
+  /// (DrmpDevice::stats() names both "irc.rc").
+  sim::BusyCounter& busy_counter() noexcept { return busy_; }
+  sim::StateOccupancy& occupancy() noexcept { return occ_; }
   void tick() override;
 
   /// True when a tick is pure statistics sampling (Irc-level quiescence).
@@ -106,9 +109,8 @@ class ReconfController : public sim::Clockable {
   std::array<bool, kNumModes> done_{};
   Mode serving_ = Mode::A;
   u64 count_ = 0;
-  /// Cached stats sinks (string-keyed lookup is too hot for the tick path).
-  sim::BusyCounter* busy_stat_ = nullptr;
-  sim::StateOccupancy* occ_stat_ = nullptr;
+  sim::BusyCounter busy_;
+  sim::StateOccupancy occ_;
 };
 
 }  // namespace drmp::irc

@@ -115,19 +115,6 @@ TaskHandler::TaskHandler(Mode mode, ThEnv env) : mode_(mode), env_(env) {
   sinks_.thm_chan->record(0, static_cast<int>(ThMState::Idle));
 }
 
-void TaskHandler::resolve_sinks() {
-  // One-time sink resolution: string-keyed lookups are too hot for the
-  // per-cycle path (they dominated simulation wall time).
-  const std::string m = to_string(mode_);
-  if (env_.stats != nullptr) {
-    sinks_.thr_occ = &env_.stats->occupancy("irc.thr." + m);
-    sinks_.thm_occ = &env_.stats->occupancy("irc.thm." + m);
-    sinks_.thr_busy = &env_.stats->busy("irc.thr." + m);
-    sinks_.thm_busy = &env_.stats->busy("irc.thm." + m);
-  }
-  sinks_.ready = true;
-}
-
 Cycle TaskHandler::quiescent_for_bound() const noexcept {
   if (!active_) return sim::Clockable::kIdleForever;  // Both charts in Idle.
   Cycle thr_q;
@@ -183,13 +170,10 @@ Cycle TaskHandler::quiescent_for_bound() const noexcept {
 }
 
 void TaskHandler::skip_idle(Cycle n) {
-  ensure_sinks();
-  if (sinks_.thr_occ != nullptr) {
-    sinks_.thr_occ->sample_n(static_cast<int>(thr_state_), n);
-    sinks_.thm_occ->sample_n(static_cast<int>(thm_state_), n);
-    sinks_.thr_busy->sample_n(thr_state_ != ThRState::Idle, n);
-    sinks_.thm_busy->sample_n(thm_state_ != ThMState::Idle, n);
-  }
+  thr_occ_.sample_n(static_cast<int>(thr_state_), n);
+  thm_occ_.sample_n(static_cast<int>(thm_state_), n);
+  thr_busy_.sample_n(thr_state_ != ThRState::Idle, n);
+  thm_busy_.sample_n(thm_state_ != ThMState::Idle, n);
 }
 
 void TaskHandler::tick() {
@@ -200,13 +184,10 @@ void TaskHandler::tick() {
     // Between requests both charts sit in Idle: the tick only samples.
     assert(thr_state_ == ThRState::Idle && thm_state_ == ThMState::Idle);
   }
-  ensure_sinks();
-  if (sinks_.thr_occ != nullptr) {
-    sinks_.thr_occ->sample(static_cast<int>(thr_state_));
-    sinks_.thm_occ->sample(static_cast<int>(thm_state_));
-    sinks_.thr_busy->sample(thr_state_ != ThRState::Idle);
-    sinks_.thm_busy->sample(thm_state_ != ThMState::Idle);
-  }
+  thr_occ_.sample(static_cast<int>(thr_state_));
+  thm_occ_.sample(static_cast<int>(thm_state_));
+  thr_busy_.sample(thr_state_ != ThRState::Idle);
+  thm_busy_.sample(thm_state_ != ThMState::Idle);
   if (sinks_.thr_chan != nullptr) {
     // Recorded every tick; the channel stores change events only.
     const Cycle now = env_.bus->total_cycles();

@@ -94,7 +94,6 @@ struct ThEnv {
   hw::PacketBus* bus = nullptr;
   std::array<rfu::Rfu*, hw::kMaxRfus>* rfus = nullptr;
   std::array<TaskHandler*, kNumModes>* handlers = nullptr;  ///< WAKE routing.
-  sim::StatsRegistry* stats = nullptr;
   sim::TraceRecorder* trace = nullptr;
 };
 
@@ -133,9 +132,19 @@ class TaskHandler : public sim::Clockable {
   ThRState thr_state() const noexcept { return thr_state_; }
   ThMState thm_state() const noexcept { return thm_state_; }
   u64 requests_completed() const noexcept { return completed_; }
+  /// Non-Idle cycles and per-state cycles of one statechart, sampled every
+  /// cycle (DrmpDevice::stats() names them "irc.thr.<mode>" and
+  /// "irc.thm.<mode>").
+  sim::BusyCounter& busy_counter(ThKind k) noexcept {
+    return k == ThKind::ThR ? thr_busy_ : thm_busy_;
+  }
+  sim::StateOccupancy& occupancy(ThKind k) noexcept {
+    return k == ThKind::ThR ? thr_occ_ : thm_occ_;
+  }
 
   /// Checkpoint support (sim/checkpoint.hpp): both statecharts and the
-  /// in-flight request context. The sinks cache is wiring.
+  /// in-flight request context. The trace channels are wiring; the
+  /// counters travel in the device's "stats" record.
   template <class Ar>
   void persist(Ar& ar) {
     ar.io(req_);
@@ -156,10 +165,6 @@ class TaskHandler : public sim::Clockable {
   }
 
  private:
-  void ensure_sinks() {
-    if (!sinks_.ready) resolve_sinks();
-  }
-  void resolve_sinks();
   void tick_thr();
   void tick_thm();
   /// TH_R finished preparing op `idx` (reconfig done or not needed).
@@ -193,16 +198,14 @@ class TaskHandler : public sim::Clockable {
   bool thm_woken_ = false;
   u32 pbus_seq_ = 0;
 
-  // Cached per-tick instrumentation sinks (string-keyed lookups are far too
-  // hot for a per-cycle path).
+  sim::BusyCounter thr_busy_;
+  sim::BusyCounter thm_busy_;
+  sim::StateOccupancy thr_occ_;
+  sim::StateOccupancy thm_occ_;
+  /// State trace channels, set by the constructor (null: no trace).
   struct Sinks {
-    sim::StateOccupancy* thr_occ = nullptr;
-    sim::StateOccupancy* thm_occ = nullptr;
-    sim::BusyCounter* thr_busy = nullptr;
-    sim::BusyCounter* thm_busy = nullptr;
     sim::TraceChannel* thr_chan = nullptr;
     sim::TraceChannel* thm_chan = nullptr;
-    bool ready = false;
   } sinks_;
 };
 

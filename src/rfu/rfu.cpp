@@ -65,35 +65,23 @@ void Rfu::skip_idle(Cycle n) {
   // The phase is constant across a quiescent stretch (that is what the
   // bound asserts), so n constant-state samples reproduce the per-tick
   // bookkeeping exactly.
-  const bool was_busy = phase_ != Phase::Idle;
-  if (env_.stats != nullptr) {
-    if (busy_stat_ == nullptr) busy_stat_ = &env_.stats->busy("rfu." + name_);
-    busy_stat_->sample_n(was_busy, n);
+  busy_.sample_n(phase_ != Phase::Idle, n);
+  if (phase_ == Phase::Running) {
+    on_running_skip(n);
+  } else if (phase_ == Phase::Reconfiguring) {
+    // n no-op countdown ticks: the bound keeps n < remaining, so the
+    // completing tick (and on_reconfigured) still executes for real.
+    reconfig_cycles_ += n;
+    reconfig_remaining_ -= n;
   }
-  if (was_busy) {
-    busy_cycles_ += n;
-    if (phase_ == Phase::Running) {
-      on_running_skip(n);
-    } else if (phase_ == Phase::Reconfiguring) {
-      // n no-op countdown ticks: the bound keeps n < remaining, so the
-      // completing tick (and on_reconfigured) still executes for real.
-      reconfig_cycles_ += n;
-      reconfig_remaining_ -= n;
-    }
-    // CollectArgs: nothing beyond the busy accounting above — the skipped
-    // ticks held no latched trigger by contract.
-  }
+  // CollectArgs: nothing beyond the busy accounting above — the skipped
+  // ticks held no latched trigger by contract.
 }
 
 void Rfu::tick() {
   slave_step();
 
-  const bool was_busy = phase_ != Phase::Idle;
-  if (env_.stats != nullptr) {
-    if (busy_stat_ == nullptr) busy_stat_ = &env_.stats->busy("rfu." + name_);
-    busy_stat_->sample(was_busy);
-  }
-  if (was_busy) ++busy_cycles_;
+  busy_.sample(phase_ != Phase::Idle);
 
   switch (phase_) {
     case Phase::Reconfiguring: {

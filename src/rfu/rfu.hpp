@@ -33,7 +33,6 @@ class Rfu : public sim::Clockable {
   struct Env {
     hw::PacketBus* bus = nullptr;
     hw::ReconfigMemory* rmem = nullptr;
-    sim::StatsRegistry* stats = nullptr;
     const sim::TimeBase* timebase = nullptr;
   };
 
@@ -87,8 +86,9 @@ class Rfu : public sim::Clockable {
   // ---- Checkpoint support (sim/checkpoint.hpp) ----
   /// Serializes the base execution engine (phase, latched command/arguments,
   /// DONE/RDONE lines, reconfiguration progress, counters), then the
-  /// subclass state via save_extra/load_extra. The completion waker and the
-  /// stats-sink cache are wiring and stay untouched.
+  /// subclass state via save_extra/load_extra. The completion waker is
+  /// wiring and stays untouched; the busy counter's total travels in the
+  /// device's "stats" record.
   void save_state(sim::snap::Writer& w);
   void load_state(sim::snap::Reader& r);
 
@@ -97,7 +97,7 @@ class Rfu : public sim::Clockable {
   /// Running-phase waits and compute stalls.
   Cycle busy_cycles() const noexcept {
     settle_self();
-    return busy_cycles_;
+    return busy_.busy_cycles();
   }
   Cycle reconfig_cycles() const noexcept {
     settle_self();
@@ -105,6 +105,9 @@ class Rfu : public sim::Clockable {
   }
   u64 reconfig_count() const noexcept { return reconfig_count_; }
   u64 exec_count() const noexcept { return exec_count_; }
+  /// Busy samples, one per cycle (DrmpDevice::stats() names it
+  /// "rfu.<name>"). Raw: the caller settles.
+  sim::BusyCounter& busy_counter() noexcept { return busy_; }
 
  protected:
   /// Runs every cycle regardless of phase — used by RFUs with a hard-wired
@@ -119,7 +122,7 @@ class Rfu : public sim::Clockable {
   /// Quiescence bound while Phase::Running — for access/timer RFUs whose
   /// work_step merely polls a known-future condition. A subclass returning
   /// a non-zero bound here must account the skipped work_step calls in
-  /// on_running_skip (busy cycles and stats are handled by the base).
+  /// on_running_skip (busy cycles are handled by the base).
   virtual Cycle running_quiescent_for() const { return 0; }
   virtual void on_running_skip(Cycle /*n*/) {}
 
@@ -162,7 +165,7 @@ class Rfu : public sim::Clockable {
     ar.io(reconfig_remaining_);
     ar.io(done_);
     ar.io(rdone_);
-    ar.io(busy_cycles_);
+    ar.io(busy_.busy_slot());
     ar.io(reconfig_cycles_);
     ar.io(reconfig_count_);
     ar.io(exec_count_);
@@ -183,12 +186,10 @@ class Rfu : public sim::Clockable {
   bool rdone_ = false;
   sim::Clockable* completion_waker_ = nullptr;
 
-  Cycle busy_cycles_ = 0;
+  sim::BusyCounter busy_;
   Cycle reconfig_cycles_ = 0;
   u64 reconfig_count_ = 0;
   u64 exec_count_ = 0;
-  /// Cached stats sink (string-keyed lookup is too hot for the tick path).
-  sim::BusyCounter* busy_stat_ = nullptr;
 };
 
 }  // namespace drmp::rfu

@@ -1,19 +1,19 @@
 // Statistics collectors backing the paper's evaluation artefacts:
 //   * BusyCounter        -> Tables 5.1 / 5.2 (busy time of entities)
 //   * StateOccupancy     -> Fig. 5.12 (state occupation in the task handler)
-//   * LatencyStats       -> Figs. 5.8-5.10 (per-packet timing / constraints)
+// Each component owns its counters; StatsRegistry is a by-name view of
+// them, built on demand (DrmpDevice::stats()).
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstddef>
 #include <map>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "common/types.hpp"
+#include "sim/checkpoint.hpp"
 
 namespace drmp::sim {
 
@@ -36,14 +36,16 @@ class BusyCounter {
   double busy_fraction() const noexcept {
     return total_ == 0 ? 0.0 : static_cast<double>(busy_) / static_cast<double>(total_);
   }
-  void reset() noexcept { busy_ = total_ = 0; }
-
-  /// Checkpoint support (sim/checkpoint.hpp).
+  /// Checkpoint support (sim/checkpoint.hpp). A component whose own record
+  /// also carries the busy count (the bus's, the total too) reaches the
+  /// fields through the slots below.
   template <class Ar>
   void persist(Ar& ar) {
     ar.io(busy_);
     ar.io(total_);
   }
+  Cycle& busy_slot() noexcept { return busy_; }
+  Cycle& total_slot() noexcept { return total_; }
 
  private:
   Cycle busy_ = 0;
@@ -113,33 +115,6 @@ class StateOccupancy {
   u32 seen_ = 0;  ///< Bit s: state s was sampled (a map key existed).
 };
 
-/// Simple scalar series with summary statistics (latencies, slacks).
-class LatencyStats {
- public:
-  void add(double v) { values_.push_back(v); }
-  std::size_t count() const noexcept { return values_.size(); }
-  double min() const { return values_.empty() ? 0 : *std::min_element(values_.begin(), values_.end()); }
-  double max() const { return values_.empty() ? 0 : *std::max_element(values_.begin(), values_.end()); }
-  double mean() const {
-    if (values_.empty()) return 0;
-    double s = 0;
-    for (double v : values_) s += v;
-    return s / static_cast<double>(values_.size());
-  }
-  double percentile(double p) const {
-    if (values_.empty()) return 0;
-    std::vector<double> v = values_;
-    std::sort(v.begin(), v.end());
-    const auto idx = static_cast<std::size_t>(p * static_cast<double>(v.size() - 1));
-    return v[idx];
-  }
-  const std::vector<double>& values() const noexcept { return values_; }
-  void reset() { values_.clear(); }
-
- private:
-  std::vector<double> values_;
-};
-
 /// Order-sensitive FNV-1a accumulator over counter streams. The scenario
 /// engine folds every per-device counter into one of these, so "same seed =>
 /// byte-identical aggregate stats" collapses to a single u64 comparison.
@@ -163,54 +138,59 @@ class Digest {
   u64 h_ = 0xCBF29CE484222325ull;
 };
 
-/// Registry of named busy counters; entities register themselves so bench
-/// binaries can print the whole Table 5.1/5.2 row set generically.
+/// View of a device's counters by name: each entry points at a counter a
+/// component owns, so bench binaries can print the whole Table 5.1/5.2 row
+/// set generically. Readers only read; a snapshot load writes through it.
+/// Built on demand; it must not outlive the components it names.
 class StatsRegistry {
  public:
-  BusyCounter& busy(const std::string& name) { return busy_[name]; }
-  StateOccupancy& occupancy(const std::string& name) { return occ_[name]; }
-  const std::map<std::string, BusyCounter>& all_busy() const noexcept { return busy_; }
-  const std::map<std::string, StateOccupancy>& all_occupancy() const noexcept { return occ_; }
-  void reset() {
-    for (auto& [k, v] : busy_) v.reset();
-    for (auto& [k, v] : occ_) v.reset();
+  void add(std::string name, BusyCounter& c) { busy_.emplace(std::move(name), &c); }
+  void add(std::string name, StateOccupancy& o) { occ_.emplace(std::move(name), &o); }
+  const std::map<std::string, BusyCounter*>& all_busy() const& noexcept { return busy_; }
+  const std::map<std::string, StateOccupancy*>& all_occupancy() const& noexcept {
+    return occ_;
   }
+  // A temporary view's maps would dangle: keep the view in a variable.
+  void all_busy() && = delete;
+  void all_occupancy() && = delete;
 
-  /// Checkpoint support (sim/checkpoint.hpp). Components cache references
-  /// into the map nodes (e.g. Rfu::busy_stat_), and many register lazily on
-  /// first use — so a snapshot of a run-in device carries keys a freshly
-  /// built assembly has not looked up yet. Loading restores values in place
-  /// where the key already exists and inserts the rest; std::map nodes are
-  /// stable, so existing cached references survive and later lazy lookups
-  /// land on the restored entry. Which keys belong to which scenario is the
-  /// engine fingerprint's job, not this registry's.
+  /// Checkpoint support (sim/checkpoint.hpp): a count, then (name, value)
+  /// in name order, for the busy counters and then the occupancies. A
+  /// load restores each entry into the counter with that name and refuses
+  /// a name this view does not have.
   template <class Ar>
   void persist(Ar& ar) {
-    persist_in_place(ar, busy_);
-    persist_in_place(ar, occ_);
+    persist_map(ar, busy_);
+    persist_map(ar, occ_);
   }
 
  private:
   template <class Ar, class M>
-  static void persist_in_place(Ar& ar, M& m) {
+  static void persist_map(Ar& ar, M& m) {
     u64 n = m.size();
     ar.io(n);
     if constexpr (Ar::kLoading) {
       for (u64 i = 0; i < n; ++i) {
         std::string key;
         ar.io(key);
-        ar.io(m[key]);
+        const auto it = m.find(key);
+        if (it == m.end()) {
+          throw snap::UnknownRecordError("snapshot rejected: stats record names '" + key +
+                                         "', which this device does not have");
+        }
+        ar.io(*it->second);
       }
     } else {
       for (auto& [k, v] : m) {
         std::string key = k;
         ar.io(key);
-        ar.io(v);
+        ar.io(*v);
       }
     }
   }
-  std::map<std::string, BusyCounter> busy_;
-  std::map<std::string, StateOccupancy> occ_;
+
+  std::map<std::string, BusyCounter*> busy_;
+  std::map<std::string, StateOccupancy*> occ_;
 };
 
 }  // namespace drmp::sim

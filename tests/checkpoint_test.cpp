@@ -12,13 +12,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "drmp/device.hpp"
 #include "scenario/scenario_engine.hpp"
 #include "scenario/scenario_spec.hpp"
 #include "sim/checkpoint.hpp"
+#include "sim/stats.hpp"
 
 namespace drmp::scenario {
 namespace {
@@ -155,6 +158,53 @@ TEST(Checkpoint, CoupledCellsRoundtrip) {
   std::remove(path.c_str());
 }
 
+/// Every device's statistics view, flattened per "<station>/<name>": busy
+/// and total cycles of each busy counter, cycles in each state of each
+/// occupancy.
+std::map<std::string, std::vector<Cycle>> device_statistics(ScenarioEngine& engine) {
+  std::map<std::string, std::vector<Cycle>> out;
+  for (std::size_t i = 0; i < engine.spec().station_count(); ++i) {
+    const sim::StatsRegistry stats = engine.device(i).stats();
+    const std::string dev = std::to_string(i) + "/";
+    for (const auto& [name, c] : stats.all_busy()) {
+      out[dev + name] = {c->busy_cycles(), c->total_cycles()};
+    }
+    for (const auto& [name, o] : stats.all_occupancy()) {
+      std::vector<Cycle>& v = out[dev + name + "#states"];
+      for (int st = 0; st < sim::StateOccupancy::kMaxStates; ++st) {
+        v.push_back(o->cycles_in(st));
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Checkpoint, ResumeRestoresDeviceStatistics) {
+  // No digest covers the busy counters and occupancies, so only a direct
+  // comparison catches a restore that drops or misroutes them.
+  const ScenarioSpec proto = ScenarioSpec::contended_wifi_cell(4, 5, 2);
+  ScenarioEngine base_engine(proto);
+  const FleetStats base = base_engine.run();
+  ASSERT_TRUE(base.all_drained);
+  const auto want = device_statistics(base_engine);
+  // 24 busy counters and 7 occupancies per station, all of them run in.
+  ASSERT_EQ(want.size(), 4u * 31u);
+  for (const auto& [name, v] : want) {
+    if (name.ends_with("#states")) continue;
+    EXPECT_GT(v[1], 0u) << name;
+  }
+
+  const std::string path = tmp_path("ckpt_stats.snap");
+  const Cycle half = aligned(base.lockstep_cycles / 2, proto.lockstep_stride);
+  save_snapshot_at(proto, half, path);
+  ScenarioEngine resumer(proto);
+  resumer.resume(path);
+  const FleetStats resumed = resumer.run();
+  EXPECT_EQ(resumed.full_digest(), base.full_digest());
+  EXPECT_EQ(device_statistics(resumer), want);
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Folded device accounting (ScenarioSpec::fold_device_stats).
 // ---------------------------------------------------------------------------
@@ -271,6 +321,26 @@ TEST(CheckpointFormat, AbsurdElementCountIsRejectedBeforeAllocation) {
   r.expect("v");
   std::vector<u32> v;
   EXPECT_THROW(r.io(v), sim::snap::RecordOverrunError);
+}
+
+TEST(CheckpointFormat, StatsRecordNamingAnUnknownCounterIsRejected) {
+  // A device restores each "stats" entry into the counter of that name; a
+  // name it does not have is refused, not added.
+  sim::Scheduler sched(200e6);
+  DrmpDevice dev(sched, DrmpConfig::standard_three_mode(), 1);
+  sim::StatsRegistry view = dev.stats();
+  sim::BusyCounter stray;
+  stray.sample(true);
+  view.add("rfu.warp_drive", stray);
+  sim::snap::Writer w;
+  w.begin_record("mem");
+  w.io(dev.memory());
+  w.end_record();
+  w.begin_record("stats");
+  w.io(view);
+  w.end_record();
+  sim::snap::Reader r(w.envelope());
+  EXPECT_THROW(dev.load_state(r), sim::snap::UnknownRecordError);
 }
 
 // ---------------------------------------------------------------------------

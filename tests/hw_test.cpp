@@ -75,7 +75,7 @@ TEST(ReconfigMemory, BlobStorage) {
 class BusTest : public ::testing::Test {
  protected:
   PacketMemory mem;
-  PacketBus bus{mem, nullptr};
+  PacketBus bus{mem};
 };
 
 TEST_F(BusTest, PriorityModeAWins) {
@@ -251,7 +251,7 @@ BusRun run_scripted_bus(bool idle_skip) {
   sim::Scheduler sched(200e6);
   sched.set_idle_skip(idle_skip);
   PacketMemory mem;
-  PacketBus bus(mem, nullptr);
+  PacketBus bus(mem);
   using K = BusAction::Kind;
   // C holds the bus while A requests (A waits); C releases mid-run, then
   // A's grant passes through the grant delay to RFU 5 on its trigger.
@@ -357,7 +357,7 @@ StreamRun run_scripted_stream(bool idle_skip, const std::vector<BusAction>& extr
   sim::Scheduler sched(200e6);
   sched.set_idle_skip(idle_skip);
   PacketMemory mem;
-  PacketBus bus(mem, nullptr);
+  PacketBus bus(mem);
   const u32 src = page_base(Mode::A, Page::Raw);
   for (u32 i = 0; i < kRunWords; ++i) mem.write(src + i, i * 2654435761u);
   using K = BusAction::Kind;
@@ -474,7 +474,7 @@ GrantRun run_grant_waits(bool idle_skip) {
   sim::Scheduler sched(200e6);
   sched.set_idle_skip(idle_skip);
   PacketMemory mem;
-  PacketBus bus(mem, nullptr);
+  PacketBus bus(mem);
   using K = BusAction::Kind;
   // C takes the idle bus; B waits behind C and gets a plain grant when C
   // releases; A asks on behalf of RFU 7 behind B and gets the grant-delay

@@ -250,11 +250,12 @@ TEST_F(IrcTest, TaskHandlerStateOccupancyRecorded) {
   ASSERT_TRUE(run_request(Mode::A, {{Op::EncryptRc4,
                                      {page_base(Mode::A, Page::Raw),
                                       page_base(Mode::A, Page::Crypt), 1, 0}}}));
-  const auto& occ = tb_.device().stats().all_occupancy();
+  const sim::StatsRegistry stats = tb_.device().stats();
+  const auto& occ = stats.all_occupancy();
   ASSERT_TRUE(occ.count("irc.thm.A"));
   ASSERT_TRUE(occ.count("irc.thr.A"));
   // The TH_M must have spent cycles outside IDLE.
-  const auto& thm = occ.at("irc.thm.A");
+  const sim::StateOccupancy& thm = *occ.at("irc.thm.A");
   Cycle non_idle = thm.total() - thm.cycles_in(static_cast<int>(irc::ThMState::Idle));
   EXPECT_GT(non_idle, 0u);
 }
@@ -280,16 +281,17 @@ class IrcSkipTally : public sim::SchedulerObserver {
 /// and the bus's cycle, hold and wait counters, flattened for comparison.
 std::vector<Cycle> irc_and_bus_counters(DrmpDevice& dev) {
   std::vector<Cycle> v;
-  for (const auto& [name, occ] : dev.stats().all_occupancy()) {
+  const sim::StatsRegistry stats = dev.stats();
+  for (const auto& [name, occ] : stats.all_occupancy()) {
     if (name.rfind("irc.", 0) != 0) continue;
     for (int s = 0; s < sim::StateOccupancy::kMaxStates; ++s) {
-      v.push_back(occ.cycles_in(s));
+      v.push_back(occ->cycles_in(s));
     }
   }
-  for (const auto& [name, busy] : dev.stats().all_busy()) {
+  for (const auto& [name, busy] : stats.all_busy()) {
     if (name.rfind("irc.", 0) != 0) continue;
-    v.push_back(busy.busy_cycles());
-    v.push_back(busy.total_cycles());
+    v.push_back(busy->busy_cycles());
+    v.push_back(busy->total_cycles());
   }
   const hw::PacketBus& bus = dev.bus();
   v.push_back(bus.busy_cycles());
@@ -359,7 +361,8 @@ WaitPhase wait_through_run(bool idle_skip, u32 words) {
   EXPECT_TRUE(tb.run_until(both_done(2), 100'000));
   r.cycles = tb.scheduler().now() - t0;
   r.irc_executed = idle_skip ? r.cycles - (tally.skipped - skipped0) : r.cycles;
-  r.b_wait4pbus = dev.stats().all_occupancy().at("irc.thm.B").cycles_in(
+  const sim::StatsRegistry stats = dev.stats();
+  r.b_wait4pbus = stats.all_occupancy().at("irc.thm.B")->cycles_in(
       static_cast<int>(irc::ThMState::Wait4Pbus));
   r.counters = irc_and_bus_counters(dev);
   EXPECT_EQ(mem.read_page_bytes(Mode::A, Page::Scratch), payload(2 * words));

@@ -43,13 +43,12 @@ Bytes payload(std::size_t n, u8 seed = 3) {
 
 /// Drives a single RFU the way a TH_M does.
 struct RfuRig {
-  RfuRig() : sched(200e6), bus(mem, &stats), tb(200e6) {}
+  RfuRig() : sched(200e6), bus(mem), tb(200e6) {}
 
   Rfu::Env env() {
     Rfu::Env e;
     e.bus = &bus;
     e.rmem = &rmem;
-    e.stats = &stats;
     e.timebase = &tb;
     return e;
   }
@@ -97,7 +96,6 @@ struct RfuRig {
 
   sim::Scheduler sched;
   hw::PacketMemory mem;
-  sim::StatsRegistry stats;
   hw::PacketBus bus;
   hw::ReconfigMemory rmem;
   sim::TimeBase tb;
@@ -415,9 +413,9 @@ JobCost run_job(Job job, u32 words, bool idle_skip) {
     c.counters.push_back(rig.bus.mode_hold_cycles(m));
     c.counters.push_back(rig.bus.mode_wait_cycles(m));
   }
-  for (const auto& [name, b] : rig.stats.all_busy()) {
-    c.counters.push_back(b.busy_cycles());
-    c.counters.push_back(b.total_cycles());
+  for (const sim::BusyCounter* b : {&unit->busy_counter(), &fcs.busy_counter()}) {
+    c.counters.push_back(b->busy_cycles());
+    c.counters.push_back(b->total_cycles());
   }
   const Bytes out = job == Job::TxFcs    ? txbuf.pop().bytes
                     : job == Job::Frag   ? rig.mem.read_page_bytes(Mode::A, Page::Scratch)
@@ -506,16 +504,17 @@ struct TxRig : RfuRig {
     bus.persist(ar);
     mem.persist(ar);
     buf.persist(ar);
-    stats.persist(ar);
+    ar.io(tx.busy_counter());
+    ar.io(fcs.busy_counter());
   }
   /// Finishes the frame; returns every counter and the staged frame.
   std::vector<u64> finish() {
     EXPECT_TRUE(sched.run_until([&] { return tx.done(); }, 10'000));
     std::vector<u64> c = {sched.now(), bus.busy_cycles(), bus.total_cycles(),
                           bus.mode_hold_cycles(Mode::A), tx.busy_cycles(), fcs.busy_cycles()};
-    for (const auto& [name, b] : stats.all_busy()) {
-      c.push_back(b.busy_cycles());
-      c.push_back(b.total_cycles());
+    for (const sim::BusyCounter* b : {&tx.busy_counter(), &fcs.busy_counter()}) {
+      c.push_back(b->busy_cycles());
+      c.push_back(b->total_cycles());
     }
     const Bytes frame = buf.pop().bytes;
     c.insert(c.end(), frame.begin(), frame.end());
@@ -859,14 +858,12 @@ std::vector<u64> drive_crypto_script(bool skip, u64 seed) {
   sim::Scheduler sched(200e6);
   sched.set_idle_skip(skip);
   hw::PacketMemory mem;
-  sim::StatsRegistry stats;
-  hw::PacketBus bus(mem, &stats);
+  hw::PacketBus bus(mem);
   hw::ReconfigMemory rmem;
   sim::TimeBase tb(200e6);
   Rfu::Env env;
   env.bus = &bus;
   env.rmem = &rmem;
-  env.stats = &stats;
   env.timebase = &tb;
   CryptoRfu crypto(env);
   sched.add(bus, "bus");

@@ -447,15 +447,6 @@ TEST(Stats, StateOccupancyRange) {
   EXPECT_THROW(r.io(occ), std::out_of_range);
 }
 
-TEST(Stats, LatencyPercentiles) {
-  LatencyStats l;
-  for (int i = 1; i <= 100; ++i) l.add(i);
-  EXPECT_DOUBLE_EQ(l.min(), 1.0);
-  EXPECT_DOUBLE_EQ(l.max(), 100.0);
-  EXPECT_DOUBLE_EQ(l.mean(), 50.5);
-  EXPECT_NEAR(l.percentile(0.5), 50.0, 1.0);
-}
-
 TEST(Stats, BulkSamplesMatchLoopedSamples) {
   BusyCounter a, b;
   for (int i = 0; i < 37; ++i) a.sample(true);

@@ -44,7 +44,7 @@ class ProbeRfu final : public StreamingRfu {
 
 class StreamingTest : public ::testing::Test {
  protected:
-  StreamingTest() : sched(200e6), bus(mem, nullptr), tb(200e6) {
+  StreamingTest() : sched(200e6), bus(mem), tb(200e6) {
     Rfu::Env env;
     env.bus = &bus;
     env.rmem = &rmem;
@@ -231,7 +231,7 @@ PortBRun run_port_b(bool idle_skip) {
   sim::Scheduler sched(200e6);
   sched.set_idle_skip(idle_skip);
   hw::PacketMemory mem;
-  hw::PacketBus bus(mem, nullptr);
+  hw::PacketBus bus(mem);
   hw::ReconfigMemory rmem;
   sim::TimeBase tb(200e6);
   Rfu::Env env;
