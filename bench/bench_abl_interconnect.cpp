@@ -8,7 +8,6 @@
 // is the interconnect"): synthetic N-flow workloads derived from the measured
 // per-mode demand, swept until the single bus saturates.
 #include "bench_common.hpp"
-#include "hw/bus_trace.hpp"
 #include "hw/interconnect_models.hpp"
 
 int main() {
@@ -21,14 +20,14 @@ int main() {
 
   // ---- Capture the live three-mode demand. ----
   Testbench tb;
-  hw::BusTraceRecorder rec;
+  obs::FlightRecorder rec;
   tb.device().bus().attach_recorder(&rec);
   run_three_mode_tx(tb, 4, 1200);
-  rec.finish(tb.device().bus().total_cycles());
-  const auto flows = hw::to_flow_trace(rec.transactions());
+  const auto tenures = hw::bus_transactions(rec, tb.device().bus().total_cycles());
+  const auto flows = hw::to_flow_trace(tenures);
   const auto& tbase = tb.device().timebase();
 
-  std::cout << "Captured " << rec.size() << " bus tenures over "
+  std::cout << "Captured " << tenures.size() << " bus tenures over "
             << Table::num(tbase.cycles_to_us(tb.device().bus().total_cycles()), 1)
             << " us of three-mode traffic (measured single-bus utilization "
             << Table::num(100.0 * static_cast<double>(tb.device().bus().busy_cycles()) /

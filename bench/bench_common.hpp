@@ -18,6 +18,7 @@
 
 #include "drmp/testbench.hpp"
 #include "est/report.hpp"
+#include "obs/trace_export.hpp"
 #include "scenario/fleet_stats.hpp"
 
 namespace drmp::bench {
@@ -149,32 +150,45 @@ inline double median_rate(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-/// Samples system activity every cycle into trace channels so the bench can
-/// render the waveforms of Figs. 5.1-5.7 (the Simulink-scope stand-in).
-/// Register it last so it observes the completed cycle.
+/// Samples system activity every cycle into signal tracks so the bench can
+/// render the waveforms of Figs. 5.1-5.7 (the Simulink-scope stand-in). It
+/// owns the recorder the figure benches read, which also holds the task
+/// handlers' state tracks. Register it last so it observes the completed
+/// cycle.
 class Probe : public sim::Clockable {
  public:
-  explicit Probe(Testbench& tb) : tb_(tb) {}
+  explicit Probe(Testbench& tb) : tb_(tb) {
+    DrmpDevice& dev = tb.device();
+    dev.attach_signals(&rec_);
+    cpu_ = rec_.track("cpu");
+    bus_ = rec_.track("bus");
+    for (const rfu::Rfu* r : dev.rfus()) rfus_.push_back(rec_.track("rfu." + r->name()));
+    for (std::size_t i = 0; i < kNumModes; ++i) {
+      if (!tb.config().modes[i].enabled) continue;
+      const Mode m = mode_from_index(i);
+      media_.emplace_back(m, rec_.track("medium." + std::string(to_string(m))));
+    }
+  }
 
   void tick() override {
     const Cycle now = tb_.scheduler().now();
-    auto& tr = tb_.device().trace();
-    auto& dev = tb_.device();
-    tr.channel("cpu").record(now, dev.cpu().busy() ? 1 : 0);
+    DrmpDevice& dev = tb_.device();
+    rec_.signal(now, cpu_, dev.cpu().busy() ? 1 : 0);
     const auto& grant = dev.bus().grant();
-    tr.channel("bus").record(now, grant.kind == hw::PacketBus::MasterKind::None
-                                      ? 0
-                                      : static_cast<int>(index(grant.mode)) + 1);
-    for (const rfu::Rfu* r : dev.rfus()) {
-      tr.channel("rfu." + r->name()).record(now, r->busy() ? (r->reconfiguring() ? 2 : 1) : 0);
+    rec_.signal(now, bus_, grant.kind == hw::PacketBus::MasterKind::None
+                               ? 0
+                               : static_cast<int>(index(grant.mode)) + 1);
+    for (std::size_t i = 0; i < rfus_.size(); ++i) {
+      const rfu::Rfu* r = dev.rfus()[i];
+      rec_.signal(now, rfus_[i], r->busy() ? (r->reconfiguring() ? 2 : 1) : 0);
     }
-    for (std::size_t i = 0; i < kNumModes; ++i) {
-      if (!tb_.config().modes[i].enabled) continue;
-      const Mode m = mode_from_index(i);
-      tr.channel("medium." + std::string(to_string(m)))
-          .record(now, tb_.medium(m).busy() ? 1 : 0);
+    for (const auto& [m, track] : media_) {
+      rec_.signal(now, track, tb_.medium(m).busy() ? 1 : 0);
     }
   }
+
+  Testbench& testbench() const { return tb_; }
+  const obs::FlightRecorder& recorder() const { return rec_; }
 
   /// Registers the probe with the testbench scheduler.
   static Probe& attach(Testbench& tb) {
@@ -186,6 +200,11 @@ class Probe : public sim::Clockable {
 
  private:
   Testbench& tb_;
+  obs::FlightRecorder rec_;
+  u16 cpu_ = 0;
+  u16 bus_ = 0;
+  std::vector<u16> rfus_;  ///< Parallel to DrmpDevice::rfus().
+  std::vector<std::pair<Mode, u16>> media_;
 };
 
 inline Bytes make_payload(std::size_t n, u8 seed = 1) {
@@ -195,7 +214,8 @@ inline Bytes make_payload(std::size_t n, u8 seed = 1) {
 }
 
 /// Prints the ASCII waveform of the standard entity set over [from, to).
-inline void print_waveform(Testbench& tb, Cycle from, Cycle to) {
+inline void print_waveform(const Probe& probe, Cycle from, Cycle to) {
+  Testbench& tb = probe.testbench();
   std::vector<std::string> chans = {"cpu", "bus"};
   for (const rfu::Rfu* r : tb.device().rfus()) chans.push_back("rfu." + r->name());
   for (std::size_t i = 0; i < kNumModes; ++i) {
@@ -207,30 +227,30 @@ inline void print_waveform(Testbench& tb, Cycle from, Cycle to) {
             << tb.device().timebase().cycles_to_us(from) << " us .. "
             << tb.device().timebase().cycles_to_us(to)
             << " us   ('.'=idle, 1=busy, 2=reconfiguring; bus column = holding mode)\n";
-  std::cout << tb.device().trace().ascii_waveform(chans, from, to, 110);
+  std::cout << obs::ascii_waveform(probe.recorder(), chans, from, to, 110);
 }
 
 /// Prints the busy-time table (Tables 5.1 / 5.2 format): entity, busy us,
 /// busy % over the window.
-inline void print_busy_table(Testbench& tb, Cycle from, Cycle to, const std::string& title) {
+inline void print_busy_table(const Probe& probe, Cycle from, Cycle to,
+                             const std::string& title) {
+  Testbench& tb = probe.testbench();
   const auto& tbs = tb.device().timebase();
   est::Table t({"Entity", "Busy (us)", "Busy (%)"});
-  auto add = [&](const std::string& name, Cycle busy) {
+  auto add = [&](const std::string& name, const std::string& track) {
+    const Cycle busy = obs::active_cycles(probe.recorder(), track, from, to);
     const double pct = 100.0 * static_cast<double>(busy) / static_cast<double>(to - from);
     t.add_row({name, est::Table::num(tbs.cycles_to_us(busy)), est::Table::num(pct)});
   };
-  auto& tr = tb.device().trace();
-  add("CPU", tr.channel("cpu").active_cycles(from, to));
-  add("Packet bus", tr.channel("bus").active_cycles(from, to));
-  for (const rfu::Rfu* r : tb.device().rfus()) {
-    add("RFU " + r->name(), tr.channel("rfu." + r->name()).active_cycles(from, to));
-  }
+  add("CPU", "cpu");
+  add("Packet bus", "bus");
+  for (const rfu::Rfu* r : tb.device().rfus()) add("RFU " + r->name(), "rfu." + r->name());
   for (std::size_t i = 0; i < kNumModes; ++i) {
     if (!tb.config().modes[i].enabled) continue;
     const Mode m = mode_from_index(i);
     add("Medium " + std::string(to_string(m)) + " (" +
             mac::to_string(tb.config().modes[i].ident.proto) + ")",
-        tr.channel("medium." + std::string(to_string(m))).active_cycles(from, to));
+        "medium." + std::string(to_string(m)));
   }
   std::cout << title << "  (window " << est::Table::num(tbs.cycles_to_us(to - from), 1)
             << " us)\n";

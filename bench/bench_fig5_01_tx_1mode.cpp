@@ -9,7 +9,7 @@ int main() {
   using namespace drmp::bench;
 
   Testbench tb;
-  Probe::attach(tb);
+  const Probe& probe = Probe::attach(tb);
 
   std::cout << "=== Fig 5.1: Packet Transmission - 1 Mode (WiFi, 1500 B MSDU, "
                "frag thr 1024 B, 200 MHz) ===\n\n";
@@ -21,9 +21,9 @@ int main() {
   std::cout << "outcome: completed=" << out.completed << " success=" << out.success
             << "  MSDU->ACKed latency = " << est::Table::num(out.latency_us, 1)
             << " us (2 fragments, DCF access + air time dominated)\n\n";
-  print_waveform(tb, t0, t1 + 2000);
+  print_waveform(probe, t0, t1 + 2000);
   std::cout << "\n";
-  print_busy_table(tb, t0, t1, "Entity busy time during the transmission");
+  print_busy_table(probe, t0, t1, "Entity busy time during the transmission");
 
   std::cout << "\npeer: data frames received = "
             << tb.peer(Mode::A).received_data_frames().size()

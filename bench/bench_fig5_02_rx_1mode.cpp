@@ -9,7 +9,7 @@ int main() {
   using namespace drmp::bench;
 
   Testbench tb;
-  Probe::attach(tb);
+  const Probe& probe = Probe::attach(tb);
 
   std::cout << "=== Fig 5.2: Packet Reception - 1 Mode (WiFi, 1200 B MSDU) ===\n\n";
   const Bytes msdu = make_payload(1200);
@@ -29,8 +29,8 @@ int main() {
             << (ack_start >= rx_end + 2000 && ack_start <= rx_end + 2010 ? "MET exactly"
                                                                           : "violated!")
             << ")\n\n";
-  print_waveform(tb, t0, t1 + 4000);
+  print_waveform(probe, t0, t1 + 4000);
   std::cout << "\n";
-  print_busy_table(tb, t0, t1, "Entity busy time during the reception");
+  print_busy_table(probe, t0, t1, "Entity busy time during the reception");
   return 0;
 }

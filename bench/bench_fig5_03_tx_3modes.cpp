@@ -9,7 +9,7 @@ int main() {
   using namespace drmp::bench;
 
   Testbench tb;
-  Probe::attach(tb);
+  const Probe& probe = Probe::attach(tb);
 
   std::cout << "=== Fig 5.3: Packet Transmission - 3 Concurrent Modes "
                "(WiFi + WiMAX + UWB, 1000 B each) ===\n\n";
@@ -30,8 +30,8 @@ int main() {
   }
   std::cout << "crypto RFU reconfigurations (packet-by-packet switching): "
             << tb.device().crypto_rfu().reconfig_count() << "\n\n";
-  print_waveform(tb, t0, t1);
+  print_waveform(probe, t0, t1);
   std::cout << "\n";
-  print_busy_table(tb, t0, t1, "Entity busy time, 3-mode transmission");
+  print_busy_table(probe, t0, t1, "Entity busy time, 3-mode transmission");
   return 0;
 }

@@ -9,7 +9,7 @@ int main() {
   using namespace drmp::bench;
 
   Testbench tb;
-  Probe::attach(tb);
+  const Probe& probe = Probe::attach(tb);
 
   std::cout << "=== Fig 5.4: Packet Reception - 3 Concurrent Modes ===\n\n";
   const Bytes ma = make_payload(800, 1), mb = make_payload(800, 2), mc = make_payload(800, 3);
@@ -36,8 +36,8 @@ int main() {
   std::cout << "  UWB   intact=" << (tb.delivered(Mode::C)[0] == mc) << "\n";
   std::cout << "autonomous ACKs generated (no CPU involvement): "
             << tb.device().ack_rfu().acks_generated() << " (WiFi + UWB)\n\n";
-  print_waveform(tb, t0, t1 + 4000);
+  print_waveform(probe, t0, t1 + 4000);
   std::cout << "\n";
-  print_busy_table(tb, t0, t1, "Entity busy time, 3-mode reception");
+  print_busy_table(probe, t0, t1, "Entity busy time, 3-mode reception");
   return 0;
 }

@@ -10,7 +10,7 @@ int main() {
   using namespace drmp::bench;
 
   Testbench tb;
-  Probe::attach(tb);
+  const Probe& probe = Probe::attach(tb);
 
   std::cout << "=== Fig 5.5: Task-Handler-for-MAC (TH_M) timing diagram, "
                "3-mode transmission ===\n\n";
@@ -23,14 +23,14 @@ int main() {
     std::cout << s << "=" << to_string(static_cast<irc::ThMState>(s)) << " ";
   }
   std::cout << "\n\n";
-  std::cout << tb.device().trace().ascii_waveform({"thm.A", "thm.B", "thm.C"}, t0, t1, 110);
+  std::cout << obs::ascii_waveform(probe.recorder(), {"thm.A", "thm.B", "thm.C"}, t0, t1, 110);
 
   // Per-mode TH_M activity summary.
   est::Table t({"TH_M", "Active cycles", "Active (us)", "Requests completed"});
   for (std::size_t i = 0; i < kNumModes; ++i) {
     const Mode m = mode_from_index(i);
-    const auto& ch = tb.device().trace().channel("thm." + std::string(to_string(m)));
-    const Cycle act = ch.active_cycles(t0, t1);
+    const Cycle act = obs::active_cycles(probe.recorder(),
+                                         "thm." + std::string(to_string(m)), t0, t1);
     t.add_row({to_string(m), std::to_string(act),
                est::Table::num(tb.device().timebase().cycles_to_us(act)),
                std::to_string(tb.device().irc().handler(m).requests_completed())});

@@ -9,7 +9,7 @@ int main() {
   using namespace drmp::bench;
 
   Testbench tb;
-  Probe::attach(tb);
+  const Probe& probe = Probe::attach(tb);
 
   std::cout << "=== Fig 5.6: Task-Handler-for-Reconfiguration (TH_R) timing "
                "diagram, 3-mode transmission ===\n\n";
@@ -22,7 +22,7 @@ int main() {
     std::cout << s << "=" << to_string(static_cast<irc::ThRState>(s)) << " ";
   }
   std::cout << "\n\n";
-  std::cout << tb.device().trace().ascii_waveform({"thr.A", "thr.B", "thr.C"}, t0, t1, 110);
+  std::cout << obs::ascii_waveform(probe.recorder(), {"thr.A", "thr.B", "thr.C"}, t0, t1, 110);
 
   std::cout << "\nRC reconfigurations performed: "
             << tb.device().irc().rc().reconfigs_performed() << "\n";

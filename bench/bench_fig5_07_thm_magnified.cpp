@@ -10,7 +10,7 @@ int main() {
   using namespace drmp::bench;
 
   Testbench tb;
-  Probe::attach(tb);
+  const Probe& probe = Probe::attach(tb);
 
   std::cout << "=== Fig 5.7: TH_M timing diagram (magnified, mode A, first "
                "request) ===\n\n";
@@ -33,17 +33,17 @@ int main() {
     std::cout << s << "=" << to_string(static_cast<irc::ThMState>(s)) << " ";
   }
   std::cout << "\n\n";
-  std::cout << tb.device().trace().ascii_waveform(
-      {"thm.A", "thr.A", "bus", "rfu.seq", "rfu.crypto"}, t0, t1, 110);
+  std::cout << obs::ascii_waveform(probe.recorder(),
+                                   {"thm.A", "thr.A", "bus", "rfu.seq", "rfu.crypto"},
+                                   t0, t1, 110);
 
   // State-by-state transition log for the window.
   std::cout << "\ntransition log (cycle: state):\n";
-  const auto& ch = tb.device().trace().channel("thm.A");
   int printed = 0;
-  for (const auto& e : ch.events()) {
+  for (const obs::Event& e : obs::track_events(probe.recorder(), "thm.A")) {
     if (e.cycle < t0 || e.cycle >= t1) continue;
     std::cout << "  " << e.cycle << ": "
-              << to_string(static_cast<irc::ThMState>(e.value)) << "\n";
+              << to_string(static_cast<irc::ThMState>(e.a)) << "\n";
     if (++printed > 40) {
       std::cout << "  ...\n";
       break;

@@ -7,13 +7,13 @@ int main() {
   using namespace drmp::bench;
 
   Testbench tb;
-  Probe::attach(tb);
+  const Probe& probe = Probe::attach(tb);
   std::cout << "=== Table 5.1: Busy Time of Various Entities in DRMP During "
                "Transmission ===\n\n";
   const Cycle t0 = tb.scheduler().now();
   run_three_mode_tx(tb, 1, 1000);
   const Cycle t1 = tb.scheduler().now();
-  print_busy_table(tb, t0, t1, "3-mode transmission (1000 B per mode)");
+  print_busy_table(probe, t0, t1, "3-mode transmission (1000 B per mode)");
 
   // IRC controllers (busy = non-IDLE), from the device's statistics view.
   const sim::StatsRegistry stats = tb.device().stats();

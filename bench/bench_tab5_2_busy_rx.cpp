@@ -7,7 +7,7 @@ int main() {
   using namespace drmp::bench;
 
   Testbench tb;
-  Probe::attach(tb);
+  const Probe& probe = Probe::attach(tb);
   std::cout << "=== Table 5.2: Busy Time of Various Entities in DRMP During "
                "Reception ===\n\n";
 
@@ -24,7 +24,7 @@ int main() {
       },
       400'000'000);
   const Cycle t1 = tb.scheduler().now();
-  print_busy_table(tb, t0, t1, "3-mode reception (1000 B per mode)");
+  print_busy_table(probe, t0, t1, "3-mode reception (1000 B per mode)");
 
   std::cout << "\nautonomous path counters: event-handler frames="
             << tb.device().event_handler().rx_frames_handled(Mode::A) +

@@ -9,7 +9,6 @@
 #include <cstdlib>
 
 #include "drmp/testbench.hpp"
-#include "hw/bus_trace.hpp"
 #include "hw/interconnect_models.hpp"
 
 int main(int argc, char** argv) {
@@ -18,7 +17,7 @@ int main(int argc, char** argv) {
 
   // 1. Capture: three concurrent protocol streams on the real single bus.
   Testbench tb;
-  hw::BusTraceRecorder rec;
+  obs::FlightRecorder rec;
   tb.device().bus().attach_recorder(&rec);
   for (u32 p = 0; p < 3; ++p) {
     for (Mode m : {Mode::A, Mode::B, Mode::C}) {
@@ -28,10 +27,10 @@ int main(int argc, char** argv) {
     }
   }
   for (Mode m : {Mode::A, Mode::B, Mode::C}) tb.wait_tx_count(m, 3, 4'000'000'000ull);
-  rec.finish(tb.device().bus().total_cycles());
-  const auto flows = hw::to_flow_trace(rec.transactions());
+  const auto tenures = hw::bus_transactions(rec, tb.device().bus().total_cycles());
+  const auto flows = hw::to_flow_trace(tenures);
   std::printf("captured %zu bus tenures from a 3-mode run (%.1f us)\n\n",
-              rec.size(),
+              tenures.size(),
               tb.device().timebase().cycles_to_us(tb.device().bus().total_cycles()));
 
   // 2. Replay through each topology.

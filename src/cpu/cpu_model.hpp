@@ -93,7 +93,7 @@ class CpuModel : public sim::Clockable {
   // ---- Instrumentation ----
   bool busy() const noexcept {
     settle_self();
-    return now_ < busy_until_;
+    return now() < busy_until_;
   }
   Cycle busy_cycles() const noexcept {
     settle_self();
@@ -130,11 +130,11 @@ class CpuModel : public sim::Clockable {
   /// Checkpoint support (sim/checkpoint.hpp). The timer min-heap vector
   /// travels verbatim — heap layout is deterministic for a given arm/cancel
   /// history, so restoring it byte-for-byte preserves pop order. Handlers
-  /// are wiring; the busy counter's total travels in the device's "stats"
-  /// record.
+  /// are wiring. The busy counter also travels in the device's "stats"
+  /// record; its total is the clock and leads this record.
   template <class Ar>
   void persist(Ar& ar) {
-    ar.io(now_);
+    ar.io(busy_.total_slot());  // The clock (see now()).
     ar.io(busy_until_);
     ar.io(busy_.busy_slot());
     ar.io(isr_count_);
@@ -198,7 +198,7 @@ class CpuModel : public sim::Clockable {
     }
   };
 
-  void dispatch(const PendingIsr& job, bool is_preemption);
+  void dispatch(const PendingIsr& job, bool is_preemption, Cycle now);
   /// Index into pending_ of the best dispatchable request, or npos.
   std::size_t best_pending() const;
   /// Index into pending_ of the request that pre-empts the running handler
@@ -212,8 +212,11 @@ class CpuModel : public sim::Clockable {
                               0.5);
   }
 
+  /// The model's clock: the index of its next tick, which is the busy
+  /// counter's total (it samples once per tick or skipped cycle).
+  Cycle now() const noexcept { return busy_.total_cycles(); }
+
   Config cfg_;
-  Cycle now_ = 0;
   Cycle busy_until_ = 0;
   sim::BusyCounter busy_;
   u64 isr_count_ = 0;

@@ -97,7 +97,6 @@ DrmpDevice::DrmpDevice(sim::Scheduler& sched, DrmpConfig cfg, int station_id)
   irc::Irc::Env irc_env;
   irc_env.bus = bus_.get();
   irc_env.mem = &mem_;
-  irc_env.trace = cfg_.trace_enabled ? &trace_ : nullptr;
   irc_ = std::make_unique<irc::Irc>(irc_env);
   irc_->rfu_table().set_queue_policy(cfg_.rfu_queue_priority
                                          ? irc::RfuTable::QueuePolicy::Priority
@@ -314,6 +313,10 @@ void DrmpDevice::set_flight_recorder(obs::FlightRecorder* rec, u16 track) {
     navs_[i].set_recorder(rec, track);
     if (phy_txs_[i] != nullptr) phy_txs_[i]->set_recorder(rec, track);
   }
+}
+
+void DrmpDevice::attach_signals(obs::FlightRecorder* rec) {
+  for (Mode m : {Mode::A, Mode::B, Mode::C}) irc_->handler(m).attach_trace(rec);
 }
 
 sim::StatsRegistry DrmpDevice::stats() {

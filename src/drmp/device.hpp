@@ -35,7 +35,6 @@
 #include "rfu/tx_rfu.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/stats.hpp"
-#include "sim/trace.hpp"
 
 namespace drmp {
 
@@ -55,10 +54,6 @@ struct DrmpConfig {
   /// instead of the oldest. Off (FCFS) in the thesis prototype.
   bool rfu_queue_priority = false;
   u16 backoff_seed = 0xACE1;
-  /// Task-handler state channels (thr.* / thm.*) in trace(). Fleet
-  /// assemblers set this false: the IRC then gets no trace recorder, so
-  /// no channel grows and no event is recorded.
-  bool trace_enabled = true;
   std::array<ModeConfig, kNumModes> modes{};
 
   /// The thesis prototype assignment: mode A = WiFi, B = WiMAX, C = UWB,
@@ -101,7 +96,6 @@ class DrmpDevice {
   /// "rfu.<name>"), built on each call. The view points into the
   /// components: keep it in a variable, and no longer than the device.
   sim::StatsRegistry stats();
-  sim::TraceRecorder& trace() { return trace_; }
   const sim::TimeBase& timebase() const { return tb_; }
   const DrmpConfig& config() const { return cfg_; }
   int station_id() const { return station_id_; }
@@ -136,6 +130,11 @@ class DrmpDevice {
   /// defers/EIFS, frame expiries) onto one flight-recorder track. Call after
   /// every enabled mode's attach_medium; null detaches.
   void set_flight_recorder(obs::FlightRecorder* rec, u16 track);
+  /// Logs every task handler's statecharts onto `rec`'s signal tracks
+  /// "thr.<mode>" and "thm.<mode>" (Figs. 5.5-5.7), each opening with its
+  /// chart's state at the attach cycle; null detaches. Fleet cells attach
+  /// none.
+  void attach_signals(obs::FlightRecorder* rec);
 
   // ---- Checkpoint support (sim/checkpoint.hpp) ----
   /// Serializes every mutable component of the SoC as nested named records
@@ -154,7 +153,6 @@ class DrmpDevice {
   DrmpConfig cfg_;
   int station_id_;
   sim::TimeBase tb_;
-  sim::TraceRecorder trace_;
 
   hw::PacketMemory mem_;
   hw::ReconfigMemory rmem_;

@@ -9,7 +9,7 @@ PacketBus::PacketBus(PacketMemory& mem) : mem_(mem) {}
 void PacketBus::request_for_irc(Mode m) {
   wake_self();  // An asserted request line re-enters arbitration next tick.
   auto& r = requests_[index(m)];
-  if (recorder_ != nullptr && !r.active) recorder_->on_request(m, busy_.total_cycles());
+  if (recorder_ != nullptr && !r.active) trace(obs::EventKind::kBusRequest, m);
   r.active = true;
   r.for_rfu = false;
   r.rfu_id = 0xFF;
@@ -18,7 +18,7 @@ void PacketBus::request_for_irc(Mode m) {
 void PacketBus::request_for_rfu(Mode m, u8 rfu_id) {
   wake_self();
   auto& r = requests_[index(m)];
-  if (recorder_ != nullptr && !r.active) recorder_->on_request(m, busy_.total_cycles());
+  if (recorder_ != nullptr && !r.active) trace(obs::EventKind::kBusRequest, m);
   r.active = true;
   r.for_rfu = true;
   r.rfu_id = rfu_id;
@@ -29,7 +29,7 @@ void PacketBus::release(Mode m) {
   assert(override_stack_.empty() &&
          "bus released by IRC while a grant override is outstanding");
   if (recorder_ != nullptr && requests_[index(m)].active) {
-    recorder_->on_release(m, busy_.total_cycles());
+    trace(obs::EventKind::kBusRelease, m);
   }
   requests_[index(m)] = ModeRequest{};
 }
@@ -39,9 +39,7 @@ Word PacketBus::read(u32 addr) {
   assert(grant_.kind != MasterKind::None && "bus read without a master");
   assert(!accessed_this_cycle_ && "second bus access in one cycle");
   accessed_this_cycle_ = true;
-  if (recorder_ != nullptr) {
-    recorder_->on_access(grant_origin_mode(), busy_.total_cycles(), /*rfu_region=*/false);
-  }
+  if (recorder_ != nullptr) trace(obs::EventKind::kBusAccess, grant_origin_mode());
   return mem_.read(addr);
 }
 
@@ -52,7 +50,7 @@ void PacketBus::write(u32 addr, Word data) {
   accessed_this_cycle_ = true;
   if (recorder_ != nullptr) {
     const bool rfu_region = addr == kOverrideAddr || triggers_.decodes(addr);
-    recorder_->on_access(grant_origin_mode(), busy_.total_cycles(), rfu_region);
+    trace(obs::EventKind::kBusAccess, grant_origin_mode(), rfu_region ? 1 : 0);
   }
 
   if (addr == kOverrideAddr) {
@@ -88,7 +86,9 @@ void PacketBus::declare_run(sim::Clockable* master, Cycle n) {
 
 void PacketBus::read_run(u32 addr, std::span<Word> out) const {
   assert(grant_.kind == MasterKind::Rfu && "word run without an RFU master");
-  if (recorder_ != nullptr) recorder_->on_run(grant_origin_mode(), out.size());
+  if (recorder_ != nullptr) {
+    trace(obs::EventKind::kBusRun, grant_origin_mode(), static_cast<i64>(out.size()));
+  }
   mem_.read_words(addr, out);
 }
 
@@ -97,7 +97,9 @@ void PacketBus::write_run(u32 addr, std::span<const Word> in) {
   assert(addr != kOverrideAddr && !triggers_.decodes(addr) &&
          !triggers_.decodes(addr + static_cast<u32>(in.size()) - 1) &&
          "a word run writes packet memory only");
-  if (recorder_ != nullptr) recorder_->on_run(grant_origin_mode(), in.size());
+  if (recorder_ != nullptr) {
+    trace(obs::EventKind::kBusRun, grant_origin_mode(), static_cast<i64>(in.size()));
+  }
   mem_.write_words(addr, in);
 }
 

@@ -22,10 +22,10 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "hw/bus_trace.hpp"
 #include "hw/memory_map.hpp"
 #include "hw/packet_memory.hpp"
 #include "hw/trigger.hpp"
+#include "obs/flight_recorder.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/stats.hpp"
 
@@ -153,9 +153,14 @@ class PacketBus : public sim::Clockable {
   /// "packet_bus"). Raw: the caller settles.
   sim::BusyCounter& busy_counter() noexcept { return busy_; }
 
-  /// Attaches a transaction recorder for interconnect exploration
-  /// (§3.6.3/§7.1 alternatives); pass nullptr to detach.
-  void attach_recorder(BusTraceRecorder* r) noexcept { recorder_ = r; }
+  /// Logs request, release, access and word-run events onto `r`'s
+  /// "packet_bus" signal track for interconnect exploration (§3.6.3/§7.1
+  /// alternatives; hw::bus_transactions replays them); pass nullptr to
+  /// detach.
+  void attach_recorder(obs::FlightRecorder* r) {
+    recorder_ = r;
+    if (r != nullptr) track_ = r->track("packet_bus");
+  }
 
   /// Checkpoint support (sim/checkpoint.hpp). The arbiter state machine,
   /// the trigger latches and every cycle counter travel; the memory and
@@ -191,12 +196,18 @@ class PacketBus : public sim::Clockable {
   enum class HoldFate : u8 { Drop, Keep, Promote };
   HoldFate hold_fate() const;
   Mode grant_origin_mode() const;
+  /// Logs a bus event on the recorder's track, stamped with the raw cycle
+  /// count (every input settles it first; a run logs at its settle point).
+  void trace(obs::EventKind kind, Mode m, i64 b = 0) const {
+    recorder_->log(busy_.total_cycles(), kind, track_, index(m), b);
+  }
   void arbitrate();
   /// Adds n post-arbitration cycles of hold and wait counts.
   void account_hold(Cycle n);
 
   PacketMemory& mem_;
-  BusTraceRecorder* recorder_ = nullptr;
+  obs::FlightRecorder* recorder_ = nullptr;
+  u16 track_ = 0;
   sim::Clockable* grant_waker_ = nullptr;
   RfuTriggerLogic triggers_;
 

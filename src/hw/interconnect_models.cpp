@@ -1,10 +1,61 @@
 #include "hw/interconnect_models.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <deque>
+#include <optional>
 
 namespace drmp::hw {
+
+std::vector<BusTransaction> bus_transactions(const obs::FlightRecorder& rec,
+                                             Cycle end) {
+  rec.require_signal_history();
+  std::vector<BusTransaction> done;
+  const std::optional<u16> track = rec.find_track("packet_bus");
+  if (!track) return done;
+  std::array<std::optional<BusTransaction>, kNumModes> open;
+  const auto close = [&](std::optional<BusTransaction>& t, Cycle now) {
+    if (!t) return;
+    // A tenure that moved no words still occupied the arbiter for its span;
+    // give it a one-cycle footprint at the release point.
+    if (t->words == 0) t->first_access = t->last_access = now;
+    done.push_back(*t);
+    t.reset();
+  };
+  for (const obs::Event& ev : rec.signal_events(*track)) {
+    std::optional<BusTransaction>& t = open[static_cast<std::size_t>(ev.a)];
+    if (ev.kind == obs::EventKind::kBusRelease) {
+      close(t, ev.cycle);
+    } else if (ev.kind == obs::EventKind::kBusRun) {
+      // A run continues a tenure whose declaring access was recorded, one
+      // word per cycle after it.
+      if (!t) continue;
+      t->last_access += static_cast<Cycle>(ev.b);
+      t->words += static_cast<u32>(ev.b);
+      t->touched_mem = true;
+    } else {
+      // A request opens a tenure unless one is open (a re-assertion); so
+      // does an access outside one (e.g. a recorder attached mid-run), so
+      // the demand is not lost.
+      if (!t) {
+        t = BusTransaction{mode_from_index(static_cast<std::size_t>(ev.a)),
+                           ev.cycle, ev.cycle, ev.cycle};
+      }
+      if (ev.kind != obs::EventKind::kBusAccess) continue;
+      if (t->words == 0) t->first_access = ev.cycle;
+      t->last_access = ev.cycle;
+      ++t->words;
+      (ev.b != 0 ? t->touched_rfu : t->touched_mem) = true;
+    }
+  }
+  for (std::optional<BusTransaction>& t : open) close(t, end);
+  std::sort(done.begin(), done.end(),
+            [](const BusTransaction& a, const BusTransaction& b) {
+              return a.request < b.request;
+            });
+  return done;
+}
 
 std::vector<FlowTx> to_flow_trace(std::span<const BusTransaction> trace) {
   std::vector<FlowTx> out;

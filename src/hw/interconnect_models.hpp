@@ -9,7 +9,8 @@
 // results, with lower resources but with some additional control operations
 // involved." (§3.6.3)
 //
-// These models replay a recorded single-bus workload (hw/bus_trace.hpp)
+// These models replay a recorded single-bus workload (the bus tenures that
+// PacketBus::attach_recorder logs, rebuilt by bus_transactions below)
 // through each alternative topology and report the contention each flow would
 // see, so the architectural trade the thesis defers to future work can be
 // quantified on the real demand pattern. The replay preserves each flow's
@@ -24,9 +25,39 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "hw/bus_trace.hpp"
+#include "obs/flight_recorder.hpp"
 
 namespace drmp::hw {
+
+/// One bus tenure by one mode: from the task handler raising its request
+/// line to its release, with the data-phase profile observed in between.
+struct BusTransaction {
+  Mode mode = Mode::A;
+  Cycle request = 0;       ///< Cycle the request line went active.
+  Cycle first_access = 0;  ///< First data-phase cycle (== request if none).
+  Cycle last_access = 0;   ///< Last data-phase cycle.
+  u32 words = 0;           ///< Word transfers performed during the tenure.
+  bool touched_mem = false;  ///< Any access hit the packet memory.
+  bool touched_rfu = false;  ///< Any access decoded as RFU trigger/argument.
+  bool operator==(const BusTransaction&) const = default;
+
+  /// Cycles the master held the bus without moving a word (RFU-internal
+  /// processing, trigger hand-off) — these do not shrink with bus width.
+  Cycle stall_cycles() const {
+    if (words == 0) return 0;
+    const Cycle span = last_access - first_access + 1;
+    return span > words ? span - words : 0;
+  }
+};
+
+/// Replays the "packet_bus" track of `rec` (PacketBus::attach_recorder)
+/// into the bus tenures it records, ordered by request cycle. A request
+/// re-asserted within an open tenure does not split it; an access outside
+/// one opens it; a word run extends its tenure's last access; tenures still
+/// open at `end` close there. Throws std::runtime_error if the recorder's
+/// signal domain dropped events.
+std::vector<BusTransaction> bus_transactions(const obs::FlightRecorder& rec,
+                                             Cycle end);
 
 /// A replayable transaction, decoupled from the 3-mode `Mode` type so the
 /// same machinery drives the N-flow scaling study (§3.1 footnote: "nothing in

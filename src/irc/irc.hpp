@@ -21,7 +21,6 @@
 #include "irc/reconf_controller.hpp"
 #include "irc/task_handler.hpp"
 #include "sim/stats.hpp"
-#include "sim/trace.hpp"
 
 namespace drmp::irc {
 
@@ -39,7 +38,6 @@ class Irc : public sim::Clockable {
   struct Env {
     hw::PacketBus* bus = nullptr;
     hw::PacketMemory* mem = nullptr;  ///< Interface-register access (direct).
-    sim::TraceRecorder* trace = nullptr;
   };
 
   explicit Irc(Env env);
@@ -90,7 +88,7 @@ class Irc : public sim::Clockable {
   /// a flag says one may be rung: the doorbell watch sets it, a poll
   /// clears it (every doorbell reads zero after a poll's accepting
   /// writes), and a checkpoint load sets it. A sleeping IRC changes no
-  /// chart state, so the task handlers' change-only trace channels lose
+  /// chart state, so the task handlers' change-only signal tracks lose
   /// nothing, and the bus cycle counter they stamp settles on read.
   Cycle quiescent_for() const override;
   void skip_idle(Cycle n) override;

@@ -103,16 +103,23 @@ void TaskHandler::complete_request() {
   if (on_complete) on_complete(mode_, req_);
 }
 
-TaskHandler::TaskHandler(Mode mode, ThEnv env) : mode_(mode), env_(env) {
-  if (env_.trace == nullptr) return;
-  // The state channels open with the charts' reset state, before the bus's
-  // first cycle, so a trace reads the same whether the IRC's first ticks
-  // ran or were slept through.
+TaskHandler::TaskHandler(Mode mode, ThEnv env) : mode_(mode), env_(env) {}
+
+void TaskHandler::attach_trace(obs::FlightRecorder* rec) {
+  trace_ = rec;
+  if (rec == nullptr) return;
+  // The tracks open with the charts' current state, so a trace reads the
+  // same whether the IRC's next ticks run or are slept through. At cycle 0
+  // that is the reset state.
   const std::string m = to_string(mode_);
-  sinks_.thr_chan = &env_.trace->channel("thr." + m);
-  sinks_.thm_chan = &env_.trace->channel("thm." + m);
-  sinks_.thr_chan->record(0, static_cast<int>(ThRState::Idle));
-  sinks_.thm_chan->record(0, static_cast<int>(ThMState::Idle));
+  thr_track_ = rec->track("thr." + m);
+  thm_track_ = rec->track("thm." + m);
+  trace_states(env_.bus->total_cycles());
+}
+
+void TaskHandler::trace_states(Cycle now) {
+  trace_->signal(now, thr_track_, static_cast<int>(thr_state_));
+  trace_->signal(now, thm_track_, static_cast<int>(thm_state_));
 }
 
 Cycle TaskHandler::quiescent_for_bound() const noexcept {
@@ -188,12 +195,8 @@ void TaskHandler::tick() {
   thm_occ_.sample(static_cast<int>(thm_state_));
   thr_busy_.sample(thr_state_ != ThRState::Idle);
   thm_busy_.sample(thm_state_ != ThMState::Idle);
-  if (sinks_.thr_chan != nullptr) {
-    // Recorded every tick; the channel stores change events only.
-    const Cycle now = env_.bus->total_cycles();
-    sinks_.thr_chan->record(now, static_cast<int>(thr_state_));
-    sinks_.thm_chan->record(now, static_cast<int>(thm_state_));
-  }
+  // Recorded every tick; the tracks store change events only.
+  if (trace_ != nullptr) trace_states(env_.bus->total_cycles());
 }
 
 // --------------------------------------------------------------------- TH_R

@@ -19,9 +19,9 @@
 #include "hw/bus.hpp"
 #include "irc/reconf_controller.hpp"
 #include "irc/tables.hpp"
+#include "obs/flight_recorder.hpp"
 #include "rfu/rfu.hpp"
 #include "sim/stats.hpp"
-#include "sim/trace.hpp"
 
 namespace drmp::irc {
 
@@ -94,7 +94,6 @@ struct ThEnv {
   hw::PacketBus* bus = nullptr;
   std::array<rfu::Rfu*, hw::kMaxRfus>* rfus = nullptr;
   std::array<TaskHandler*, kNumModes>* handlers = nullptr;  ///< WAKE routing.
-  sim::TraceRecorder* trace = nullptr;
 };
 
 class TaskHandler : public sim::Clockable {
@@ -125,9 +124,14 @@ class TaskHandler : public sim::Clockable {
   /// or the bus's per-cycle access slot and returns 0.
   Cycle quiescent_for_bound() const noexcept;
   /// Bulk-accounts n skipped ticks (constant-Idle occupancy/busy samples).
-  /// Trace channels store change events only, so a skipped constant-state
+  /// Signal tracks store change events only, so a skipped constant-state
   /// stretch records exactly what the per-tick path would.
   void skip_idle(Cycle n) override;
+
+  /// Logs both statecharts onto `rec`'s "thr.<mode>" and "thm.<mode>"
+  /// signal tracks from now on, opening each with its chart's current
+  /// state at the bus's cycle count; null detaches.
+  void attach_trace(obs::FlightRecorder* rec);
 
   ThRState thr_state() const noexcept { return thr_state_; }
   ThMState thm_state() const noexcept { return thm_state_; }
@@ -143,7 +147,7 @@ class TaskHandler : public sim::Clockable {
   }
 
   /// Checkpoint support (sim/checkpoint.hpp): both statecharts and the
-  /// in-flight request context. The trace channels are wiring; the
+  /// in-flight request context. The trace recorder is wiring; the
   /// counters travel in the device's "stats" record.
   template <class Ar>
   void persist(Ar& ar) {
@@ -173,6 +177,7 @@ class TaskHandler : public sim::Clockable {
   void thm_request_redo(std::size_t idx);
   void release_rfu_and_wake(u8 rfu_id);
   void complete_request();
+  void trace_states(Cycle now);
 
   Mode mode_;
   ThEnv env_;
@@ -202,11 +207,10 @@ class TaskHandler : public sim::Clockable {
   sim::BusyCounter thm_busy_;
   sim::StateOccupancy thr_occ_;
   sim::StateOccupancy thm_occ_;
-  /// State trace channels, set by the constructor (null: no trace).
-  struct Sinks {
-    sim::TraceChannel* thr_chan = nullptr;
-    sim::TraceChannel* thm_chan = nullptr;
-  } sinks_;
+  /// Statechart signal tracks (attach_trace; null: no trace).
+  obs::FlightRecorder* trace_ = nullptr;
+  u16 thr_track_ = 0;
+  u16 thm_track_ = 0;
 };
 
 }  // namespace drmp::irc

@@ -261,11 +261,8 @@ DrmpConfig Cell::shared_identity(const DrmpConfig& cfg, std::size_t local_index)
 void Cell::build_station(std::size_t local_index, u64 scenario_seed) {
   const scenario::DeviceSpec& dspec = spec_.stations[local_index];
   const int station_id = first_station_id_ + static_cast<int>(local_index);
-  DrmpConfig cfg =
+  const DrmpConfig cfg =
       shared() ? shared_identity(dspec.cfg, local_index) : dspec.cfg;
-  // No task-handler trace channels in fleets: nothing reads them, and
-  // their event vectors would grow with every station.
-  cfg.trace_enabled = false;
 
   auto st = std::make_unique<Station>();
   st->station_id = station_id;

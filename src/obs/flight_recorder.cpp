@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace drmp::obs {
 
@@ -30,6 +31,11 @@ const char* to_string(EventKind k) noexcept {
     case EventKind::kRateChange: return "rate_change";
     case EventKind::kSkipSpan: return "skip_span";
     case EventKind::kFastForward: return "fast_forward";
+    case EventKind::kSignal: return "signal";
+    case EventKind::kBusRequest: return "bus_request";
+    case EventKind::kBusRelease: return "bus_release";
+    case EventKind::kBusAccess: return "bus_access";
+    case EventKind::kBusRun: return "bus_run";
   }
   return "?";
 }
@@ -60,6 +66,12 @@ u16 FlightRecorder::track(const std::string& name) {
   return id;
 }
 
+std::optional<u16> FlightRecorder::find_track(const std::string& name) const {
+  const auto it = track_ids_.find(name);
+  if (it == track_ids_.end()) return std::nullopt;
+  return it->second;
+}
+
 void FlightRecorder::Ring::push(const Event& ev, std::size_t capacity) {
   if (buf.size() < capacity) {
     buf.push_back(ev);
@@ -80,11 +92,55 @@ void FlightRecorder::Ring::append_to(std::vector<Event>& out) const {
 void FlightRecorder::log(Cycle cycle, EventKind kind, u16 track, i64 a,
                          i64 b) {
   const Event ev{cycle, track, kind, a, b};
-  (protocol_domain(kind) ? proto_ : exec_).push(ev, capacity_);
+  if (kind >= EventKind::kSignal) {
+    push_signal(ev);
+  } else {
+    (protocol_domain(kind) ? proto_ : exec_).push(ev, capacity_);
+  }
+}
+
+void FlightRecorder::push_signal(const Event& ev) {
+  if (signal_size_ >= capacity_) {
+    ++signal_dropped_;
+    return;
+  }
+  if (ev.track >= signals_.size()) signals_.resize(ev.track + std::size_t{1});
+  signals_[ev.track].push_back(ev);
+  ++signal_size_;
+}
+
+void FlightRecorder::signal(Cycle cycle, u16 track, i64 value) {
+  if (track < signals_.size() && !signals_[track].empty()) {
+    std::vector<Event>& evs = signals_[track];
+    if (evs.back().a == value) return;
+    if (evs.back().cycle == cycle) {
+      evs.back().a = value;
+      // Collapse if the overwrite made it equal to its predecessor.
+      if (evs.size() >= 2 && evs[evs.size() - 2].a == value) {
+        evs.pop_back();
+        --signal_size_;
+      }
+      return;
+    }
+  }
+  push_signal({cycle, track, EventKind::kSignal, value, 0});
+}
+
+void FlightRecorder::require_signal_history() const {
+  if (signal_dropped_ == 0) return;
+  throw std::runtime_error(
+      "FlightRecorder: the signal domain dropped " +
+      std::to_string(signal_dropped_) + " events past its capacity of " +
+      std::to_string(capacity_) + "; raise the capacity to read its history");
+}
+
+std::span<const Event> FlightRecorder::signal_events(u16 track) const {
+  if (track >= signals_.size()) return {};
+  return signals_[track];
 }
 
 std::size_t FlightRecorder::size() const noexcept {
-  return proto_.buf.size() + exec_.buf.size();
+  return proto_.buf.size() + exec_.buf.size() + signal_size_;
 }
 
 std::vector<Event> FlightRecorder::events() const {
@@ -92,6 +148,9 @@ std::vector<Event> FlightRecorder::events() const {
   out.reserve(size());
   proto_.append_to(out);
   exec_.append_to(out);
+  for (const std::vector<Event>& evs : signals_) {
+    out.insert(out.end(), evs.begin(), evs.end());
+  }
   return out;
 }
 

@@ -8,6 +8,11 @@
 // Perfetto track per station/medium) and a deterministic text timeline for
 // golden tests.
 //
+// The signal domain stands in for the thesis's Simulink scopes (Figs.
+// 5.1-5.7): change events on named tracks, and the packet bus's tenure
+// events. Its loggers are null checks, not DRMP_OBS, so a compiled-out
+// build still renders every figure.
+//
 // Determinism contract (the reason the recorder can sit in golden tests):
 // protocol-domain events are logged only from executed component ticks, at
 // the exact cycle a protocol edge occurs. The quiescence machinery
@@ -17,11 +22,16 @@
 // worker_threads {1,0} x idle_skip on/off. Execution-domain events
 // (skip spans, fast-forwards) describe the engine itself, differ across
 // those knobs by construction, and are segregated so exporters can keep
-// them out of golden comparisons.
+// them out of golden comparisons. Signal changes read the same with
+// idle-skip on or off; bus events split a tenure into accesses and word
+// runs per skip mode but replay into the same tenures. No golden surface
+// reads either.
 #pragma once
 
 #include <cstddef>
 #include <map>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,12 +65,18 @@ enum class EventKind : u8 {
   // ---- Execution domain: engine introspection, varies with skip/workers --
   kSkipSpan,        // b = skipped cycles (span)
   kFastForward,     // b = globally-quiescent cycles (span)
+  // ---- Signal domain: scope traces, deterministic across skip modes ------
+  kSignal,          // a = value (a change event, FlightRecorder::signal)
+  kBusRequest,      // a = mode index whose request line rose
+  kBusRelease,      // a = mode index whose request line fell
+  kBusAccess,       // a = origin mode index, b = 1 if an RFU trigger/argument
+  kBusRun,          // a = origin mode index, b = words of a declared run
 };
 
 const char* to_string(EventKind k) noexcept;
 
 /// True for events that describe the simulated protocol (stable across
-/// execution strategies); false for engine-execution events.
+/// execution strategies); false for engine-execution and signal events.
 bool protocol_domain(EventKind k) noexcept;
 
 /// True for events whose `b` field is a duration (rendered as a Chrome
@@ -73,6 +89,7 @@ struct Event {
   EventKind kind;
   i64 a;
   i64 b;
+  bool operator==(const Event&) const = default;
 };
 
 class FlightRecorder {
@@ -89,18 +106,33 @@ class FlightRecorder {
   const std::vector<std::string>& tracks() const noexcept {
     return track_names_;
   }
+  /// The id of a registered track, without registering it.
+  std::optional<u16> find_track(const std::string& name) const;
 
   void log(Cycle cycle, EventKind kind, u16 track, i64 a = 0, i64 b = 0);
 
+  /// Records a kSignal change: `value` if it differs from the track's last
+  /// value. A second record in the same cycle overwrites that event (also
+  /// once the domain is full), and collapses it into an equal predecessor.
+  void signal(Cycle cycle, u16 track, i64 value);
+
   std::size_t size() const noexcept;
-  std::size_t capacity() const noexcept { return capacity_; }
-  /// Events overwritten after their ring filled (oldest-first eviction).
-  u64 dropped() const noexcept { return proto_.dropped + exec_.dropped; }
+  /// Events lost to a full domain: overwritten in a ring (oldest-first
+  /// eviction) or refused by the signal domain.
+  u64 dropped() const noexcept {
+    return proto_.dropped + exec_.dropped + signal_dropped_;
+  }
+  /// Throws std::runtime_error naming the dropped count if the signal
+  /// domain refused events: a cut-short history reads as a quiet signal.
+  void require_signal_history() const;
+
+  /// The signal-domain events of one track, oldest first.
+  std::span<const Event> signal_events(u16 track) const;
 
   /// The retained events: the protocol-domain ring oldest-first, then the
-  /// execution-domain ring oldest-first. Consumers that need a merged
-  /// timeline sort by cycle; the golden text exporter only reads the
-  /// protocol prefix anyway.
+  /// execution-domain ring oldest-first, then the signal domain track by
+  /// track. Consumers that need a merged timeline sort by cycle; the golden
+  /// text exporter only reads the protocol prefix anyway.
   std::vector<Event> events() const;
 
  private:
@@ -117,8 +149,15 @@ class FlightRecorder {
     void push(const Event& ev, std::size_t capacity);
     void append_to(std::vector<Event>& out) const;
   };
+  void push_signal(const Event& ev);
   Ring proto_;
   Ring exec_;
+  // The signal domain keeps its first `capacity_` events and refuses the
+  // rest: a waveform needs its history from the start. One vector per
+  // track, so a query reads one track and an overwrite edits its last event.
+  std::vector<std::vector<Event>> signals_;
+  std::size_t signal_size_ = 0;
+  u64 signal_dropped_ = 0;
   std::size_t capacity_;
   std::vector<std::string> track_names_;
   std::map<std::string, u16> track_ids_;

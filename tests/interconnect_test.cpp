@@ -1,30 +1,50 @@
-// Interconnect-model tests (§3.6.3/§7.1 alternatives): the bus-trace
-// recorder's transaction building, and the replay models' arbitration,
-// width scaling, multi-bus parallelism and segmented-bus concurrency —
-// including a live-capture validation against the real single bus.
+// Interconnect-model tests (§3.6.3/§7.1 alternatives): the bus-tenure
+// replay of a recorder's packet_bus track, and the replay models'
+// arbitration, width scaling, multi-bus parallelism and segmented-bus
+// concurrency — including a live-capture validation against the real
+// single bus.
 #include <gtest/gtest.h>
 
 #include "drmp/testbench.hpp"
-#include "hw/bus_trace.hpp"
 #include "hw/interconnect_models.hpp"
 
 namespace drmp::hw {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Recorder unit tests.
+// Tenure replay unit tests: hand-logged bus events, as PacketBus logs them.
 // ---------------------------------------------------------------------------
 
-TEST(BusTraceRecorderTest, BuildsTransactionFromRequestAccessRelease) {
-  BusTraceRecorder rec;
-  rec.on_request(Mode::B, 100);
-  rec.on_access(Mode::B, 104, /*rfu_region=*/true);
-  rec.on_access(Mode::B, 105, /*rfu_region=*/false);
-  rec.on_access(Mode::B, 109, /*rfu_region=*/false);
-  rec.on_release(Mode::B, 110);
-  rec.finish(110);
-  ASSERT_EQ(rec.size(), 1u);
-  const BusTransaction& t = rec.transactions()[0];
+class BusLog {
+ public:
+  void request(Mode m, Cycle now) { log(now, obs::EventKind::kBusRequest, m); }
+  void release(Mode m, Cycle now) { log(now, obs::EventKind::kBusRelease, m); }
+  void access(Mode m, Cycle now, bool rfu_region) {
+    log(now, obs::EventKind::kBusAccess, m, rfu_region ? 1 : 0);
+  }
+  void run(Mode m, Cycle now, std::size_t n) {
+    log(now, obs::EventKind::kBusRun, m, static_cast<i64>(n));
+  }
+  std::vector<BusTransaction> finish(Cycle end) const { return bus_transactions(rec_, end); }
+
+ private:
+  void log(Cycle now, obs::EventKind kind, Mode m, i64 b = 0) {
+    rec_.log(now, kind, track_, static_cast<i64>(index(m)), b);
+  }
+  obs::FlightRecorder rec_;
+  u16 track_ = rec_.track("packet_bus");
+};
+
+TEST(BusTenureReplayTest, BuildsTransactionFromRequestAccessRelease) {
+  BusLog rec;
+  rec.request(Mode::B, 100);
+  rec.access(Mode::B, 104, /*rfu_region=*/true);
+  rec.access(Mode::B, 105, /*rfu_region=*/false);
+  rec.access(Mode::B, 109, /*rfu_region=*/false);
+  rec.release(Mode::B, 110);
+  const auto tenures = rec.finish(110);
+  ASSERT_EQ(tenures.size(), 1u);
+  const BusTransaction& t = tenures[0];
   EXPECT_EQ(t.mode, Mode::B);
   EXPECT_EQ(t.request, 100u);
   EXPECT_EQ(t.first_access, 104u);
@@ -36,49 +56,49 @@ TEST(BusTraceRecorderTest, BuildsTransactionFromRequestAccessRelease) {
   EXPECT_EQ(t.stall_cycles(), 3u);
 }
 
-TEST(BusTraceRecorderTest, ReassertionDoesNotSplitTenure) {
-  BusTraceRecorder rec;
-  rec.on_request(Mode::A, 10);
-  rec.on_request(Mode::A, 12);  // IRC re-request within the same tenure.
-  rec.on_access(Mode::A, 13, false);
-  rec.on_release(Mode::A, 14);
-  rec.finish(20);
-  ASSERT_EQ(rec.size(), 1u);
-  EXPECT_EQ(rec.transactions()[0].request, 10u);
+TEST(BusTenureReplayTest, ReassertionDoesNotSplitTenure) {
+  BusLog rec;
+  rec.request(Mode::A, 10);
+  rec.request(Mode::A, 12);  // IRC re-request within the same tenure.
+  rec.access(Mode::A, 13, false);
+  rec.release(Mode::A, 14);
+  const auto tenures = rec.finish(20);
+  ASSERT_EQ(tenures.size(), 1u);
+  EXPECT_EQ(tenures[0].request, 10u);
 }
 
-TEST(BusTraceRecorderTest, ConcurrentModesTrackedIndependently) {
-  BusTraceRecorder rec;
-  rec.on_request(Mode::A, 10);
-  rec.on_request(Mode::B, 11);
-  rec.on_access(Mode::A, 12, false);
-  rec.on_release(Mode::A, 13);
-  rec.on_access(Mode::B, 14, false);
-  rec.on_release(Mode::B, 15);
-  rec.finish(20);
-  ASSERT_EQ(rec.size(), 2u);
-  EXPECT_EQ(rec.transactions()[0].mode, Mode::A);
-  EXPECT_EQ(rec.transactions()[1].mode, Mode::B);
+TEST(BusTenureReplayTest, ConcurrentModesTrackedIndependently) {
+  BusLog rec;
+  rec.request(Mode::A, 10);
+  rec.request(Mode::B, 11);
+  rec.access(Mode::A, 12, false);
+  rec.release(Mode::A, 13);
+  rec.access(Mode::B, 14, false);
+  rec.release(Mode::B, 15);
+  const auto tenures = rec.finish(20);
+  ASSERT_EQ(tenures.size(), 2u);
+  EXPECT_EQ(tenures[0].mode, Mode::A);
+  EXPECT_EQ(tenures[1].mode, Mode::B);
 }
 
-TEST(BusTraceRecorderTest, FinishClosesOpenTenures) {
-  BusTraceRecorder rec;
-  rec.on_request(Mode::C, 5);
-  rec.on_access(Mode::C, 6, false);
-  rec.finish(9);
-  ASSERT_EQ(rec.size(), 1u);
-  EXPECT_EQ(rec.transactions()[0].words, 1u);
+TEST(BusTenureReplayTest, FinishClosesOpenTenures) {
+  BusLog rec;
+  rec.request(Mode::C, 5);
+  rec.access(Mode::C, 6, false);
+  const auto tenures = rec.finish(9);
+  ASSERT_EQ(tenures.size(), 1u);
+  EXPECT_EQ(tenures[0].words, 1u);
 }
 
-TEST(BusTraceRecorderTest, WordRunExtendsTheOpenTenure) {
-  BusTraceRecorder rec;
-  rec.on_request(Mode::A, 10);
-  rec.on_access(Mode::A, 12, /*rfu_region=*/true);
-  rec.on_run(Mode::A, 5);  // Cycles 13..17.
-  rec.on_release(Mode::A, 18);
-  rec.finish(20);
-  ASSERT_EQ(rec.size(), 1u);
-  const BusTransaction& t = rec.transactions()[0];
+TEST(BusTenureReplayTest, WordRunExtendsTheOpenTenure) {
+  BusLog rec;
+  rec.request(Mode::A, 10);
+  rec.access(Mode::A, 12, /*rfu_region=*/true);
+  rec.run(Mode::A, 17, 5);  // Cycles 13..17.
+  rec.release(Mode::A, 18);
+  const auto tenures = rec.finish(20);
+  ASSERT_EQ(tenures.size(), 1u);
+  const BusTransaction& t = tenures[0];
   EXPECT_EQ(t.words, 6u);
   EXPECT_EQ(t.first_access, 12u);
   EXPECT_EQ(t.last_access, 17u);
@@ -87,22 +107,28 @@ TEST(BusTraceRecorderTest, WordRunExtendsTheOpenTenure) {
   EXPECT_EQ(t.stall_cycles(), 0u);
 }
 
-TEST(BusTraceRecorderTest, SplitRunEqualsOneRun) {
+TEST(BusTenureReplayTest, SplitRunEqualsOneRun) {
   auto record = [](std::initializer_list<std::size_t> settles) {
-    BusTraceRecorder rec;
-    rec.on_request(Mode::B, 0);
-    rec.on_access(Mode::B, 3, /*rfu_region=*/false);
-    for (std::size_t n : settles) rec.on_run(Mode::B, n);
-    rec.on_access(Mode::B, 11, /*rfu_region=*/false);
-    rec.on_release(Mode::B, 12);
-    rec.finish(12);
-    return rec.transactions();
+    BusLog rec;
+    rec.request(Mode::B, 0);
+    rec.access(Mode::B, 3, /*rfu_region=*/false);
+    Cycle at = 3;
+    for (std::size_t n : settles) rec.run(Mode::B, at += n, n);
+    rec.access(Mode::B, 11, /*rfu_region=*/false);
+    rec.release(Mode::B, 12);
+    return rec.finish(12);
   };
   const auto whole = record({7});
   EXPECT_EQ(record({3, 4}), whole);
   ASSERT_EQ(whole.size(), 1u);
   EXPECT_EQ(whole[0].words, 9u);
   EXPECT_EQ(whole[0].stall_cycles(), 0u);
+}
+
+TEST(BusTenureReplayTest, NoBusTrackReplaysToNothing) {
+  obs::FlightRecorder rec;
+  rec.signal(0, rec.track("bus"), 1);  // The figure probe's grant signal.
+  EXPECT_TRUE(bus_transactions(rec, 10).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -249,7 +275,7 @@ TEST(ReplayTest, LabelsAndWireCosts) {
 
 TEST(InterconnectLiveTest, RecorderCapturesRealRunAndReplayIsConsistent) {
   Testbench tb;
-  BusTraceRecorder rec;
+  obs::FlightRecorder rec;
   tb.device().bus().attach_recorder(&rec);
 
   Bytes payload(700);
@@ -260,15 +286,15 @@ TEST(InterconnectLiveTest, RecorderCapturesRealRunAndReplayIsConsistent) {
   ASSERT_TRUE(tb.wait_tx_count(Mode::A, 1, 600'000'000));
   ASSERT_TRUE(tb.wait_tx_count(Mode::B, 1, 600'000'000));
   ASSERT_TRUE(tb.wait_tx_count(Mode::C, 1, 600'000'000));
-  rec.finish(tb.device().bus().total_cycles());
+  const auto tenures = bus_transactions(rec, tb.device().bus().total_cycles());
 
-  ASSERT_GT(rec.size(), 10u) << "expected many bus tenures in a 3-mode run";
+  ASSERT_GT(tenures.size(), 10u) << "expected many bus tenures in a 3-mode run";
 
   // Every mode contributed transactions, and recorded words match the bus's
   // own busy accounting (each busy cycle is exactly one word transfer).
   u64 words = 0;
   bool seen[kNumModes] = {};
-  for (const auto& t : rec.transactions()) {
+  for (const auto& t : tenures) {
     words += t.words;
     seen[index(t.mode)] = true;
     EXPECT_GE(t.first_access, t.request);
@@ -280,11 +306,11 @@ TEST(InterconnectLiveTest, RecorderCapturesRealRunAndReplayIsConsistent) {
   // Replaying the capture on the single-bus model reproduces per-flow hold
   // exactly (hold = words + stall by construction) and a makespan consistent
   // with the live run.
-  const auto flows = to_flow_trace(rec.transactions());
+  const auto flows = to_flow_trace(tenures);
   const auto res = replay_interconnect(flows, {});
   for (std::size_t i = 0; i < kNumModes; ++i) {
     Cycle expect_hold = 0;
-    for (const auto& t : rec.transactions()) {
+    for (const auto& t : tenures) {
       if (index(t.mode) == i) {
         expect_hold += std::max<Cycle>(1, std::max<u32>(1, t.words) + t.stall_cycles());
       }

@@ -5,6 +5,7 @@
 // observes without changing execution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <string_view>
@@ -12,9 +13,10 @@
 
 #include "crypto/crc.hpp"
 #include "drmp/testbench.hpp"
-#include "hw/bus_trace.hpp"
 #include "hw/ctrl_layout.hpp"
+#include "hw/interconnect_models.hpp"
 #include "irc/irc.hpp"
+#include "obs/trace_export.hpp"
 #include "rfu/rfu_ids.hpp"
 #include "sim/checkpoint.hpp"
 
@@ -513,47 +515,51 @@ TEST(IrcSleep, SnapshotWithARungUnpolledDoorbellResumesExactly) {
 // ------------------------------------------- tracing observes, never steers
 
 /// What one three-mode transmit leaves behind: the execution cost, the
-/// counters, the task handlers' state channels and the bus tenures.
+/// counters, the task handlers' state tracks and the bus tenures.
 struct TracedRun {
   u64 ticks_executed = 0;
   std::vector<Cycle> counters;
-  std::map<std::string, std::vector<sim::TraceEvent>> handler_events;
+  std::map<std::string, std::vector<obs::Event>> handler_events;
   std::vector<hw::BusTransaction> transactions;
 };
 
-TracedRun three_mode_tx(bool trace, bool bus_recorder, bool idle_skip) {
-  DrmpConfig cfg = DrmpConfig::standard_three_mode();
-  cfg.trace_enabled = trace;
-  Testbench tb(cfg);
+/// Runs the transmit; when `traced`, one recorder is attached to the task
+/// handlers and the bus after `attach_at` cycles.
+TracedRun three_mode_tx(bool traced, bool idle_skip, Cycle attach_at = 0) {
+  obs::FlightRecorder rec;  // Outlives the device that logs into it.
+  Testbench tb(DrmpConfig::standard_three_mode());
   tb.scheduler().set_idle_skip(idle_skip);
-  hw::BusTraceRecorder rec;
-  if (bus_recorder) tb.device().bus().attach_recorder(&rec);
   for (Mode m : {Mode::A, Mode::B, Mode::C}) {
     tb.send_async(m, payload(400, static_cast<u8>(index(m) + 1)));
+  }
+  DrmpDevice& dev = tb.device();
+  if (traced) {
+    if (attach_at > 0) tb.run_cycles(attach_at);
+    dev.attach_signals(&rec);
+    dev.bus().attach_recorder(&rec);
   }
   for (Mode m : {Mode::A, Mode::B, Mode::C}) {
     EXPECT_TRUE(tb.wait_tx_count(m, 1, 600'000'000));
   }
-  DrmpDevice& dev = tb.device();
-  rec.finish(dev.bus().total_cycles());
   TracedRun r;
   r.ticks_executed = tb.scheduler().ticks_executed();
   r.counters = irc_and_bus_counters(dev);
   for (const char* kind : {"thr.", "thm."}) {
     for (Mode m : {Mode::A, Mode::B, Mode::C}) {
       const std::string name = kind + std::string(to_string(m));
-      r.handler_events[name] = dev.trace().channel(name).events();
+      const std::span<const obs::Event> evs = obs::track_events(rec, name);
+      r.handler_events[name].assign(evs.begin(), evs.end());
     }
   }
-  r.transactions = rec.transactions();
+  r.transactions = hw::bus_transactions(rec, dev.bus().total_cycles());
   return r;
 }
 
 TEST(TraceObserver, TracingDoesNotChangeExecution) {
-  const TracedRun traced = three_mode_tx(true, true, true);
-  const TracedRun bare = three_mode_tx(false, false, true);
-  const TracedRun every = three_mode_tx(true, true, false);
-  // A live scope and a bus recorder leave the sleeping path as it is.
+  const TracedRun traced = three_mode_tx(true, true);
+  const TracedRun bare = three_mode_tx(false, true);
+  const TracedRun every = three_mode_tx(true, false);
+  // Live signal tracks and bus events leave the sleeping path as it is.
   EXPECT_EQ(traced.ticks_executed, bare.ticks_executed);
   EXPECT_EQ(traced.counters, bare.counters);
   EXPECT_LT(traced.ticks_executed, every.ticks_executed);
@@ -568,13 +574,40 @@ TEST(TraceObserver, TracingDoesNotChangeExecution) {
   u64 words = 0;
   for (const hw::BusTransaction& t : traced.transactions) words += t.words;
   EXPECT_GT(words, 300u);
-}
-
-TEST(TraceObserver, DisabledDeviceRecordsNoHandlerEvents) {
-  const TracedRun bare = three_mode_tx(false, false, true);
+  // An unattached device records nothing.
   for (const auto& [name, events] : bare.handler_events) {
     EXPECT_TRUE(events.empty()) << name;
   }
+  EXPECT_TRUE(bare.transactions.empty());
+}
+
+TEST(TraceObserver, MidRunAttachOpensEachTrackWithTheCurrentState) {
+  const TracedRun whole = three_mode_tx(true, true);
+  // Attach a few cycles after TH_M.A first leaves Idle.
+  const std::vector<obs::Event>& thm_a = whole.handler_events.at("thm.A");
+  ASSERT_GT(thm_a.size(), 2u);
+  const Cycle at = thm_a[1].cycle + 5;
+  const TracedRun late = three_mode_tx(true, true, at);
+  EXPECT_EQ(late.counters, whole.counters);
+  bool any_active = false;
+  for (const auto& [name, events] : whole.handler_events) {
+    const std::vector<obs::Event>& opened = late.handler_events.at(name);
+    ASSERT_FALSE(opened.empty()) << name;
+    // The track opens at the attach cycle with the state the whole trace
+    // holds there...
+    const auto after = std::upper_bound(
+        events.begin(), events.end(), at,
+        [](Cycle c, const obs::Event& e) { return c < e.cycle; });
+    ASSERT_NE(after, events.begin()) << name;
+    EXPECT_EQ(opened[0].cycle, at) << name;
+    EXPECT_EQ(opened[0].a, std::prev(after)->a) << name;
+    any_active |= opened[0].a != 0;
+    // ...and then records every change the whole trace records.
+    EXPECT_EQ(std::vector<obs::Event>(opened.begin() + 1, opened.end()),
+              std::vector<obs::Event>(after, events.end()))
+        << name;
+  }
+  EXPECT_TRUE(any_active);
 }
 
 }  // namespace

@@ -3,18 +3,20 @@
 // idle-skip, and pinned against a golden timeline), the recorder's
 // non-perturbation guarantee (recorder-on digests equal the recorder-off
 // pins), the metrics registry's hierarchical merge, the scheduler/lane
-// execution profile, and the TraceChannel retention cap.
+// execution profile, and the signal domain: scope queries, its retention
+// cap, and that signals never reach a golden surface.
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "gtest/gtest.h"
+#include "hw/interconnect_models.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_export.hpp"
 #include "scenario/scenario_engine.hpp"
-#include "sim/trace.hpp"
 
 namespace drmp {
 namespace {
@@ -103,20 +105,137 @@ TEST(Metrics, TextAndJsonDumpsAreDeterministic) {
   EXPECT_EQ(r.to_text(), r.to_text());
 }
 
-// ---- TraceChannel retention cap (unbounded-growth fix) --------------------
+// ---- Signal domain ----------------------------------------------------------
 
-TEST(TraceChannel, CapsRetainedEventsAndCountsDrops) {
-  sim::TraceChannel ch("sig");
-  ch.set_capacity(4);
-  for (Cycle c = 0; c < 10; ++c) ch.record(c, static_cast<i64>(c % 2));
-  EXPECT_EQ(ch.events().size(), 4u);
+TEST(Signal, ActiveCyclesAndValueAt) {
+  obs::FlightRecorder rec;
+  const u16 x = rec.track("x");
+  rec.signal(0, x, 0);
+  rec.signal(10, x, 3);
+  rec.signal(20, x, 0);
+  rec.signal(30, x, 1);
+  EXPECT_EQ(obs::active_cycles(rec, "x", 0, 40), 10u + 10u);
+  EXPECT_EQ(obs::value_at(rec, "x", 5).value(), 0);
+  EXPECT_EQ(obs::value_at(rec, "x", 15).value(), 3);
+  EXPECT_EQ(obs::value_at(rec, "x", 25).value(), 0);
+  EXPECT_EQ(obs::value_at(rec, "x", 35).value(), 1);
+}
+
+TEST(Signal, RecordCollapsesDuplicates) {
+  obs::FlightRecorder rec;
+  const u16 x = rec.track("x");
+  rec.signal(0, x, 5);
+  rec.signal(1, x, 5);
+  rec.signal(2, x, 5);
+  EXPECT_EQ(obs::track_events(rec, "x").size(), 1u);
+}
+
+TEST(Signal, SameCycleOverwriteCollapsesIntoItsPredecessor) {
+  obs::FlightRecorder rec;
+  const u16 x = rec.track("x");
+  rec.signal(0, x, 1);
+  rec.signal(4, x, 2);
+  rec.signal(4, x, 1);  // Back to the value before: the change vanishes.
+  ASSERT_EQ(obs::track_events(rec, "x").size(), 1u);
+  EXPECT_EQ(rec.size(), 1u);
+  rec.signal(4, x, 3);
+  ASSERT_EQ(obs::track_events(rec, "x").size(), 2u);
+  EXPECT_EQ(obs::track_events(rec, "x").back().a, 3);
+}
+
+TEST(Signal, AsciiWaveformRenders) {
+  obs::FlightRecorder rec;
+  const u16 sig = rec.track("sig");
+  rec.signal(0, sig, 0);
+  rec.signal(50, sig, 1);
+  rec.signal(75, sig, 0);
+  const std::string wf = obs::ascii_waveform(rec, {"sig"}, 0, 100, 20);
+  EXPECT_NE(wf.find("sig"), std::string::npos);
+  EXPECT_NE(wf.find('1'), std::string::npos);
+  EXPECT_NE(wf.find('.'), std::string::npos);
+  // An unregistered track renders as a row of '?'.
+  EXPECT_NE(obs::ascii_waveform(rec, {"none"}, 0, 100, 20).find(std::string(20, '?')),
+            std::string::npos);
+}
+
+/// Ten cycles of a toggling signal into a capacity-4 recorder.
+void fill_past_cap(obs::FlightRecorder& rec, u16 track) {
+  for (Cycle c = 0; c < 10; ++c) rec.signal(c, track, static_cast<i64>(c % 2));
+}
+
+TEST(Signal, CapsRetainedEventsAndCountsDrops) {
+  obs::FlightRecorder rec(4);
+  const u16 sig = rec.track("sig");
+  fill_past_cap(rec, sig);
+  EXPECT_EQ(rec.signal_events(sig).size(), 4u);
   // Cycles 4,6,8 are changes past the cap (counted drops); 5,7,9 match the
   // retained tail value and are suppressed as no-change, not drops.
-  EXPECT_EQ(ch.dropped(), 3u);
+  EXPECT_EQ(rec.dropped(), 3u);
   // Same-cycle overwrite of the newest retained event still applies at cap.
-  ch.record(3, 42);
-  EXPECT_EQ(ch.events().size(), 4u);
-  EXPECT_EQ(ch.events().back().value, 42);
+  rec.signal(3, sig, 42);
+  EXPECT_EQ(rec.signal_events(sig).size(), 4u);
+  EXPECT_EQ(rec.signal_events(sig).back().a, 42);
+}
+
+TEST(Signal, TruncatedHistoryThrowsNamingTheDrops) {
+  obs::FlightRecorder rec(4);
+  fill_past_cap(rec, rec.track("sig"));
+  rec.log(9, obs::EventKind::kBusRequest, rec.track("packet_bus"), 0);
+  EXPECT_EQ(rec.dropped(), 4u);
+  const auto expect_throws = [](const auto& query) {
+    try {
+      query();
+      ADD_FAILURE() << "a truncated history was read without an error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("dropped 4 events"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_throws([&] { obs::ascii_waveform(rec, {"sig"}, 0, 10, 10); });
+  expect_throws([&] { obs::active_cycles(rec, "sig", 0, 10); });
+  expect_throws([&] { hw::bus_transactions(rec, 10); });
+  // A recorder that kept everything reads fine.
+  obs::FlightRecorder whole(16);
+  fill_past_cap(whole, whole.track("sig"));
+  EXPECT_EQ(obs::active_cycles(whole, "sig", 0, 10), 5u);
+}
+
+TEST(Signal, NeverReachesAGoldenSurface) {
+  // The same protocol events into two recorders; one also holds signal
+  // and bus events, on tracks registered in between.
+  obs::FlightRecorder plain(64);
+  obs::FlightRecorder mixed(64);
+  const auto protocol = [](obs::FlightRecorder& rec, Cycle c) {
+    rec.log(c, obs::EventKind::kOffered, rec.track("station1"), 100, 0);
+    rec.log(c + 1, obs::EventKind::kTxStart, rec.track("medium.A"), 1, 40);
+  };
+  protocol(plain, 0);
+  protocol(mixed, 0);
+  const u16 thm = mixed.track("thm.A");
+  const u16 bus = mixed.track("packet_bus");
+  mixed.signal(3, thm, 2);
+  mixed.log(4, obs::EventKind::kBusRequest, bus, 0);
+  mixed.log(5, obs::EventKind::kBusAccess, bus, 0, 1);
+  mixed.log(6, obs::EventKind::kBusRun, bus, 0, 8);
+  mixed.log(15, obs::EventKind::kBusRelease, bus, 0);
+  protocol(plain, 20);
+  protocol(mixed, 20);
+  mixed.signal(21, thm, 0);
+
+  EXPECT_EQ(obs::text_timeline({&mixed}), obs::text_timeline({&plain}));
+  const auto protocol_count = [](const obs::FlightRecorder& rec) {
+    const std::vector<obs::Event> evs = rec.events();
+    return std::count_if(evs.begin(), evs.end(), [](const obs::Event& ev) {
+      return obs::protocol_domain(ev.kind);
+    });
+  };
+  EXPECT_EQ(protocol_count(mixed), protocol_count(plain));
+  EXPECT_EQ(protocol_count(plain), 4);
+  // Not vacuous: the signal and bus events are there, in the Chrome export.
+  EXPECT_EQ(mixed.size(), plain.size() + 6);
+  EXPECT_NE(obs::chrome_trace({&mixed}).find("bus_run"), std::string::npos);
+  ASSERT_EQ(hw::bus_transactions(mixed, 20).size(), 1u);
+  EXPECT_EQ(hw::bus_transactions(mixed, 20)[0].words, 9u);
 }
 
 // ---- Recorder-on fleet runs ----------------------------------------------

@@ -14,7 +14,6 @@
 #include "sim/multi_scheduler.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/stats.hpp"
-#include "sim/trace.hpp"
 
 namespace drmp::sim {
 namespace {
@@ -302,38 +301,6 @@ TEST(DerivedClock, FractionalDividerLongRunAccuracy) {
   for (u64 i = 0; i < cycles; ++i) edges += byte_clk.advance();
   // 10 ms * 1.375 MHz = 13750 edges.
   EXPECT_NEAR(static_cast<double>(edges), 13750.0, 1.0);
-}
-
-TEST(Trace, ActiveCyclesAndValueAt) {
-  TraceChannel ch("x");
-  ch.record(0, 0);
-  ch.record(10, 3);
-  ch.record(20, 0);
-  ch.record(30, 1);
-  EXPECT_EQ(ch.active_cycles(0, 40), 10u + 10u);
-  EXPECT_EQ(ch.value_at(5).value(), 0);
-  EXPECT_EQ(ch.value_at(15).value(), 3);
-  EXPECT_EQ(ch.value_at(25).value(), 0);
-  EXPECT_EQ(ch.value_at(35).value(), 1);
-}
-
-TEST(Trace, RecordCollapsesDuplicates) {
-  TraceChannel ch("x");
-  ch.record(0, 5);
-  ch.record(1, 5);
-  ch.record(2, 5);
-  EXPECT_EQ(ch.events().size(), 1u);
-}
-
-TEST(Trace, AsciiWaveformRenders) {
-  TraceRecorder rec;
-  rec.channel("sig").record(0, 0);
-  rec.channel("sig").record(50, 1);
-  rec.channel("sig").record(75, 0);
-  const std::string wf = rec.ascii_waveform({"sig"}, 0, 100, 20);
-  EXPECT_NE(wf.find("sig"), std::string::npos);
-  EXPECT_NE(wf.find('1'), std::string::npos);
-  EXPECT_NE(wf.find('.'), std::string::npos);
 }
 
 TEST(Stats, BusyCounterFraction) {
