@@ -102,20 +102,15 @@ inline std::string take_json_flag(int& argc, char** argv,
   return path;
 }
 
-/// Folds the scheduler/lane execution profile of a fleet run into a bench
-/// JSON record — the standing keys every BENCH_*.json carries (PR-7), so the
-/// perf trajectory of the quiescence machinery is tracked per commit.
+/// Writes the execution profile of a fleet run (every kSchedRows row, then
+/// skip_ratio) into a bench JSON record — the standing keys every fleet
+/// BENCH_*.json carries, so the perf trajectory of the quiescence machinery
+/// is tracked per commit.
 inline void add_profile(JsonRecord& rec, const scenario::FleetStats& fs) {
-  rec.num("ff_cycles", static_cast<u64>(fs.ff_cycles));
-  rec.num("ff_events", fs.ff_events);
-  rec.num("wheel_depth_max", fs.wheel_depth_max);
-  rec.num("wheel_cascades", fs.wheel_cascades);
-  rec.num("wheel_purges", fs.wheel_purges);
-  rec.num("medium_ticks_executed", fs.medium_ticks_executed);
-  rec.num("medium_ticks_skipped", fs.medium_ticks_skipped);
-  rec.num("lockstep_rounds", fs.lockstep_rounds);
-  rec.num("lane_rounds_skipped", fs.lane_rounds_skipped);
-  rec.num("lane_stall_cycles", static_cast<u64>(fs.lane_stall_cycles));
+  for (const scenario::SchedRow& row : scenario::kSchedRows) {
+    rec.num(row.name, fs.*row.field);
+  }
+  rec.num("skip_ratio", fs.skip_ratio());
 }
 
 // ---- Interleaved A/B timing -----------------------------------------------

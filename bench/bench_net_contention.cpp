@@ -139,9 +139,6 @@ int main(int argc, char** argv) {
     rec.num("device_cycles_per_sec", largest.device_cycles_per_sec());
     rec.num("collisions", largest.total_collisions());
     rec.num("defers", largest.total_defers());
-    rec.num("ticks_executed", largest.ticks_executed);
-    rec.num("ticks_skipped", largest.ticks_skipped);
-    rec.num("skip_ratio", largest.skip_ratio());
     drmp::bench::add_profile(rec, largest);
     rec.hex("full_digest", largest.full_digest());
     if (!rec.write(json_path)) {

@@ -172,9 +172,6 @@ int main(int argc, char** argv) {
     rec.num("device_cycles_total", mobile.device_cycles_total());
     rec.num("wall_seconds", mobile.wall_seconds);
     rec.num("device_cycles_per_sec", mobile.device_cycles_per_sec());
-    rec.num("ticks_executed", mobile.ticks_executed);
-    rec.num("ticks_skipped", mobile.ticks_skipped);
-    rec.num("skip_ratio", mobile.skip_ratio());
     drmp::bench::add_profile(rec, mobile);
     rec.hex("full_digest", mobile.full_digest());
     if (!rec.write(json_path)) {

@@ -156,9 +156,6 @@ int main(int argc, char** argv) {
     rec.num("device_cycles_total", largest.device_cycles_total());
     rec.num("wall_seconds", largest.wall_seconds);
     rec.num("device_cycles_per_sec", largest.device_cycles_per_sec());
-    rec.num("ticks_executed", largest.ticks_executed);
-    rec.num("ticks_skipped", largest.ticks_skipped);
-    rec.num("skip_ratio", largest.skip_ratio());
     drmp::bench::add_profile(rec, largest);
     rec.hex("full_digest", largest.full_digest());
     if (!rec.write(json_path)) {

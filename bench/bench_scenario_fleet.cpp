@@ -279,9 +279,6 @@ int main(int argc, char** argv) {
     rec.num("every_tick_device_cycles_per_sec", every_tick_rate);
     rec.num("speedup_vs_every_tick",
             every_tick_rate > 0.0 ? batched_rate / every_tick_rate : 0.0);
-    rec.num("ticks_executed", batched.ticks_executed);
-    rec.num("ticks_skipped", batched.ticks_skipped);
-    rec.num("skip_ratio", batched.skip_ratio());
     if (checkpoint_roundtrip) {
       rec.num("checkpoint_roundtrip_ok", 1);
       rec.num("checkpoint_half_cycles", ckpt_half_cycles);

@@ -195,8 +195,10 @@ void TaskHandler::tick() {
   thm_occ_.sample(static_cast<int>(thm_state_));
   thr_busy_.sample(thr_state_ != ThRState::Idle);
   thm_busy_.sample(thm_state_ != ThMState::Idle);
-  // Recorded every tick; the tracks store change events only.
-  if (trace_ != nullptr) trace_states(env_.bus->total_cycles());
+  // Recorded every tick; the tracks store change events only. The counter's
+  // last sample is this tick's cycle (the bus ticks first, so its count is
+  // already one ahead).
+  if (trace_ != nullptr) trace_states(thr_busy_.total_cycles() - 1);
 }
 
 // --------------------------------------------------------------------- TH_R

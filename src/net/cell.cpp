@@ -501,7 +501,7 @@ scenario::DevicePower Cell::estimate_station_power(const Station& st) const {
   return pw;
 }
 
-void Cell::collect(scenario::FleetStats& fleet, bool fold) const {
+void Cell::collect(scenario::FleetStats& fleet) const {
   for (const auto& st : stations_) {
     scenario::DeviceStats ds;
     ds.station_id = st->station_id;
@@ -563,7 +563,7 @@ void Cell::collect(scenario::FleetStats& fleet, bool fold) const {
       ds.handoff_latency = st->link->handoff_latency_total();
     }
     ds.power = estimate_station_power(*st);
-    fleet.add_station(cell_index_, std::move(ds), fold);
+    fleet.add_station(cell_index_, std::move(ds));
   }
 
   if (!shared()) return;

@@ -81,9 +81,8 @@ class Cell {
 
   /// Reads every station's counters (activity-weighted power estimates
   /// included) and, for shared-medium cells, the channel counters into
-  /// `fleet` — the only read of the component sources. `fold` is
-  /// ScenarioSpec::fold_device_stats (see FleetStats::add_station).
-  void collect(scenario::FleetStats& fleet, bool fold) const;
+  /// `fleet` — the only read of the component sources.
+  void collect(scenario::FleetStats& fleet) const;
 
   /// The cell's flight recorder; null unless constructed with tracing on.
   const obs::FlightRecorder* recorder() const noexcept { return recorder_.get(); }

@@ -13,13 +13,6 @@ void Histogram::observe(u64 v) noexcept {
   max = std::max(max, v);
 }
 
-void Histogram::merge(const Histogram& o) noexcept {
-  for (std::size_t i = 0; i < kBuckets; ++i) buckets[i] += o.buckets[i];
-  count += o.count;
-  sum += o.sum;
-  max = std::max(max, o.max);
-}
-
 void MetricsRegistry::add(std::string_view name, u64 delta) {
   auto it = counters_.lower_bound(name);
   if (it == counters_.end() || it->first != name) {
@@ -50,13 +43,6 @@ std::optional<i64> MetricsRegistry::gauge(std::string_view name) const {
   return it->second;
 }
 
-void MetricsRegistry::merge_from(const MetricsRegistry& other,
-                                 const std::string& prefix) {
-  for (const auto& [name, v] : other.counters_) counters_[prefix + name] += v;
-  for (const auto& [name, v] : other.gauges_) max_gauge(prefix + name, v);
-  for (const auto& [name, h] : other.hists_) hists_[prefix + name].merge(h);
-}
-
 std::string MetricsRegistry::to_text() const {
   // std::map iteration is name-sorted, so the dump is deterministic.
   std::ostringstream os;
@@ -66,32 +52,6 @@ std::string MetricsRegistry::to_text() const {
     os << name << " count=" << h.count << " sum=" << h.sum << " max=" << h.max
        << "\n";
   }
-  return os.str();
-}
-
-std::string MetricsRegistry::to_json() const {
-  std::ostringstream os;
-  os << "{";
-  bool first = true;
-  const auto key = [&](const std::string& name) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << name << "\":";
-  };
-  for (const auto& [name, v] : counters_) {
-    key(name);
-    os << v;
-  }
-  for (const auto& [name, v] : gauges_) {
-    key(name);
-    os << v;
-  }
-  for (const auto& [name, h] : hists_) {
-    key(name);
-    os << "{\"count\":" << h.count << ",\"sum\":" << h.sum
-       << ",\"max\":" << h.max << "}";
-  }
-  os << "}";
   return os.str();
 }
 

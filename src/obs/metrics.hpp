@@ -1,17 +1,14 @@
-// Unified metrics registry — named counter/gauge/histogram aggregates with
-// hierarchical merge (device -> cell -> fleet).
+// Unified metrics registry — named counter/gauge/histogram aggregates.
 //
 // Named handles instead of a bespoke accessor per counter: the fleet
-// registers every row of the counter table (scenario/fleet_stats.hpp) as
-// `mac/defers`, `medium.A/collided_frames`, ..., unprefixed for fleet-wide
-// totals and under `cell<n>/station<id>/` for the breakdown. Merging with a
-// prefix builds the same hierarchy from separate registries — the shape the
-// planned sharded fleet needs, where shards ship registries instead of
-// keeping every DeviceStats alive.
+// registers every row of the counter tables (scenario/fleet_stats.hpp) as
+// `mac/defers`, `medium.A/collided_frames`, `sched/ticks_executed`, ...,
+// unprefixed for fleet-wide totals and under `cell<n>/station<id>/` for the
+// breakdown.
 //
-// Everything is integral and stored in ordered maps, so to_text()/to_json()
-// are deterministic and digest-safe to compare across runs. The registry is
-// a plain value (copyable); scenario::FleetStats carries one per run.
+// Everything is integral and stored in ordered maps, so to_text() is
+// deterministic and digest-safe to compare across runs. The registry is a
+// plain value (copyable); scenario::FleetStats carries one per run.
 #pragma once
 
 #include <array>
@@ -25,7 +22,7 @@
 namespace drmp::obs {
 
 /// Log2-bucketed histogram of u64 samples: bucket i counts samples whose
-/// bit width is i (bucket 0 is the value 0). Mergeable by bucket addition.
+/// bit width is i (bucket 0 is the value 0).
 struct Histogram {
   static constexpr std::size_t kBuckets = 65;
   std::array<u64, kBuckets> buckets{};
@@ -34,14 +31,13 @@ struct Histogram {
   u64 max = 0;
 
   void observe(u64 v) noexcept;
-  void merge(const Histogram& o) noexcept;
 };
 
 class MetricsRegistry {
  public:
   /// Accumulates `delta` into the named counter (creating it at zero).
   void add(std::string_view name, u64 delta);
-  /// Raises the named gauge to at least `v` (merge-friendly high-watermark).
+  /// Raises the named gauge to at least `v` (a high-watermark).
   void max_gauge(std::string_view name, i64 v);
   /// Folds one sample into the named histogram.
   void observe(const std::string& name, u64 v);
@@ -49,19 +45,12 @@ class MetricsRegistry {
   std::optional<u64> counter(std::string_view name) const;
   std::optional<i64> gauge(std::string_view name) const;
 
-  /// Merges `other` into this registry: counters and histogram buckets add,
-  /// gauges take the maximum (the only order-independent choice). A
-  /// non-empty `prefix` namespaces every merged name — the hierarchy step.
-  void merge_from(const MetricsRegistry& other, const std::string& prefix = {});
-
   bool empty() const noexcept {
     return counters_.empty() && gauges_.empty() && hists_.empty();
   }
 
   /// Deterministic line-per-metric dump (sorted by name, integers only).
   std::string to_text() const;
-  /// Deterministic flat JSON object (sorted keys; histograms as count/sum/max).
-  std::string to_json() const;
 
  private:
   // Transparent comparators: lookups by string_view allocate nothing.

@@ -55,7 +55,7 @@ void CellStats::mix(sim::Digest& d, DigestClass upto) const {
   mix_rows(*this, kCellRows, d, upto);
 }
 
-void FleetStats::add_station(std::size_t cell_index, DeviceStats ds, bool fold) {
+void FleetStats::add_station(std::size_t cell_index, DeviceStats ds) {
   // One key buffer per station: the per-station names cost one registry
   // node each and no temporaries.
   std::string key = "cell" + std::to_string(cell_index) + "/station" +
@@ -64,23 +64,13 @@ void FleetStats::add_station(std::size_t cell_index, DeviceStats ds, bool fold) 
   for (const CounterRow<DeviceStats>& row : kDeviceRows) {
     const u64 v = row.value(ds);
     put(metrics, row.fold, row.name, v);
-    if (fold) continue;
     key.resize(prefix);
     put(metrics, row.fold, key.append(row.name), v);
   }
   power_sum.raw_mw += ds.power.raw_mw;
   power_sum.gated_mw += ds.power.gated_mw;
   power_sum.dvfs_mw += ds.power.dvfs_mw;
-  if (!fold) {
-    devices.push_back(std::move(ds));
-    return;
-  }
-  for (std::size_t c = 0; c < folded_digests.size(); ++c) {
-    sim::Digest d = folded_devices ? sim::Digest(folded_digests[c]) : sim::Digest();
-    ds.mix(d, static_cast<DigestClass>(c));
-    folded_digests[c] = d.value();
-  }
-  ++folded_devices;
+  devices.push_back(std::move(ds));
 }
 
 void FleetStats::add_cell(CellStats cs) {
@@ -95,6 +85,13 @@ void FleetStats::add_cell(CellStats cs) {
   cells.push_back(std::move(cs));
 }
 
+void FleetStats::add_profile(const FleetStats& part) {
+  for (const SchedRow& row : kSchedRows) {
+    this->*row.field = combine(row.fold, this->*row.field, part.*row.field);
+    put(metrics, row.fold, std::string("sched/") + row.name, part.*row.field);
+  }
+}
+
 u64 FleetStats::total(const CounterRow<DeviceStats>& row) const {
   return get(metrics, row.fold, row.name);
 }
@@ -102,7 +99,7 @@ u64 FleetStats::total(const CounterRow<DeviceStats>& row) const {
 u64 FleetStats::total(const CounterRow<CellStats>& row) const {
   u64 v = 0;
   for (std::size_t m = 0; m < (row.per_mode() ? kNumModes : 1); ++m) {
-    v = row.combine(v, get(metrics, row.fold, cell_key(row, m)));
+    v = combine(row.fold, v, get(metrics, row.fold, cell_key(row, m)));
   }
   return v;
 }
@@ -115,8 +112,7 @@ double FleetStats::mean_handoff_latency_cycles() const {
 }
 
 u64 FleetStats::digest(DigestClass upto) const {
-  const auto c = static_cast<std::size_t>(upto);
-  sim::Digest d = folded_devices ? sim::Digest(folded_digests[c]) : sim::Digest();
+  sim::Digest d;
   for (const DeviceStats& ds : devices) ds.mix(d, upto);
   if (upto == DigestClass::kCompletion) return d.value();
   for (const CellStats& cs : cells) cs.mix(d, upto);
@@ -128,26 +124,29 @@ std::string FleetStats::report() const {
   std::string out;
   char line[224];
   std::snprintf(line, sizeof(line), "scenario %s: %zu devices, %llu lockstep cycles%s\n",
-                scenario_name.c_str(),
-                devices.size() + static_cast<std::size_t>(folded_devices),
+                scenario_name.c_str(), devices.size(),
                 static_cast<unsigned long long>(lockstep_cycles),
                 all_drained ? "" : " [BUDGET EXHAUSTED]");
   out += line;
-  out += "  dev mode offered  bytes complete  ok retries peer_rx  acks tampered "
-         "coll  airtime\n";
+  out += "  dev mode";
+  for (const CounterRow<DeviceStats>& row : kDeviceRows) {
+    if (row.column.label == nullptr) continue;
+    std::snprintf(line, sizeof(line), " %*s", row.column.width, row.column.label);
+    out += line;
+  }
+  out += '\n';
   for (const DeviceStats& ds : devices) {
     for (std::size_t i = 0; i < kNumModes; ++i) {
       if (ds.offered[i] == 0 && ds.completed[i] == 0 && ds.peer_rx[i] == 0) continue;
-      std::snprintf(line, sizeof(line),
-                    "  %3d    %c %7u %6llu %8u %3u %7llu %7u %5llu %8llu %4llu %8llu\n",
-                    ds.station_id, "ABC"[i], ds.offered[i],
-                    static_cast<unsigned long long>(ds.offered_bytes[i]), ds.completed[i],
-                    ds.tx_ok[i], static_cast<unsigned long long>(ds.retries[i]),
-                    ds.peer_rx[i], static_cast<unsigned long long>(ds.peer_acks[i]),
-                    static_cast<unsigned long long>(ds.tampered[i]),
-                    static_cast<unsigned long long>(ds.collisions[i]),
-                    static_cast<unsigned long long>(ds.airtime[i]));
+      std::snprintf(line, sizeof(line), "  %3d    %c", ds.station_id, "ABC"[i]);
       out += line;
+      for (const CounterRow<DeviceStats>& row : kDeviceRows) {
+        if (row.column.label == nullptr) continue;
+        std::snprintf(line, sizeof(line), " %*llu", row.column.width,
+                      static_cast<unsigned long long>(row.at(ds, i)));
+        out += line;
+      }
+      out += '\n';
     }
   }
   for (const CellStats& cs : cells) {

@@ -3,7 +3,9 @@
 // Every integral station and cell counter is one row of kDeviceRows or
 // kCellRows below (registry name, member, digest class, fold rule).
 // net::Cell::collect reads the component sources once; the digests, the
-// fold, the metrics registry and the fleet totals all iterate the rows.
+// metrics registry, the fleet totals and report()'s device table all
+// iterate the rows. The engine's execution profile is one row of kSchedRows
+// each, outside every digest.
 //
 // Three digests, one per digest class, each covering the classes before it:
 //   * completion_digest(): the kCompletion rows, counters coupled to MSDU
@@ -59,8 +61,20 @@ enum class DigestClass : u8 {
   kNone,        ///< Outside both v1 digests: full_digest_v2() only.
 };
 
-/// How a counter combines across bands, stations and folded aggregates.
+/// How a counter combines across bands, stations and clock domains.
 enum class FoldRule : u8 { kSum, kMax };
+
+/// Combines two values of one counter by its fold rule.
+constexpr u64 combine(FoldRule fold, u64 a, u64 b) noexcept {
+  return fold == FoldRule::kSum ? a + b : std::max(a, b);
+}
+
+/// A counter's column in FleetStats::report()'s device table (no label: not
+/// a column).
+struct ReportColumn {
+  const char* label = nullptr;
+  int width = 0;
+};
 
 struct DeviceStats {
   int station_id = 0;
@@ -142,6 +156,7 @@ struct CounterRow {
   const char* name;
   Field field;
   DigestClass digest;
+  ReportColumn column = {};
   FoldRule fold = FoldRule::kSum;
 
   constexpr bool per_mode() const noexcept { return field.index() >= 2; }
@@ -152,32 +167,32 @@ struct CounterRow {
   static u64 band(u64 v, std::size_t) { return v; }
   template <class T>
   static u64 band(const std::array<T, kNumModes>& v, std::size_t m) { return v[m]; }
-  /// Combines two values of this counter by its fold rule.
-  u64 combine(u64 a, u64 b) const {
-    return fold == FoldRule::kSum ? a + b : std::max(a, b);
-  }
   /// The counter combined over bands.
   u64 value(const Stats& s) const {
     u64 v = at(s, 0);
-    for (std::size_t m = 1; per_mode() && m < kNumModes; ++m) v = combine(v, at(s, m));
+    for (std::size_t m = 1; per_mode() && m < kNumModes; ++m) {
+      v = combine(fold, v, at(s, m));
+    }
     return v;
   }
 };
 
 // Row order within a digest class is the frozen v1 mix order: per-mode rows
 // mix band by band, then scalar rows. A new counter is one row appended as
-// kNone; a row in an earlier class would move the v1 pins.
+// kNone; a row in an earlier class would move the v1 pins. report()'s device
+// table has one column per labelled row, in row order.
 inline constexpr CounterRow<DeviceStats> kDeviceRows[] = {
-    {"mac/offered", &DeviceStats::offered, DigestClass::kCompletion},
-    {"mac/offered_bytes", &DeviceStats::offered_bytes, DigestClass::kCompletion},
-    {"mac/completed", &DeviceStats::completed, DigestClass::kCompletion},
-    {"mac/tx_ok", &DeviceStats::tx_ok, DigestClass::kCompletion},
-    {"mac/retries", &DeviceStats::retries, DigestClass::kCompletion},
-    {"peer/rx_frames", &DeviceStats::peer_rx, DigestClass::kFull},
-    {"peer/acks", &DeviceStats::peer_acks, DigestClass::kFull},
-    {"phy/tampered", &DeviceStats::tampered, DigestClass::kFull},
-    {"medium/collisions", &DeviceStats::collisions, DigestClass::kFull},
-    {"medium/airtime", &DeviceStats::airtime, DigestClass::kFull},
+    {"mac/offered", &DeviceStats::offered, DigestClass::kCompletion, {"offered", 7}},
+    {"mac/offered_bytes", &DeviceStats::offered_bytes, DigestClass::kCompletion,
+     {"bytes", 6}},
+    {"mac/completed", &DeviceStats::completed, DigestClass::kCompletion, {"complete", 8}},
+    {"mac/tx_ok", &DeviceStats::tx_ok, DigestClass::kCompletion, {"ok", 3}},
+    {"mac/retries", &DeviceStats::retries, DigestClass::kCompletion, {"retries", 7}},
+    {"peer/rx_frames", &DeviceStats::peer_rx, DigestClass::kFull, {"peer_rx", 7}},
+    {"peer/acks", &DeviceStats::peer_acks, DigestClass::kFull, {"acks", 5}},
+    {"phy/tampered", &DeviceStats::tampered, DigestClass::kFull, {"tampered", 8}},
+    {"medium/collisions", &DeviceStats::collisions, DigestClass::kFull, {"coll", 4}},
+    {"medium/airtime", &DeviceStats::airtime, DigestClass::kFull, {"airtime", 8}},
     {"mac/defers", &DeviceStats::defers, DigestClass::kFull},
     {"mac/rts_sent", &DeviceStats::rts_sent, DigestClass::kFull},
     {"mac/cts_received", &DeviceStats::cts_received, DigestClass::kFull},
@@ -185,7 +200,8 @@ inline constexpr CounterRow<DeviceStats> kDeviceRows[] = {
     {"mac/nav_defers", &DeviceStats::nav_defers, DigestClass::kNone},
     {"mac/nav_arms", &DeviceStats::nav_arms, DigestClass::kNone},
     {"mac/nav_resets", &DeviceStats::nav_resets, DigestClass::kNone},
-    {"mac/nav_hangover", &DeviceStats::nav_hangover, DigestClass::kNone, FoldRule::kMax},
+    {"mac/nav_hangover", &DeviceStats::nav_hangover, DigestClass::kNone, {},
+     FoldRule::kMax},
     {"phy/frames_expired", &DeviceStats::frames_expired, DigestClass::kNone},
     {"phy/expired_acks", &DeviceStats::expired_acks, DigestClass::kNone},
     {"phy/expired_ctss", &DeviceStats::expired_ctss, DigestClass::kNone},
@@ -195,7 +211,7 @@ inline constexpr CounterRow<DeviceStats> kDeviceRows[] = {
     {"mac/handoffs", &DeviceStats::handoffs, DigestClass::kNone},
     {"mac/rate_shifts", &DeviceStats::rate_shifts, DigestClass::kNone},
     {"mac/link_loss_drops", &DeviceStats::link_loss_drops, DigestClass::kNone},
-    {"mac/rate_index", &DeviceStats::rate_index, DigestClass::kNone, FoldRule::kMax},
+    {"mac/rate_index", &DeviceStats::rate_index, DigestClass::kNone, {}, FoldRule::kMax},
     {"mac/handoff_latency", &DeviceStats::handoff_latency, DigestClass::kNone},
 };
 
@@ -226,46 +242,37 @@ struct FleetStats {
   std::string scenario_name;
   std::vector<DeviceStats> devices;
   std::vector<CellStats> cells;  ///< One entry per shared-medium cell.
-  // ---- Folded-aggregate accounting (ScenarioSpec::fold_device_stats) ----
-  // Folded stations reach `metrics` and the power sums like retained ones,
-  // but chain into running digest states instead of living in `devices`:
-  // O(cells) live result memory instead of O(devices). The digest chains
-  // are FNV-sequential, so folded devices contribute first and in fold
-  // (= cell) order — exactly collection order, making the folded digests
-  // bit-identical to the retained ones (pinned).
-  u64 folded_devices = 0;  ///< Stations folded away so far.
-  /// Running chain state of each digest, indexed by DigestClass.
-  std::array<u64, 3> folded_digests{};
-  /// raw/gated/dvfs mW summed over every station, retained or folded.
+  /// raw/gated/dvfs mW summed over every station.
   DevicePower power_sum;
 
   /// Takes one collected station: registers every row in `metrics` (fleet
-  /// total, plus cell<n>/station<id>/ unless folding) and adds its power,
-  /// then retains it in `devices` or, with `fold`, chains it into the
-  /// folded digests. Stations must arrive in collection order.
-  void add_station(std::size_t cell_index, DeviceStats ds, bool fold);
+  /// total and under cell<n>/station<id>/), adds its power and retains it in
+  /// `devices`. Stations must arrive in collection order.
+  void add_station(std::size_t cell_index, DeviceStats ds);
   /// Registers one shared-medium cell's rows in `metrics` (fleet total and
   /// under cell<n>/) and retains it in `cells`.
   void add_cell(CellStats cs);
+  /// Folds one clock domain's or the lockstep run's execution profile (the
+  /// kSchedRows members of `part`; nothing else of it is read) into this
+  /// one by each row's fold rule, and registers it as sched/<name>.
+  void add_profile(const FleetStats& part);
 
   Cycle lockstep_cycles = 0;  ///< Fleet-clock cycles (max over lanes).
   bool all_drained = false;   ///< Every device finished its workload.
   double wall_seconds = 0.0;  ///< Host time; never part of a digest.
-  // Quiescence-skip accounting, summed over lanes. Execution-strategy
-  // artefacts, not simulation results: both stay out of the digests and the
-  // report so skip-on and skip-off runs compare byte-identical.
-  u64 ticks_executed = 0;  ///< Component-ticks actually run.
-  u64 ticks_skipped = 0;   ///< Component-ticks replaced by bulk accounting.
-  // ---- Observability surface (PR-7). Everything below shares the digest
-  // exemption above: the engine's execution profile and the metrics registry
-  // must never feed a digest, or skip-on/skip-off and worker-count runs
-  // would stop comparing equal.
-  /// Hierarchical counter registry: fleet totals unprefixed, per-cell
-  /// breakdown under `cell<n>/station<id>/`. Every counter row lands here
-  /// (kMax rows as gauges), and the totals below read it back.
+  /// Counter registry: fleet totals unprefixed, per-cell breakdown under
+  /// `cell<n>/station<id>/`, the execution profile under `sched/`. Every
+  /// counter row lands here (kMax rows as gauges), and the totals below
+  /// read it back. Never part of a digest.
   obs::MetricsRegistry metrics;
-  Cycle ff_cycles = 0;  ///< Globally-quiescent cycles crossed by fast-forwards.
-  u64 ff_events = 0;    ///< Fast-forward jumps taken.
+  // ---- Execution profile: one kSchedRows row each. Execution-strategy
+  // artefacts, not simulation results: they stay out of the digests and the
+  // report, or skip-on/skip-off and worker-count runs would stop comparing
+  // equal.
+  u64 ticks_executed = 0;         ///< Component-ticks actually run.
+  u64 ticks_skipped = 0;          ///< Component-ticks replaced by bulk accounting.
+  Cycle ff_cycles = 0;            ///< Globally-quiescent cycles fast-forwarded.
+  u64 ff_events = 0;              ///< Fast-forward jumps taken.
   u64 wheel_depth_max = 0;        ///< Wake-wheel high-watermark (max over lanes).
   u64 wheel_cascades = 0;         ///< Timing-wheel buckets re-hashed downward.
   u64 wheel_purges = 0;           ///< Stale-majority wake-wheel sweeps.
@@ -282,7 +289,7 @@ struct FleetStats {
   }
 
   /// Fleet total of one row: summed (kMax rows: maxed) over every station,
-  /// retained or folded, and for cell rows over every band.
+  /// and for cell rows over every band.
   u64 total(const CounterRow<DeviceStats>& row) const;
   u64 total(const CounterRow<CellStats>& row) const;
 
@@ -334,6 +341,29 @@ struct FleetStats {
   /// Chains every row of class `upto` or earlier; cells and the lockstep
   /// outcome join from kFull on.
   u64 digest(DigestClass upto) const;
+};
+
+/// One execution-profile counter of FleetStats. No digest ever reads one.
+struct SchedRow {
+  using Field = u64 FleetStats::*;
+  const char* name;  ///< Registered as sched/<name>.
+  Field field;
+  FoldRule fold = FoldRule::kSum;
+};
+
+inline constexpr SchedRow kSchedRows[] = {
+    {"ticks_executed", &FleetStats::ticks_executed},
+    {"ticks_skipped", &FleetStats::ticks_skipped},
+    {"ff_cycles", &FleetStats::ff_cycles},
+    {"ff_events", &FleetStats::ff_events},
+    {"wheel_depth_max", &FleetStats::wheel_depth_max, FoldRule::kMax},
+    {"wheel_cascades", &FleetStats::wheel_cascades},
+    {"wheel_purges", &FleetStats::wheel_purges},
+    {"medium_ticks_executed", &FleetStats::medium_ticks_executed},
+    {"medium_ticks_skipped", &FleetStats::medium_ticks_skipped},
+    {"lockstep_rounds", &FleetStats::lockstep_rounds},
+    {"lane_rounds_skipped", &FleetStats::lane_rounds_skipped},
+    {"lane_stall_cycles", &FleetStats::lane_stall_cycles},
 };
 
 }  // namespace drmp::scenario

@@ -360,7 +360,7 @@ FleetStats ScenarioEngine::run() {
   const Cycle budget =
       spec_.max_cycles > resume_base_ ? spec_.max_cycles - resume_base_ : 0;
   const auto res = multi.run(budget, effective_stride(), workers);
-  run_profile_.rounds = res.rounds;
+  run_profile_.lockstep_rounds = res.rounds;
   for (std::size_t i = 0; i < multi.lane_count(); ++i) {
     run_profile_.lane_rounds_skipped += multi.lane_rounds_skipped(i);
     run_profile_.lane_stall_cycles += multi.lane_stall_cycles(i);
@@ -378,40 +378,28 @@ FleetStats ScenarioEngine::collect(Cycle lockstep_cycles, bool all_drained,
   fs.lockstep_cycles = lockstep_cycles;
   fs.all_drained = all_drained;
   fs.wall_seconds = wall_seconds;
-  if (!spec_.fold_device_stats) fs.devices.reserve(spec_.station_count());
+  fs.devices.reserve(spec_.station_count());
   std::set<const sim::Scheduler*> counted;  // Shared clock domains count once.
   for (const auto& cell : cells_) {
-    cell->collect(fs, spec_.fold_device_stats);
-    if (counted.insert(&cell->scheduler()).second) {
-      fs.ticks_executed += cell->scheduler().ticks_executed();
-      fs.ticks_skipped += cell->scheduler().ticks_skipped();
-      const sim::SchedulerProfile p = cell->scheduler().profile();
-      fs.ff_cycles += p.ff_cycles;
-      fs.ff_events += p.ff_events;
-      fs.wheel_depth_max = std::max(fs.wheel_depth_max, p.wheel_depth_max);
-      fs.wheel_cascades += p.wheel_cascades;
-      fs.wheel_purges += p.wheel_purges;
-      for (const sim::SchedulerProfile::Stage& st : p.stages) {
-        if (st.stage == sim::Scheduler::kStageMedium) {
-          fs.medium_ticks_executed += st.executed;
-          fs.medium_ticks_skipped += st.skipped;
-        }
-      }
+    cell->collect(fs);
+    if (!counted.insert(&cell->scheduler()).second) continue;
+    const sim::SchedulerProfile p = cell->scheduler().profile();
+    FleetStats domain;
+    domain.ticks_executed = p.ticks_executed;
+    domain.ticks_skipped = p.ticks_skipped;
+    domain.ff_cycles = p.ff_cycles;
+    domain.ff_events = p.ff_events;
+    domain.wheel_depth_max = p.wheel_depth_max;
+    domain.wheel_cascades = p.wheel_cascades;
+    domain.wheel_purges = p.wheel_purges;
+    for (const sim::SchedulerProfile::Stage& st : p.stages) {
+      if (st.stage != sim::Scheduler::kStageMedium) continue;
+      domain.medium_ticks_executed = st.executed;
+      domain.medium_ticks_skipped = st.skipped;
     }
+    fs.add_profile(domain);
   }
-  fs.lockstep_rounds = run_profile_.rounds;
-  fs.lane_rounds_skipped = run_profile_.lane_rounds_skipped;
-  fs.lane_stall_cycles = run_profile_.lane_stall_cycles;
-  // Engine-profile names in the registry, next to the protocol counters, so
-  // trace tooling reads one namespace.
-  fs.metrics.add("sched/ff_cycles", fs.ff_cycles);
-  fs.metrics.add("sched/ff_events", fs.ff_events);
-  fs.metrics.max_gauge("sched/wheel_depth_max", static_cast<i64>(fs.wheel_depth_max));
-  fs.metrics.add("sched/wheel_cascades", fs.wheel_cascades);
-  fs.metrics.add("sched/wheel_purges", fs.wheel_purges);
-  fs.metrics.add("sched/lockstep_rounds", fs.lockstep_rounds);
-  fs.metrics.add("sched/lane_rounds_skipped", fs.lane_rounds_skipped);
-  fs.metrics.add("sched/lane_stall_cycles", fs.lane_stall_cycles);
+  fs.add_profile(run_profile_);
   return fs;
 }
 

@@ -110,13 +110,6 @@ class ScenarioEngine {
   u64 fingerprint() const;
   void write_snapshot(Cycle lockstep_now) const;
 
-  /// Lockstep execution profile captured by run() for collect().
-  struct RunProfile {
-    u64 rounds = 0;
-    u64 lane_rounds_skipped = 0;
-    Cycle lane_stall_cycles = 0;
-  };
-
   /// One scripted reach revision, quantized up to a lockstep round edge.
   struct ReachEvent {
     Cycle edge = 0;
@@ -126,7 +119,9 @@ class ScenarioEngine {
 
   ScenarioSpec spec_;
   std::vector<Group> groups_;
-  RunProfile run_profile_;
+  /// Lockstep execution profile captured by run() for collect(): only its
+  /// lockstep_rounds and lane_* members are set.
+  FleetStats run_profile_;
   std::vector<ReachEvent> reach_events_;  ///< Sorted by edge.
   std::size_t reach_applied_ = 0;
   Cycle hook_edge_ = 0;  ///< Last round edge the round hook processed.

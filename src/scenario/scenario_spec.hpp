@@ -190,13 +190,6 @@ struct ScenarioSpec {
   /// worker_threads: the recorded protocol-event stream is pinned identical
   /// across all four combinations.
   TraceSpec trace;
-  /// Fold each station's DeviceStats into FleetStats' running aggregates at
-  /// collection (FleetStats::add_station) instead of retaining one entry
-  /// per station, and drop the per-station metrics namespace: O(cells) live
-  /// result memory for huge fleets. Digests and fleet totals are pinned
-  /// bit-identical to the retained accounting; only the per-station
-  /// breakdown views disappear.
-  bool fold_device_stats = false;
   std::array<ChannelSpec, kNumModes> channel{};
   std::vector<CellSpec> cells;
   /// Co-channel coupling groups; CellSpec::coupling_group indexes this.

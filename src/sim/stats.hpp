@@ -120,11 +120,6 @@ class StateOccupancy {
 /// byte-identical aggregate stats" collapses to a single u64 comparison.
 class Digest {
  public:
-  Digest() = default;
-  /// Resumes a chain from a previously observed value() — the hierarchical
-  /// fold path (FleetStats::add_station) keeps a running digest this way.
-  explicit Digest(u64 resumed) noexcept : h_(resumed) {}
-
   Digest& mix(u64 v) noexcept {
     for (int i = 0; i < 8; ++i) {
       h_ ^= (v >> (8 * i)) & 0xFF;

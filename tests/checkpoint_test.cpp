@@ -206,46 +206,6 @@ TEST(Checkpoint, ResumeRestoresDeviceStatistics) {
 }
 
 // ---------------------------------------------------------------------------
-// Folded device accounting (ScenarioSpec::fold_device_stats).
-// ---------------------------------------------------------------------------
-
-TEST(Checkpoint, FoldedDeviceStatsPinsDigestsAndTotals) {
-  // The contended cell, and the roaming pair: its handoff latency sits in no
-  // v1 digest, so only the table totals catch a fold that drops it.
-  struct Input {
-    ScenarioSpec spec;
-    std::size_t stations;
-    double mean_handoff_latency;
-  };
-  const Input inputs[] = {{ScenarioSpec::contended_wifi_cell(8, 1, 2), 8, 0.0},
-                          {ScenarioSpec::roaming_wifi_cells(4), 8, 315428.0}};
-  for (const Input& in : inputs) {
-    SCOPED_TRACE(in.spec.name);
-    ScenarioSpec folded = in.spec;
-    folded.fold_device_stats = true;
-    const FleetStats a = ScenarioEngine(in.spec).run();
-    const FleetStats b = ScenarioEngine(std::move(folded)).run();
-
-    // O(cells) live memory: no retained DeviceStats, only the running chain.
-    EXPECT_EQ(a.devices.size(), in.stations);
-    EXPECT_TRUE(b.devices.empty());
-    EXPECT_EQ(b.folded_devices, in.stations);
-
-    // Every digest chain and every table total is bit-identical to retention.
-    EXPECT_EQ(a.full_digest(), b.full_digest());
-    EXPECT_EQ(a.completion_digest(), b.completion_digest());
-    EXPECT_EQ(a.full_digest_v2(), b.full_digest_v2());
-    for (const auto& row : kDeviceRows) EXPECT_EQ(a.total(row), b.total(row)) << row.name;
-    for (const auto& row : kCellRows) EXPECT_EQ(a.total(row), b.total(row)) << row.name;
-    EXPECT_EQ(a.mean_handoff_latency_cycles(), in.mean_handoff_latency);
-    EXPECT_EQ(b.mean_handoff_latency_cycles(), in.mean_handoff_latency);
-    EXPECT_DOUBLE_EQ(a.fleet_raw_mw(), b.fleet_raw_mw());
-    EXPECT_DOUBLE_EQ(a.fleet_gated_mw(), b.fleet_gated_mw());
-    EXPECT_DOUBLE_EQ(a.fleet_dvfs_mw(), b.fleet_dvfs_mw());
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Malformed-snapshot rejection: typed errors, no partial restores.
 // ---------------------------------------------------------------------------
 

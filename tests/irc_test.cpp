@@ -9,6 +9,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "crypto/crc.hpp"
@@ -608,6 +609,47 @@ TEST(TraceObserver, MidRunAttachOpensEachTrackWithTheCurrentState) {
         << name;
   }
   EXPECT_TRUE(any_active);
+}
+
+/// Samples TH_M.A's state every cycle onto its own track, stamped with the
+/// scheduler's cycle, the way the figure benches' probe samples its rows.
+class ThmProbe : public sim::Clockable {
+ public:
+  ThmProbe(Testbench& tb, obs::FlightRecorder& rec)
+      : tb_(tb), rec_(rec), track_(rec.track("probe.thm.A")) {}
+  void tick() override {
+    const irc::TaskHandler& h = tb_.device().irc().handler(Mode::A);
+    rec_.signal(tb_.scheduler().now(), track_, static_cast<int>(h.thm_state()));
+  }
+
+ private:
+  Testbench& tb_;
+  obs::FlightRecorder& rec_;
+  u16 track_;
+};
+
+TEST(TraceObserver, HandlerTracksStampTheCycleTheIrcTicksIn) {
+  for (bool idle_skip : {true, false}) {
+    SCOPED_TRACE(idle_skip);
+    obs::FlightRecorder rec;
+    Testbench tb(DrmpConfig::standard_three_mode());
+    tb.scheduler().set_idle_skip(idle_skip);
+    tb.device().attach_signals(&rec);
+    ThmProbe probe(tb, rec);
+    tb.scheduler().add(probe, "probe", sim::Scheduler::kStageObserver);
+    tb.send_async(Mode::A, payload(400, 1));
+    ASSERT_TRUE(tb.wait_tx_count(Mode::A, 1, 600'000'000));
+    const auto changes = [&](const std::string& track) {
+      std::vector<std::pair<Cycle, i64>> out;
+      for (const obs::Event& e : obs::track_events(rec, track)) {
+        out.emplace_back(e.cycle, e.a);
+      }
+      return out;
+    };
+    const auto handler = changes("thm.A");
+    EXPECT_GT(handler.size(), 2u);
+    EXPECT_EQ(handler, changes("probe.thm.A"));
+  }
 }
 
 }  // namespace

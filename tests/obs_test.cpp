@@ -2,9 +2,9 @@
 // stream of a contended cell is byte-identical across worker pools and
 // idle-skip, and pinned against a golden timeline), the recorder's
 // non-perturbation guarantee (recorder-on digests equal the recorder-off
-// pins), the metrics registry's hierarchical merge, the scheduler/lane
-// execution profile, and the signal domain: scope queries, its retention
-// cap, and that signals never reach a golden surface.
+// pins), the metrics registry and the counter rows that feed it, the
+// scheduler/lane execution profile, and the signal domain: scope queries,
+// its retention cap, and that signals never reach a golden surface.
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
@@ -57,7 +57,7 @@ TEST(FlightRecorder, TrackIdsAreDenseAndStable) {
 
 // ---- Metrics registry -----------------------------------------------------
 
-TEST(Metrics, HistogramBucketsByBitWidthAndMerges) {
+TEST(Metrics, HistogramBucketsByBitWidth) {
   obs::Histogram h;
   h.observe(0);
   h.observe(1);
@@ -68,41 +68,19 @@ TEST(Metrics, HistogramBucketsByBitWidthAndMerges) {
   EXPECT_EQ(h.buckets[0], 1u);   // value 0
   EXPECT_EQ(h.buckets[1], 1u);   // value 1
   EXPECT_EQ(h.buckets[11], 1u);  // 1024 = bit width 11
-  obs::Histogram g;
-  g.observe(1024);
-  g.merge(h);
-  EXPECT_EQ(g.count, 4u);
-  EXPECT_EQ(g.buckets[11], 2u);
 }
 
-TEST(Metrics, HierarchicalMergeBuildsBreakdownAndTotals) {
-  obs::MetricsRegistry dev1, dev2, fleet;
-  dev1.add("mac/defers", 3);
-  dev2.add("mac/defers", 4);
-  dev1.max_gauge("phy/queue_max", 7);
-  dev2.max_gauge("phy/queue_max", 5);
-  fleet.merge_from(dev1, "station1/");
-  fleet.merge_from(dev2, "station2/");
-  fleet.merge_from(dev1);
-  fleet.merge_from(dev2);
-  EXPECT_EQ(fleet.counter("station1/mac/defers"), 3u);
-  EXPECT_EQ(fleet.counter("station2/mac/defers"), 4u);
-  EXPECT_EQ(fleet.counter("mac/defers"), 7u);  // Unprefixed totals add.
-  EXPECT_EQ(fleet.gauge("phy/queue_max"), 7);  // Gauges take the max.
-  EXPECT_FALSE(fleet.counter("station3/mac/defers").has_value());
-}
-
-TEST(Metrics, TextAndJsonDumpsAreDeterministic) {
+TEST(Metrics, TextDumpIsDeterministic) {
   obs::MetricsRegistry r;
   r.add("b/counter", 2);
   r.add("a/counter", 1);
+  r.max_gauge("d/gauge", 7);
+  r.max_gauge("d/gauge", 5);  // Gauges keep the high-watermark.
   r.observe("c/hist", 5);
-  const std::string json = r.to_json();
   // Ordered maps: "a/counter" serialises before "b/counter" regardless of
   // registration order.
-  EXPECT_LT(json.find("a/counter"), json.find("b/counter"));
-  EXPECT_NE(json.find("\"c/hist\""), std::string::npos);
-  EXPECT_EQ(r.to_text(), r.to_text());
+  EXPECT_EQ(r.to_text(),
+            "a/counter 1\nb/counter 2\nd/gauge 7\nc/hist count=1 sum=5 max=5\n");
 }
 
 // ---- Signal domain ----------------------------------------------------------
@@ -352,12 +330,12 @@ TEST(FleetMetrics, RegistryTotalsMatchDeviceStats) {
   // Every row's registry total is its fold over the collected structs.
   for (const auto& row : scenario::kDeviceRows) {
     u64 want = 0;
-    for (const auto& ds : fs.devices) want = row.combine(want, row.value(ds));
+    for (const auto& ds : fs.devices) want = combine(row.fold, want, row.value(ds));
     EXPECT_EQ(fs.total(row), want) << row.name;
   }
   for (const auto& row : scenario::kCellRows) {
     u64 want = 0;
-    for (const auto& cs : fs.cells) want = row.combine(want, row.value(cs));
+    for (const auto& cs : fs.cells) want = combine(row.fold, want, row.value(cs));
     EXPECT_EQ(fs.total(row), want) << row.name;
   }
   u64 defers = 0, nav_defers = 0, collisions = 0;
@@ -381,11 +359,18 @@ TEST(FleetMetrics, SchedulerProfileIsPopulated) {
   EXPECT_GT(fs.ticks_executed, 0u);
   EXPECT_GT(fs.medium_ticks_executed, 0u);
   EXPECT_GT(fs.lockstep_rounds, 0u);
-  // idle_skip on: the medium spends most of the run skipped, and the
-  // engine-profile names sit in the registry next to the protocol counters.
+  // idle_skip on: the medium spends most of the run skipped.
   EXPECT_GT(fs.medium_ticks_skipped, 0u);
-  EXPECT_TRUE(fs.metrics.counter("sched/lockstep_rounds").has_value());
-  EXPECT_TRUE(fs.metrics.counter("sched/ff_cycles").has_value());
+  // Every profile row sits in the registry next to the protocol counters,
+  // with the member's value (kMax rows as gauges).
+  for (const scenario::SchedRow& row : scenario::kSchedRows) {
+    const std::string key = std::string("sched/") + row.name;
+    if (row.fold == scenario::FoldRule::kMax) {
+      EXPECT_EQ(fs.metrics.gauge(key), static_cast<i64>(fs.*row.field)) << key;
+    } else {
+      EXPECT_EQ(fs.metrics.counter(key), fs.*row.field) << key;
+    }
+  }
 }
 
 }  // namespace

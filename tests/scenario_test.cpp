@@ -64,7 +64,10 @@ TEST(Scenario, DifferentSeedDifferentStats) {
 // functions. They guard the table's frozen v1 mix order on point-to-point,
 // contended, hidden-node, fragmented, coupled and mobility runs. The v2
 // digests (v1 plus the kNone rows) were recorded before the components took
-// ownership of their busy and occupancy counters.
+// ownership of their busy and occupancy counters. The report hashes (FNV-1a
+// over report()'s bytes) were recorded while report() was hand-formatted,
+// before its device table came from the counter rows; the mean handoff
+// latency sits in no v1 digest and no report line.
 TEST(Scenario, FactoryDigestsArePinned) {
   using Reach = ScenarioSpec::Reach;
   struct Pin {
@@ -73,28 +76,41 @@ TEST(Scenario, FactoryDigestsArePinned) {
     u64 full;
     u64 completion;
     u64 v2;
+    u64 report;
+    double mean_handoff_latency;
+  };
+  const auto fnv1a = [](std::string_view bytes) {
+    u64 h = 0xcbf29ce484222325ull;
+    for (const unsigned char c : bytes) h = (h ^ c) * 0x100000001b3ull;
+    return h;
   };
   const Pin pins[] = {
       {"mixed_three_standard(4,1,1)", ScenarioSpec::mixed_three_standard(4, 1, 1),
-       0x7a84b0e323e4d4e6ull, 0x15c6709cfec02aa6ull, 0xeb7995c38001f546ull},
+       0x7a84b0e323e4d4e6ull, 0x15c6709cfec02aa6ull, 0xeb7995c38001f546ull,
+       0x57cff7f96c39b6cfull, 0.0},
       {"contended_wifi_cell(8,1,2)", ScenarioSpec::contended_wifi_cell(8, 1, 2),
-       0x5a0534e5adc9c509ull, 0xea9a94d4d67fc48dull, 0x0665effcd4824446ull},
+       0x5a0534e5adc9c509ull, 0xea9a94d4d67fc48dull, 0x0665effcd4824446ull,
+       0x7818431a7ff30aaaull, 0.0},
       {"contended_wifi_topology(6,kHiddenPair,1,2,512)",
        ScenarioSpec::contended_wifi_topology(6, Reach::kHiddenPair, 1, 2, 512),
-       0x2dcd369802b49c47ull, 0xde9a1e1c2a9335acull, 0xe64f8b1ba7d42588ull},
+       0x2dcd369802b49c47ull, 0xde9a1e1c2a9335acull, 0xe64f8b1ba7d42588ull,
+       0x64a3a80e6d9ceb55ull, 0.0},
       {"contended_wifi_topology(4,kAsymmetric,1,2)",
        ScenarioSpec::contended_wifi_topology(4, Reach::kAsymmetric, 1, 2),
-       0x849b80d7226f0236ull, 0xadfdfb18a4f24ed6ull, 0xd160dcaa0160a055ull},
+       0x849b80d7226f0236ull, 0xadfdfb18a4f24ed6ull, 0xd160dcaa0160a055ull,
+       0xf4b58e533ceae2f1ull, 0.0},
       {"contended_wifi_fragmented(4,true,1,2)",
        ScenarioSpec::contended_wifi_fragmented(4, true, 1, 2), 0x94d4673edc4d7e9eull,
-       0x87298af585fed4b6ull, 0xd57beeb7af3df01eull},
+       0x87298af585fed4b6ull, 0xd57beeb7af3df01eull, 0x188e9a4e557b71e5ull, 0.0},
       {"coupled_wifi_cells(2,4,1,2)", ScenarioSpec::coupled_wifi_cells(2, 4, 1, 2),
-       0x4e8df58b91595708ull, 0x7a072dc288bf3acdull, 0xf7c030f1a47f26f6ull},
+       0x4e8df58b91595708ull, 0x7a072dc288bf3acdull, 0xf7c030f1a47f26f6ull,
+       0x6ecd23bcac3e315eull, 0.0},
       {"mobile_wifi_cell(4,false,true,1,2)",
        ScenarioSpec::mobile_wifi_cell(4, false, true, 1, 2), 0x9397df598e205e5bull,
-       0x2d859494ce468636ull, 0x76a31e7078f86f60ull},
+       0x2d859494ce468636ull, 0x76a31e7078f86f60ull, 0x84a8959917409d3cull, 0.0},
       {"roaming_wifi_cells(4)", ScenarioSpec::roaming_wifi_cells(4),
-       0xe5e0f85593a08b4dull, 0xd7fd98d9920baf26ull, 0x87eda0a8614a05d9ull},
+       0xe5e0f85593a08b4dull, 0xd7fd98d9920baf26ull, 0x87eda0a8614a05d9ull,
+       0x778b8e3746e11c00ull, 315428.0},
   };
   for (const Pin& p : pins) {
     ScenarioSpec spec = p.spec;
@@ -105,6 +121,8 @@ TEST(Scenario, FactoryDigestsArePinned) {
     EXPECT_EQ(fs.full_digest(), p.full) << p.factory;
     EXPECT_EQ(fs.completion_digest(), p.completion) << p.factory;
     EXPECT_EQ(fs.full_digest_v2(), p.v2) << p.factory;
+    EXPECT_EQ(fnv1a(fs.report()), p.report) << p.factory;
+    EXPECT_EQ(fs.mean_handoff_latency_cycles(), p.mean_handoff_latency) << p.factory;
   }
 }
 
