@@ -77,11 +77,21 @@ void PacketBus::write(u32 addr, Word data) {
 }
 
 void PacketBus::declare_run(sim::Clockable* master, Cycle n) {
-  assert(grant_.kind == MasterKind::Rfu && accessed_this_cycle_ &&
-         "a word run starts with the granted RFU's access");
+  assert(grant_.kind != MasterKind::None && accessed_this_cycle_ &&
+         "a word run starts with the master's access");
   run_master_ = master;
   run_left_ = n + 1;  // The declaring access, then the n slept-through ones.
-  mem_.set_streamer(master);
+  if (grant_.kind == MasterKind::Rfu) mem_.set_streamer(master);
+}
+
+void PacketBus::declare_burst(sim::Clockable* irc, u8 rfu_id, std::span<const Word> args) {
+  assert(grant_.kind == MasterKind::Irc && "a trigger burst is the IRC's");
+  declare_run(irc, args.size());
+  triggers_.declare_burst(rfu_id, args);
+  // Logged whole at the command word: the burst cannot be cut short.
+  if (recorder_ != nullptr) {
+    trace(obs::EventKind::kBusBurst, grant_.mode, static_cast<i64>(args.size()));
+  }
 }
 
 void PacketBus::read_run(u32 addr, std::span<Word> out) const {
@@ -101,6 +111,18 @@ void PacketBus::write_run(u32 addr, std::span<const Word> in) {
     trace(obs::EventKind::kBusRun, grant_origin_mode(), static_cast<i64>(in.size()));
   }
   mem_.write_words(addr, in);
+}
+
+void PacketBus::write_scatter(u32 base, std::span<const std::pair<u32, Word>> words) {
+  assert(grant_.kind == MasterKind::Rfu && "scatter run without an RFU master");
+  if (recorder_ != nullptr) {
+    trace(obs::EventKind::kBusRun, grant_origin_mode(), static_cast<i64>(words.size()));
+  }
+  for (const auto& [offset, word] : words) {
+    assert(base + offset != kOverrideAddr && !triggers_.decodes(base + offset) &&
+           "a scatter run writes packet memory only");
+    mem_.write(base + offset, word);
+  }
 }
 
 Mode PacketBus::grant_origin_mode() const {

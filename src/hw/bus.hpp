@@ -19,6 +19,7 @@
 #include <array>
 #include <cassert>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -91,25 +92,35 @@ class PacketBus : public sim::Clockable {
   void tick() override;
 
   // ---- Word runs (the fourth busy sleeper, sim/scheduler.hpp) ----
-  /// The RFU master that just accessed the bus declares that it accesses
-  /// it again in each of the next `n` cycles: the rest of its word run,
-  /// bar the final access, which it makes for real. Grants are not
-  /// preemptive, so the run is fixed when it starts. The bus then counts
-  /// those cycles as accessed without an access call, and the master
-  /// sleeps through them and moves their words through read_run/write_run
-  /// when it is settled. Port B of the memory settles the master first.
+  /// The master that just accessed the bus declares that it accesses it
+  /// again in each of the next `n` cycles: the rest of its word run, bar
+  /// the final access, which it makes for real. Grants are not preemptive,
+  /// so the run is fixed when it starts. The bus then counts those cycles
+  /// as accessed without an access call, and the master sleeps through
+  /// them. An RFU master moves their words through read_run/write_run/
+  /// write_scatter when it is settled, and port B of the memory settles it
+  /// first; the IRC declares its runs with declare_burst.
   void declare_run(sim::Clockable* master, Cycle n);
+  /// The IRC, having just written `rfu_id`'s command word, declares the
+  /// op's arguments as a trigger burst: a run of args.size() trigger writes
+  /// after the command word, one per cycle, that the RFU reads from
+  /// triggers().burst() by its own progress (hw/trigger.hpp). The execute
+  /// trigger after them is a real write. The IRC's request line holds the
+  /// grant until then, so a burst is never cut short.
+  void declare_burst(sim::Clockable* irc, u8 rfu_id, std::span<const Word> args);
   /// True while `master` may sleep through its declared run: the run still
   /// has cycles to count.
   bool in_run(const sim::Clockable* master) const noexcept {
     return run_master_ == master && run_left_ > 0;
   }
-  /// Bulk port-A path for a declared run's slept-through words (no
-  /// per-cycle bookkeeping: declare_run accounted those cycles). An
-  /// attached recorder credits the words to the open tenure here, as they
-  /// move, so a run cut short by a dropped grant is not over-counted.
+  /// Bulk port-A path for an RFU's slept-through run words (no per-cycle
+  /// bookkeeping: declare_run accounted those cycles). An attached recorder
+  /// credits the words to the open tenure here, as they move, so a run cut
+  /// short by a dropped grant is not over-counted.
   void read_run(u32 addr, std::span<Word> out) const;
   void write_run(u32 addr, std::span<const Word> in);
+  /// A scatter run's words: each pair's word is written at base + offset.
+  void write_scatter(u32 base, std::span<const std::pair<u32, Word>> words);
 
   // ---- Quiescence contract (sim/scheduler.hpp) ----
   /// Skippable while idle (no request line asserted, no grant held) and
@@ -153,7 +164,7 @@ class PacketBus : public sim::Clockable {
   /// "packet_bus"). Raw: the caller settles.
   sim::BusyCounter& busy_counter() noexcept { return busy_; }
 
-  /// Logs request, release, access and word-run events onto `r`'s
+  /// Logs request, release, access, word-run and burst events onto `r`'s
   /// "packet_bus" signal track for interconnect exploration (§3.6.3/§7.1
   /// alternatives; hw::bus_transactions replays them); pass nullptr to
   /// detach.
@@ -168,8 +179,10 @@ class PacketBus : public sim::Clockable {
   /// hint only decides when the bus sleeps.
   ///
   /// A run is not state: the current cycle's slept-through access is saved
-  /// as the access flag every-tick mode would hold, and after a load the
-  /// master ticks its next word and declares the rest again.
+  /// as the access flag every-tick mode would hold, and after a load an RFU
+  /// master ticks its next word and declares the rest again, while the IRC
+  /// writes a burst's remaining arguments one by one (the trigger logic
+  /// forgets the burst too).
   template <class Ar>
   void persist(Ar& ar) {
     ar.io(triggers_);

@@ -27,13 +27,14 @@ std::vector<BusTransaction> bus_transactions(const obs::FlightRecorder& rec,
     std::optional<BusTransaction>& t = open[static_cast<std::size_t>(ev.a)];
     if (ev.kind == obs::EventKind::kBusRelease) {
       close(t, ev.cycle);
-    } else if (ev.kind == obs::EventKind::kBusRun) {
+    } else if (ev.kind == obs::EventKind::kBusRun ||
+               ev.kind == obs::EventKind::kBusBurst) {
       // A run continues a tenure whose declaring access was recorded, one
-      // word per cycle after it.
+      // word per cycle after it; a burst's words are RFU trigger writes.
       if (!t) continue;
       t->last_access += static_cast<Cycle>(ev.b);
       t->words += static_cast<u32>(ev.b);
-      t->touched_mem = true;
+      (ev.kind == obs::EventKind::kBusBurst ? t->touched_rfu : t->touched_mem) = true;
     } else {
       // A request opens a tenure unless one is open (a re-assertion); so
       // does an access outside one (e.g. a recorder attached mid-run), so

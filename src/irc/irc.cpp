@@ -27,6 +27,7 @@ Irc::Irc(Env env) : env_(env) {
   th_env.bus = env_.bus;
   th_env.rfus = &rfus_;
   th_env.handlers = &handlers_;
+  th_env.irc = this;
   for (std::size_t i = 0; i < kNumModes; ++i) {
     handler_storage_[i] = std::make_unique<TaskHandler>(mode_from_index(i), th_env);
     handlers_[i] = handler_storage_[i].get();

@@ -161,6 +161,10 @@ Cycle TaskHandler::quiescent_for_bound() const noexcept {
       // through the grant waker, so the IRC ticks on the grant cycle.
       thm_q = env_.bus->granted_irc(mode_) ? 0 : sim::Clockable::kIdleForever;
       break;
+    case ThMState::UsePbus:
+      // The burst's arguments, bar none: the execute trigger is a real write.
+      thm_q = in_burst() ? thm_entry_.nargs + 1 - pbus_seq_ : 0;
+      break;
     case ThMState::Wait4RfuDone: {
       // The unit's DONE transition fires the completion waker registered by
       // Irc::register_rfu, so sleeping through the execution span observes
@@ -181,6 +185,13 @@ void TaskHandler::skip_idle(Cycle n) {
   thm_occ_.sample_n(static_cast<int>(thm_state_), n);
   thr_busy_.sample_n(thr_state_ != ThRState::Idle, n);
   thm_busy_.sample_n(thm_state_ != ThMState::Idle, n);
+  if (in_burst()) pbus_seq_ += static_cast<u32>(n);
+}
+
+bool TaskHandler::in_burst() const noexcept {
+  return thm_state_ == ThMState::UsePbus && pbus_seq_ >= 1 &&
+         pbus_seq_ <= thm_entry_.nargs &&
+         !env_.bus->triggers().burst(thm_entry_.rfu_id).empty();
 }
 
 void TaskHandler::tick() {
@@ -389,6 +400,10 @@ void TaskHandler::tick_thm() {
       return;
     }
     case ThMState::UsePbus: {
+      if (in_burst()) {
+        ++pbus_seq_;  // The bus carries this argument: no second write.
+        return;
+      }
       if (!env_.bus->can_access()) return;
       const OpCall& call = req_.ops[thm_idx_];
       assert(call.args.size() == thm_entry_.nargs &&
@@ -397,6 +412,10 @@ void TaskHandler::tick_thm() {
       const u32 total = 1 + thm_entry_.nargs + 1;  // cmd + args + execute.
       if (pbus_seq_ == 0) {
         env_.bus->write(trig, rfu::make_command_word(call.op, thm_entry_.nargs));
+        // The arguments follow one per cycle as a trigger burst.
+        if (thm_entry_.nargs > 0) {
+          env_.bus->declare_burst(env_.irc, thm_entry_.rfu_id, call.args);
+        }
       } else if (pbus_seq_ <= thm_entry_.nargs) {
         env_.bus->write(trig, call.args[pbus_seq_ - 1]);
       } else {

@@ -94,6 +94,7 @@ struct ThEnv {
   hw::PacketBus* bus = nullptr;
   std::array<rfu::Rfu*, hw::kMaxRfus>* rfus = nullptr;
   std::array<TaskHandler*, kNumModes>* handlers = nullptr;  ///< WAKE routing.
+  sim::Clockable* irc = nullptr;  ///< The bus master of trigger bursts.
 };
 
 class TaskHandler : public sim::Clockable {
@@ -120,12 +121,16 @@ class TaskHandler : public sim::Clockable {
   /// Idle (submit/doorbell wakes), Sleep* (released by a sibling handler of
   /// the same IRC, which only runs while the IRC is awake), Wait4RfuDone /
   /// UseRcWait (the RFU's DONE/RDONE completion waker), Wait4Pbus until the
-  /// grant (the bus's grant waker). Every other state polls table mutexes
-  /// or the bus's per-cycle access slot and returns 0.
+  /// grant (the bus's grant waker). UsePbus is bounded by its trigger burst:
+  /// the arguments after the command word are declared with it
+  /// (hw::PacketBus::declare_burst), so the ticks before the execute
+  /// trigger only count pbus_seq_ on. Every other state polls table mutexes
+  /// and returns 0.
   Cycle quiescent_for_bound() const noexcept;
-  /// Bulk-accounts n skipped ticks (constant-Idle occupancy/busy samples).
-  /// Signal tracks store change events only, so a skipped constant-state
-  /// stretch records exactly what the per-tick path would.
+  /// Bulk-accounts n skipped ticks: constant-state occupancy/busy samples,
+  /// and a burst's pbus_seq_. Signal tracks store change events only, so a
+  /// skipped constant-state stretch records exactly what the per-tick path
+  /// would.
   void skip_idle(Cycle n) override;
 
   /// Logs both statecharts onto `rec`'s "thr.<mode>" and "thm.<mode>"
@@ -176,6 +181,10 @@ class TaskHandler : public sim::Clockable {
   /// TH_M found a stale configuration; hand the op back to TH_R.
   void thm_request_redo(std::size_t idx);
   void release_rfu_and_wake(u8 rfu_id);
+  /// True while TH_M's next USE_PBUS word is an argument of a declared
+  /// trigger burst (a load forgets the burst: the words then go one by
+  /// one).
+  bool in_burst() const noexcept;
   void complete_request();
   void trace_states(Cycle now);
 

@@ -36,6 +36,7 @@ const char* to_string(EventKind k) noexcept {
     case EventKind::kBusRelease: return "bus_release";
     case EventKind::kBusAccess: return "bus_access";
     case EventKind::kBusRun: return "bus_run";
+    case EventKind::kBusBurst: return "bus_burst";
   }
   return "?";
 }

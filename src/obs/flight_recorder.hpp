@@ -71,6 +71,7 @@ enum class EventKind : u8 {
   kBusRelease,      // a = mode index whose request line fell
   kBusAccess,       // a = origin mode index, b = 1 if an RFU trigger/argument
   kBusRun,          // a = origin mode index, b = words of a declared run
+  kBusBurst,        // a = mode index, b = argument words of a trigger burst
 };
 
 const char* to_string(EventKind k) noexcept;

@@ -2,6 +2,7 @@
 
 #include "sim/checkpoint.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "hw/ctrl_layout.hpp"
@@ -236,15 +237,13 @@ bool HeaderRfu::work_step() {
         if (!io_step()) return false;
         stage_ = 2;
         [[fallthrough]];
-      default: {
-        // Write status words, one bus access per cycle.
-        if (status_idx_ >= status_out_.size()) return true;
-        if (!bus_granted() || !bus_free()) return false;
-        const auto& [idx, value] = status_out_[status_idx_];
-        bus_write(status_base_ + idx, value);
-        ++status_idx_;
-        return status_idx_ >= status_out_.size();
-      }
+      default:
+        // The status words, one bus access each, as one scatter run; the
+        // first tick queues the words not yet written.
+        if (io_idle()) {
+          q_scatter(status_base_, static_cast<u32>(status_out_.size() - status_idx_));
+        }
+        return io_step();
     }
   }
   // Assembly path.
@@ -275,6 +274,11 @@ bool HeaderRfu::work_step() {
   }
 }
 
+void HeaderRfu::scatter_out(std::span<std::pair<u32, Word>> words) {
+  const auto from = status_out_.begin() + static_cast<std::ptrdiff_t>(status_idx_);
+  std::copy_n(from, words.size(), words.begin());
+  status_idx_ += words.size();
+}
 
 void HeaderRfu::save_extra(sim::snap::Writer& w) { persist(w); }
 void HeaderRfu::load_extra(sim::snap::Reader& r) { persist(r); }

@@ -32,6 +32,8 @@ class HeaderRfu final : public StreamingRfu {
   bool work_step() override;
   void on_reconfigured(u8 new_state, const std::vector<Word>& blob) override;
 
+  void scatter_out(std::span<std::pair<u32, Word>> words) override;
+
   void save_extra(sim::snap::Writer& w) override;
   void load_extra(sim::snap::Reader& r) override;
 
@@ -65,7 +67,7 @@ class HeaderRfu final : public StreamingRfu {
   u32 status_base_ = 0;
   Bytes hdr_bytes_;
   std::vector<std::pair<u32, Word>> status_out_;  ///< (ctrl-word index, value).
-  std::size_t status_idx_ = 0;
+  std::size_t status_idx_ = 0;  ///< Status words the scatter run has written.
 
   // Format descriptor (from config blob).
   u32 fmt_hdr_len_ = 0;

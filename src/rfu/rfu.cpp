@@ -42,9 +42,11 @@ Cycle Rfu::quiescent_for() const {
     case Phase::Idle:
     case Phase::CollectArgs:
       // Both phases are trigger-driven: with nothing latched, a tick only
-      // samples constant state. The trigger decode wakes the addressed RFU
-      // on every push (hw::RfuTriggerLogic::set_waker), so "until woken" is
-      // exact for the primary-trigger machinery in either phase.
+      // samples constant state or takes the next argument of a declared
+      // trigger burst, which skip_idle takes the same way. The trigger
+      // decode wakes the addressed RFU on every push
+      // (hw::RfuTriggerLogic::set_waker), so "until woken" is exact for the
+      // primary-trigger machinery in either phase.
       q = env_.bus->triggers().pending(id_) ? 0 : kIdleForever;
       break;
     case Phase::Running:
@@ -73,9 +75,23 @@ void Rfu::skip_idle(Cycle n) {
     // completing tick (and on_reconfigured) still executes for real.
     reconfig_cycles_ += n;
     reconfig_remaining_ -= n;
+  } else if (phase_ == Phase::CollectArgs) {
+    // The skipped ticks held no latched trigger by contract; in a trigger
+    // burst each took the next argument.
+    take_burst_args(n);
   }
-  // CollectArgs: nothing beyond the busy accounting above — the skipped
-  // ticks held no latched trigger by contract.
+}
+
+std::size_t Rfu::take_burst_args(Cycle n) {
+  // Argument k of the burst is the one this unit collects k-th, so its own
+  // progress indexes the burst whoever settles it and when.
+  const std::span<const Word> burst = env_.bus->triggers().burst(id_);
+  if (burst.empty() || args_.size() >= expected_args_) return 0;
+  assert(burst.size() == expected_args_ && "trigger burst of another op");
+  const std::size_t k = std::min<std::size_t>(n, expected_args_ - args_.size());
+  const auto from = burst.begin() + static_cast<std::ptrdiff_t>(args_.size());
+  args_.insert(args_.end(), from, from + static_cast<std::ptrdiff_t>(k));
+  return k;
 }
 
 void Rfu::tick() {
@@ -119,11 +135,13 @@ void Rfu::tick() {
       // One trigger per bus cycle: each is either the next argument or — once
       // all arguments are latched — the execute command ("the same trigger
       // can be used to signal argument-ready as well as start-execution",
-      // §3.6.1.2 step 9).
+      // §3.6.1.2 step 9). A declared burst carries the arguments.
+      if (take_burst_args(1) > 0) return;
       if (auto w = env_.bus->triggers().take(id_)) {
         if (args_.size() < expected_args_) {
           args_.push_back(*w);
         } else {
+          env_.bus->triggers().declare_burst(id_, {});  // Its op is over.
           phase_ = Phase::Running;
           ++exec_count_;
           on_execute(current_op_);

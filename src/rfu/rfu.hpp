@@ -75,8 +75,10 @@ class Rfu : public sim::Clockable {
   void tick() final;
 
   // ---- Quiescence contract (sim/scheduler.hpp) ----
-  /// An RFU is skippable while Idle with no latched trigger (trigger pushes
-  /// wake it through the RfuTriggerLogic waker), bounded by its slave role;
+  /// An RFU is skippable while Idle or collecting arguments with no latched
+  /// trigger (trigger pushes wake it through the RfuTriggerLogic waker; a
+  /// trigger burst's arguments are taken by skip_idle as by the tick),
+  /// bounded by its slave role;
   /// subclasses may additionally declare quiescent stretches of the Running
   /// phase (e.g. the channel-access RFU waiting for a TDMA slot boundary,
   /// or a streaming unit counting down a compute stall).
@@ -152,6 +154,10 @@ class Rfu : public sim::Clockable {
 
  private:
   enum class Phase : u8 { Idle, CollectArgs, Running, Reconfiguring };
+
+  /// Takes up to `n` more arguments from a declared trigger burst; returns
+  /// how many it took.
+  std::size_t take_burst_args(Cycle n);
 
   template <class Ar>
   void persist_base(Ar& ar) {

@@ -42,6 +42,10 @@ void StreamingRfu::q_stream_out(u32 addr, u32 nwords) {
   ops_.push_back({IoOp::Kind::StreamOut, addr, nwords, 0});
 }
 
+void StreamingRfu::q_scatter(u32 base, u32 nwords) {
+  ops_.push_back({IoOp::Kind::Scatter, base, nwords, 0});
+}
+
 Cycle StreamingRfu::running_quiescent_for() const {
   if (ops_.empty()) return 0;
   const IoOp& op = ops_.front();
@@ -77,6 +81,7 @@ u32 StreamingRfu::words_left(const IoOp& op) const {
     case IoOp::Kind::ReadWords:
     case IoOp::Kind::StreamIn:
     case IoOp::Kind::StreamOut:
+    case IoOp::Kind::Scatter:
       return op.a - op.progress;
     case IoOp::Kind::WriteData:
       return static_cast<u32>(staged_words_.size()) - op.progress;
@@ -209,6 +214,15 @@ void StreamingRfu::move_words(IoOp& op, u32 n, bool slept) {
       run_words_.resize(n);
       stream_out(run_words_);
       write(op.addr + op.progress, run_words_);
+      break;
+    case IoOp::Kind::Scatter:
+      run_pairs_.resize(n);
+      scatter_out(run_pairs_);
+      if (slept) {
+        env_.bus->write_scatter(op.addr, run_pairs_);
+      } else {
+        bus_write(op.addr + run_pairs_[0].first, run_pairs_[0].second);
+      }
       break;
     default:
       assert(false && "not a word-run op");

@@ -11,13 +11,16 @@
 // exactly one cycle. The unit declares the run to the bus
 // (hw::PacketBus::declare_run) and sleeps through all of it but the final
 // word, whose tick pops the op for real; a settle moves the slept-through
-// words in one call through the bus's bulk path. A compute stall sleeps the
-// same way. Both are exact because every subclass calls io_step() first in
-// work_step() and returns while it is false.
+// words in one call through the bus's bulk path. A run's words are
+// contiguous, or, in a *scatter run* (q_scatter), (offset, word) pairs
+// written at their own addresses — a fixed list of sparse status words. A
+// compute stall sleeps the same way. All are exact because every subclass
+// calls io_step() first in work_step() and returns while it is false.
 #pragma once
 
 #include <deque>
 #include <span>
+#include <utility>
 
 #include "hw/memory_map.hpp"
 #include "rfu/rfu.hpp"
@@ -47,11 +50,16 @@ class StreamingRfu : public Rfu {
   void q_stream_in(u32 addr, u32 nwords);
   /// Queues a run of `nwords` words from stream_out() written at `addr`.
   void q_stream_out(u32 addr, u32 nwords);
+  /// Queues a scatter run of `nwords` (offset, word) pairs from
+  /// scatter_out(), each word written at `base` + offset.
+  void q_scatter(u32 base, u32 nwords);
 
-  /// Sink of q_stream_in and source of q_stream_out: the next words of the
-  /// run, one per ticked cycle or a slept-through stretch at once.
+  /// Sink of q_stream_in and sources of q_stream_out and q_scatter: the
+  /// next words of the run, one per ticked cycle or a slept-through
+  /// stretch at once.
   virtual void stream_in(std::span<const Word> /*words*/) {}
   virtual void stream_out(std::span<Word> /*words*/) {}
+  virtual void scatter_out(std::span<std::pair<u32, Word>> /*words*/) {}
 
   /// Quiescence while Running: a Stall at the head of the queue is pure
   /// countdown, and a declared word run is one access per cycle, so every
@@ -94,7 +102,8 @@ class StreamingRfu : public Rfu {
  private:
   struct IoOp {
     enum class Kind : u8 {
-      ReadLen, ReadData, ReadWords, WriteLen, WriteData, Patch, Stall, StreamIn, StreamOut
+      ReadLen, ReadData, ReadWords, WriteLen, WriteData, Patch, Stall, StreamIn, StreamOut,
+      Scatter
     };
     Kind kind;
     u32 addr = 0;      // Page or word address.
@@ -127,6 +136,7 @@ class StreamingRfu : public Rfu {
   u32 patch_nwords_ = 0;
   bool patch_loaded_ = false;
   std::vector<Word> run_words_;  // One move's words (not state).
+  std::vector<std::pair<u32, Word>> run_pairs_;  // One scatter move's (not state).
 };
 
 }  // namespace drmp::rfu

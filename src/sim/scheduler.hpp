@@ -59,11 +59,15 @@
 // handler body (cpu::CpuModel, busy_until_ is set at dispatch), a streaming
 // RFU's compute stall (rfu::StreamingRfu, a Stall micro-op at the head of
 // its queue), a packet-bus grant held with no access (hw::PacketBus) and a
-// word run — a streaming RFU that holds the grant moving one word per
-// cycle (rfu::StreamingRfu declares the rest of the run to the bus with
-// hw::PacketBus::declare_run; the unit and the bus both sleep through it).
-// Their skip_idle adds the busy, hold and wait counts the skipped ticks
-// would have added, and a run's skip moves its words in one call.
+// word run — a bus master moving one word per cycle. A streaming RFU that
+// holds the grant declares the rest of its run to the bus with
+// hw::PacketBus::declare_run, contiguous words or a scatter run's (offset,
+// word) pairs; the IRC declares an op's arguments after the command word
+// as a trigger burst (hw::PacketBus::declare_burst), which the addressed
+// RFU reads by its own progress. The master, the bus and a bursting RFU
+// all sleep through it. Their skip_idle adds the busy, hold and wait
+// counts the skipped ticks would have added, and a run's skip moves its
+// words in one call.
 //
 // Input delivered between runs is state at the next run's entry, not a
 // future wake: wake_self() outside a run only resets next_wake(). A bound

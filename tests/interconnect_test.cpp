@@ -327,5 +327,55 @@ TEST(InterconnectLiveTest, RecorderCapturesRealRunAndReplayIsConsistent) {
   EXPECT_LE(par.total_wait(), res.total_wait());
 }
 
+/// FNV-1a over every field of a tenure list.
+u64 tenure_digest(const std::vector<BusTransaction>& tenures) {
+  u64 h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](u64 v) {
+    for (int i = 0; i < 8; ++i) h = (h ^ ((v >> (8 * i)) & 0xFF)) * 0x100000001b3ull;
+  };
+  for (const BusTransaction& t : tenures) {
+    mix(index(t.mode));
+    mix(t.request);
+    mix(t.first_access);
+    mix(t.last_access);
+    mix(t.words);
+    mix(t.touched_mem);
+    mix(t.touched_rfu);
+  }
+  return h;
+}
+
+TEST(InterconnectLiveTest, TriggerBurstsReplayAsRfuWords) {
+  // A three-mode transmit: each MSDU goes through a detached channel-access
+  // op (WiFi CSMA with two arguments, WiMAX and UWB TDMA with three), whose
+  // tenure is only its trigger words — command, the arguments as a burst,
+  // execute — and touches no memory.
+  for (bool idle_skip : {true, false}) {
+    SCOPED_TRACE(idle_skip);
+    Testbench tb;
+    tb.scheduler().set_idle_skip(idle_skip);
+    obs::FlightRecorder rec;
+    tb.device().bus().attach_recorder(&rec);
+    Bytes payload(300);
+    for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<u8>(i * 3);
+    for (Mode m : {Mode::A, Mode::B, Mode::C}) tb.send_async(m, payload);
+    for (Mode m : {Mode::A, Mode::B, Mode::C}) {
+      ASSERT_TRUE(tb.wait_tx_count(m, 1, 600'000'000));
+    }
+    const auto tenures = bus_transactions(rec, tb.device().bus().total_cycles());
+    std::vector<Mode> rfu_only;
+    for (const BusTransaction& t : tenures) {
+      if (t.touched_rfu && !t.touched_mem) {
+        rfu_only.push_back(t.mode);
+        EXPECT_EQ(t.words, t.mode == Mode::A ? 4u : 5u);
+      }
+    }
+    EXPECT_EQ(rfu_only, (std::vector<Mode>{Mode::A, Mode::B, Mode::C}));
+    // The tenures of the per-word kernel of old, to the cycle.
+    EXPECT_EQ(tenures.size(), 25u);
+    EXPECT_EQ(tenure_digest(tenures), 5813951158051098426ull);
+  }
+}
+
 }  // namespace
 }  // namespace drmp::hw

@@ -1,8 +1,9 @@
 // IRC tests: super-op-code delegation through the TH_R/TH_M statecharts,
 // dynamic reconfiguration via the RC, cross-mode queueing (sleep/wake),
 // table mutexes, the In-Interface doorbell path, request queueing, the
-// IRC's sleep through bus waits and between doorbells, and tracing that
-// observes without changing execution.
+// IRC's sleep through bus waits and between doorbells, tracing that
+// observes without changing execution, and the fixed bus sequences slept
+// through as one transaction: trigger bursts and scatter runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include "hw/ctrl_layout.hpp"
 #include "hw/interconnect_models.hpp"
 #include "irc/irc.hpp"
+#include "mac/wifi_frames.hpp"
 #include "obs/trace_export.hpp"
 #include "rfu/rfu_ids.hpp"
 #include "sim/checkpoint.hpp"
@@ -473,11 +475,11 @@ struct ResumeRun {
   Bytes final_state;  ///< The device's snapshot 500 cycles after completion.
 };
 
-/// Runs `tb` until the doorbell request completes, and 500 cycles more.
-ResumeRun finish(Testbench& tb) {
+/// Runs `tb` until the request tagged `tag` completes, and 500 cycles more.
+ResumeRun finish(Testbench& tb, u32 tag = kDoorbellTag) {
   ResumeRun r;
   tb.device().irc().on_complete = [&](Mode, const ServiceRequest& req) {
-    if (req.tag == kDoorbellTag) r.completed_at = tb.scheduler().now();
+    if (req.tag == tag) r.completed_at = tb.scheduler().now();
   };
   EXPECT_TRUE(tb.run_until([&] { return r.completed_at != 0; }, 100'000));
   tb.run_cycles(500);
@@ -649,6 +651,336 @@ TEST(TraceObserver, HandlerTracksStampTheCycleTheIrcTicksIn) {
     const auto handler = changes("thm.A");
     EXPECT_GT(handler.size(), 2u);
     EXPECT_EQ(handler, changes("probe.thm.A"));
+  }
+}
+
+// ------------------------------- trigger bursts and scatter runs sleep
+
+/// Every component's slept-through spans, for executed-tick counts over a
+/// window (the spans arrive as sleepers settle; every run settles at exit).
+class SkipSpans : public sim::SchedulerObserver {
+ public:
+  void on_skip_span(std::string_view name, Cycle from, Cycle len) override {
+    spans_[std::string(name)].emplace_back(from, from + len);
+  }
+  void on_fast_forward(Cycle, Cycle) override {}
+  /// Ticks `name` executed in cycles [from, to].
+  u64 executed(const std::string& name, Cycle from, Cycle to) const {
+    u64 n = to + 1 - from;
+    const auto it = spans_.find(name);
+    if (it == spans_.end()) return n;
+    for (const auto& [lo, hi] : it->second) {
+      const Cycle a = std::max(lo, from);
+      const Cycle b = std::min(hi, to + 1);
+      if (b > a) n -= b - a;
+    }
+    return n;
+  }
+
+ private:
+  std::map<std::string, std::vector<std::pair<Cycle, Cycle>>> spans_;
+};
+
+/// A quiet device that runs single ops of mode A on its IRC, with every
+/// skip span and the task handlers' state tracks recorded.
+class OpBench {
+ public:
+  explicit OpBench(bool idle_skip) : tb(quiet_config()) {
+    tb.scheduler().set_idle_skip(idle_skip);
+    tb.scheduler().set_observer(&spans);
+    tb.device().irc().on_complete = [this](Mode, const ServiceRequest& req) {
+      completed[req.tag] = tb.scheduler().now();
+    };
+    tb.device().attach_signals(&rec);
+    DrmpDevice& dev = tb.device();
+    dev.memory().write_page_bytes(Mode::A, Page::Raw, payload(16));
+    dev.memory().write_page_bytes(Mode::A, Page::Scratch, payload(20, 3));
+  }
+  ~OpBench() { tb.scheduler().set_observer(nullptr); }
+
+  void submit(Mode m, irc::OpCall call, u32 tag) {
+    tb.device().irc().submit(m, engine_request({std::move(call)}, tag));
+  }
+  void run_to_completion(u32 tag) {
+    EXPECT_TRUE(tb.run_until([&] { return completed.count(tag) != 0; }, 200'000));
+  }
+  /// The cycles of mode A's last USE_PBUS sequence: its command word's and
+  /// its execute trigger's (the tick that leaves the state).
+  std::pair<Cycle, Cycle> last_use_pbus() const {
+    const auto evs = obs::track_events(rec, "thm.A");
+    const int use = static_cast<int>(irc::ThMState::UsePbus);
+    for (std::size_t i = evs.size(); i-- > 1;) {
+      if (evs[i - 1].a == use) return {evs[i - 1].cycle + 1, evs[i].cycle};
+    }
+    ADD_FAILURE() << "TH_M.A never used the bus";
+    return {0, 0};
+  }
+
+  obs::FlightRecorder rec;  // Outlives the device that logs into it.
+  Testbench tb;
+  SkipSpans spans;
+  std::map<u32, Cycle> completed;
+};
+
+/// A 4-argument op (fragmentation) and a 1-argument one (FCS append).
+irc::OpCall frag_call() {
+  return {Op::FragmentWifi,
+          {page_base(Mode::A, Page::Raw), page_base(Mode::A, Page::Tx), 16, 0}};
+}
+irc::OpCall fcs_call() { return {Op::FcsAppend, {page_base(Mode::A, Page::Scratch)}}; }
+
+/// FNV-1a over a counter list: pins it to the every-tick kernel's values.
+u64 digest(const std::vector<Cycle>& v) {
+  u64 h = 0xcbf29ce484222325ull;
+  for (Cycle c : v) {
+    for (int i = 0; i < 8; ++i) h = (h ^ ((c >> (8 * i)) & 0xFF)) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// What mode A's measured op shows from its USE_PBUS sequence on.
+struct BurstRun {
+  Cycle command_at = 0;    ///< The command word's cycle.
+  Cycle execute_at = 0;    ///< The execute trigger's cycle.
+  Cycle completed_at = 0;  ///< The request's completion.
+  u64 irc_ticks = 0;       ///< IRC ticks executed from command to execute.
+  u64 rfu_ticks = 0;       ///< The addressed unit's, over the same cycles.
+  std::vector<Cycle> counters;
+};
+
+/// Runs `call` once to configure its unit, then again as the measured op
+/// (tag 2); a ringer, when given, rings mode B's doorbell from `stage`.
+BurstRun burst_run(bool idle_skip, const irc::OpCall& call, const std::string& unit,
+                   Cycle ring_at = 0, int ring_stage = 0) {
+  OpBench b(idle_skip);
+  DoorbellRinger ringer(b.tb.device().memory(), ring_at);
+  if (ring_at > 0) b.tb.scheduler().add(ringer, "ringer", ring_stage);
+  b.submit(Mode::A, call, 1);
+  b.run_to_completion(1);
+  b.submit(Mode::A, call, 2);
+  b.run_to_completion(2);
+  if (ring_at > 0) b.run_to_completion(kDoorbellTag);
+  BurstRun r;
+  std::tie(r.command_at, r.execute_at) = b.last_use_pbus();
+  r.completed_at = b.completed.at(2);
+  r.irc_ticks = b.spans.executed("irc", r.command_at, r.execute_at);
+  r.rfu_ticks = b.spans.executed(unit, r.command_at, r.execute_at);
+  r.counters = irc_and_bus_counters(b.tb.device());
+  return r;
+}
+
+TEST(TriggerBurst, CostIsPerOpNotPerArgument) {
+  struct Case {
+    irc::OpCall call;
+    const char* unit;
+    u32 nargs;
+    Cycle execute_at, completed_at;  // The every-tick kernel's, pinned.
+    u64 counters;
+  };
+  const Case cases[] = {
+      {fcs_call(), "rfu.fcs", 1, 45, 63, 6306777619214377566ull},
+      {frag_call(), "rfu.frag", 4, 48, 61, 6237534402219784578ull},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.unit);
+    const BurstRun every = burst_run(false, c.call, c.unit);
+    const BurstRun lazy = burst_run(true, c.call, c.unit);
+    EXPECT_EQ(lazy.command_at, every.command_at);
+    EXPECT_EQ(lazy.execute_at, every.execute_at);
+    EXPECT_EQ(lazy.completed_at, every.completed_at);
+    EXPECT_EQ(lazy.counters, every.counters);
+    // Command word, the arguments one per cycle, then the execute trigger.
+    EXPECT_EQ(every.execute_at - every.command_at, c.nargs + 1);
+    EXPECT_EQ(every.irc_ticks, c.nargs + 2);
+    // Asleep, the IRC and the unit tick for the command word and the
+    // execute trigger only, whatever the op's argument count.
+    EXPECT_EQ(lazy.irc_ticks, 2u);
+    EXPECT_EQ(lazy.rfu_ticks, 2u);
+    // The modelled timing is the every-tick kernel's of old.
+    EXPECT_EQ(every.execute_at, c.execute_at);
+    EXPECT_EQ(every.completed_at, c.completed_at);
+    EXPECT_EQ(digest(every.counters), c.counters);
+  }
+}
+
+TEST(TriggerBurst, SiblingWakeMidBurstWritesEachWordOnce) {
+  // Mode B's doorbell rings two cycles into mode A's 4-argument burst: the
+  // IRC wakes to poll it while TH_M.A is still in USE_PBUS.
+  const BurstRun quiet = burst_run(false, frag_call(), "rfu.frag");
+  const Cycle ring_at = quiet.command_at + 2;
+  const std::pair<int, u64> stages[] = {
+      {sim::Scheduler::kStageMedium, 4588075622825143104ull},
+      {sim::Scheduler::kStageObserver, 14516915313627317893ull},
+  };
+  for (const auto& [stage, counters] : stages) {
+    SCOPED_TRACE(stage);
+    const BurstRun every = burst_run(false, frag_call(), "rfu.frag", ring_at, stage);
+    const BurstRun lazy = burst_run(true, frag_call(), "rfu.frag", ring_at, stage);
+    EXPECT_EQ(lazy.command_at, every.command_at);
+    EXPECT_EQ(lazy.execute_at, every.execute_at);
+    EXPECT_EQ(lazy.completed_at, every.completed_at);
+    EXPECT_EQ(lazy.counters, every.counters);
+    // Not vacuous: the IRC ticked mid-burst...
+    EXPECT_GT(lazy.irc_ticks, 2u);
+    // ...and the burst kept the every-tick timing of old.
+    EXPECT_EQ(every.command_at, quiet.command_at);
+    EXPECT_EQ(every.execute_at, quiet.execute_at);
+    EXPECT_EQ(every.execute_at, 48u);
+    EXPECT_EQ(every.completed_at, 61u);
+    EXPECT_EQ(digest(every.counters), counters);
+  }
+}
+
+TEST(TriggerBurst, SnapshotMidBurstResumesExactly) {
+  const BurstRun ref = burst_run(false, frag_call(), "rfu.frag");
+  // Saved after the command word and two arguments have gone out.
+  const Cycle save_at = ref.command_at + 3;
+  const auto run_in = [](OpBench& b, Cycle to) {
+    b.submit(Mode::A, frag_call(), 1);
+    b.run_to_completion(1);
+    b.submit(Mode::A, frag_call(), 2);
+    b.tb.run_cycles(to - b.tb.scheduler().now());
+  };
+  for (bool saved_skip : {false, true}) {
+    SCOPED_TRACE(saved_skip);
+    OpBench saved(saved_skip);
+    run_in(saved, save_at);
+    const Bytes snap = save_quiet(saved.tb);
+    const ResumeRun uninterrupted = finish(saved.tb, 2);
+    EXPECT_EQ(uninterrupted.completed_at, ref.completed_at);
+    for (bool skip : {false, true}) {
+      // Into a fresh device, and into one a cycle short of the same point
+      // of the same burst: the load forgets the burst either way.
+      for (Cycle run_to : {Cycle{0}, save_at - 1}) {
+        SCOPED_TRACE(skip);
+        SCOPED_TRACE(run_to);
+        OpBench resumed(skip);
+        if (run_to > 0) run_in(resumed, run_to);
+        load_quiet(resumed.tb, snap);
+        const ResumeRun r = finish(resumed.tb, 2);
+        EXPECT_EQ(r.completed_at, uninterrupted.completed_at);
+        EXPECT_EQ(r.final_state, uninterrupted.final_state);
+      }
+    }
+  }
+}
+
+/// A received WiFi data MPDU for the header unit to parse.
+Bytes wifi_data_mpdu() {
+  mac::wifi::DataHeader h;
+  h.addr1 = mac::MacAddr::from_u64(0x0A0B0C0D0E0Full);
+  h.addr2 = mac::MacAddr::from_u64(0x111213141516ull);
+  h.addr3 = h.addr1;
+  h.seq_num = 77;
+  return mac::wifi::build_data_mpdu(h, payload(60, 9));
+}
+constexpr u32 kStatusWords = 20;  ///< The parse's status words and a few more.
+/// Status words the parse of that MPDU writes: ParseOk twice (cleared,
+/// then set) and 12 fields.
+constexpr u32 kParsedWords = 14;
+
+/// Reads mode A's status words through port B every cycle and keeps each
+/// change, stamped with the cycle.
+class StatusReader : public sim::Clockable {
+ public:
+  explicit StatusReader(hw::PacketMemory& mem) : mem_(mem) {}
+  void tick() override {
+    std::vector<Word> w(kStatusWords);
+    for (u32 i = 0; i < kStatusWords; ++i) {
+      w[i] = mem_.cpu_read(ctrl_status_addr(Mode::A, static_cast<CtrlWord>(i)));
+    }
+    if (changes.empty() || changes.back().second != w) changes.emplace_back(now_, w);
+    ++now_;
+  }
+  std::vector<std::pair<Cycle, std::vector<Word>>> changes;
+
+ private:
+  hw::PacketMemory& mem_;
+  Cycle now_ = 0;
+};
+
+irc::OpCall parse_call() {
+  return {Op::ParseWifi,
+          {page_base(Mode::A, Page::Rx), ctrl_status_addr(Mode::A, static_cast<CtrlWord>(0))}};
+}
+
+/// Parses once to configure the header unit, then marks the status words
+/// and parses again (tag 2), with the status words in view.
+void parse_twice(OpBench& b, Cycle stop_at = 0) {
+  DrmpDevice& dev = b.tb.device();
+  dev.memory().write_page_bytes(Mode::A, Page::Rx, wifi_data_mpdu());
+  b.submit(Mode::A, parse_call(), 1);
+  b.run_to_completion(1);
+  for (u32 i = 0; i < kStatusWords; ++i) {
+    dev.memory().cpu_write(ctrl_status_addr(Mode::A, static_cast<CtrlWord>(i)), 0xEEEE);
+  }
+  b.submit(Mode::A, parse_call(), 2);
+  if (stop_at > 0) {
+    b.tb.run_cycles(stop_at - b.tb.scheduler().now());
+  } else {
+    b.run_to_completion(2);
+  }
+}
+
+struct ScatterSeen {
+  std::vector<std::pair<Cycle, std::vector<Word>>> changes;
+  Cycle completed_at = 0;
+  u64 header_ticks = 0;  ///< rfu.header ticks from the first change on.
+};
+
+ScatterSeen scatter_seen(bool idle_skip, int reader_stage) {
+  OpBench b(idle_skip);
+  StatusReader reader(b.tb.device().memory());
+  b.tb.scheduler().add(reader, "reader", reader_stage);
+  parse_twice(b);
+  ScatterSeen r;
+  r.changes = reader.changes;
+  r.completed_at = b.completed.at(2);
+  EXPECT_GE(r.changes.size(), kParsedWords);
+  const Cycle last = r.changes.back().first;
+  r.header_ticks = b.spans.executed("rfu.header", last + 1 - kParsedWords, last);
+  return r;
+}
+
+TEST(ScatterRun, PortBReaderSeesEveryTickStatusWords) {
+  for (int stage : {sim::Scheduler::kStageMedium, sim::Scheduler::kStageObserver}) {
+    SCOPED_TRACE(stage);
+    const ScatterSeen every = scatter_seen(false, stage);
+    const ScatterSeen lazy = scatter_seen(true, stage);
+    EXPECT_EQ(lazy.changes, every.changes);
+    EXPECT_EQ(lazy.completed_at, every.completed_at);
+    // Not vacuous: the marked words changed one per cycle...
+    const std::size_t n = every.changes.size();
+    for (std::size_t i = n + 1 - kParsedWords; i < n; ++i) {
+      EXPECT_EQ(every.changes[i].first, every.changes[i - 1].first + 1);
+    }
+    EXPECT_EQ(every.changes.back().second[static_cast<u32>(CtrlWord::kSeq)], 77u);
+    // ...while the header unit slept through all but the first and last.
+    EXPECT_LE(lazy.header_ticks, 2u);
+    EXPECT_EQ(every.completed_at, 126u);
+  }
+}
+
+TEST(ScatterRun, SnapshotMidRunResumesExactly) {
+  const ScatterSeen ref = scatter_seen(false, sim::Scheduler::kStageObserver);
+  // Saved with about half the status words written.
+  const Cycle save_at = ref.changes.back().first - kParsedWords / 2;
+  for (bool saved_skip : {false, true}) {
+    SCOPED_TRACE(saved_skip);
+    OpBench saved(saved_skip);
+    parse_twice(saved, save_at);
+    const Bytes snap = save_quiet(saved.tb);
+    const ResumeRun uninterrupted = finish(saved.tb, 2);
+    EXPECT_EQ(uninterrupted.completed_at, ref.completed_at);
+    for (bool skip : {false, true}) {
+      SCOPED_TRACE(skip);
+      OpBench resumed(skip);
+      resumed.tb.run_cycles(10);
+      load_quiet(resumed.tb, snap);
+      const ResumeRun r = finish(resumed.tb, 2);
+      EXPECT_EQ(r.completed_at, uninterrupted.completed_at);
+      EXPECT_EQ(r.final_state, uninterrupted.final_state);
+    }
   }
 }
 
