@@ -102,15 +102,13 @@ inline std::string take_json_flag(int& argc, char** argv,
   return path;
 }
 
-/// Writes the execution profile of a fleet run (every kSchedRows row, then
-/// skip_ratio) into a bench JSON record — the standing keys every fleet
+/// Writes the execution profile of a fleet run (every sim::kExecRows row,
+/// then skip_ratio) into a bench JSON record — the standing keys every fleet
 /// BENCH_*.json carries, so the perf trajectory of the quiescence machinery
 /// is tracked per commit.
-inline void add_profile(JsonRecord& rec, const scenario::FleetStats& fs) {
-  for (const scenario::SchedRow& row : scenario::kSchedRows) {
-    rec.num(row.name, fs.*row.field);
-  }
-  rec.num("skip_ratio", fs.skip_ratio());
+inline void add_profile(JsonRecord& rec, const sim::ExecProfile& prof) {
+  for (const sim::ExecRow& row : sim::kExecRows) rec.num(row.name, prof.*row.field);
+  rec.num("skip_ratio", prof.skip_ratio());
 }
 
 // ---- Interleaved A/B timing -----------------------------------------------

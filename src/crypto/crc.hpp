@@ -24,11 +24,6 @@ class Crc32 {
   u32 value() const noexcept { return state_ ^ 0xFFFFFFFFu; }
   void reset() noexcept { state_ = 0xFFFFFFFFu; }
 
-  /// Raw streaming state, for checkpointing a mid-stream engine (the FCS
-  /// RFU's bus snoopers). Distinct from value(): no final inversion.
-  u32 raw_state() const noexcept { return state_; }
-  void set_raw_state(u32 s) noexcept { state_ = s; }
-
   /// Checkpoint support (sim/checkpoint.hpp).
   template <class Ar>
   void persist(Ar& ar) {

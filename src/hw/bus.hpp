@@ -69,7 +69,6 @@ class PacketBus : public sim::Clockable {
   void request_for_irc(Mode m);
   void request_for_rfu(Mode m, u8 rfu_id);
   void release(Mode m);
-  const ModeRequest& mode_request(Mode m) const { return requests_[index(m)]; }
 
   // ---- Grant queries ----
   const Grant& grant() const noexcept { return grant_; }

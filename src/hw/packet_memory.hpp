@@ -72,12 +72,6 @@ class PacketMemory {
     settle_streamer();
     return words_.at(page_base(m, p) + kPageLenOffset);
   }
-  void set_page_byte_len(Mode m, Page p, u32 len) {
-    settle_streamer();
-    words_.at(page_base(m, p) + kPageLenOffset) = len;
-  }
-
-  std::size_t size_words() const noexcept { return words_.size(); }
 
   /// Checkpoint support (sim/checkpoint.hpp); watches and the streamer are
   /// wiring, not state.

@@ -138,7 +138,6 @@ class TaskHandler : public sim::Clockable {
   /// state at the bus's cycle count; null detaches.
   void attach_trace(obs::FlightRecorder* rec);
 
-  ThRState thr_state() const noexcept { return thr_state_; }
   ThMState thm_state() const noexcept { return thm_state_; }
   u64 requests_completed() const noexcept { return completed_; }
   /// Non-Idle cycles and per-state cycles of one statechart, sampled every

@@ -91,7 +91,6 @@ class LinkMgr final : public sim::Clockable {
   u64 rate_shifts() const noexcept { return rate_shifts_; }
   u64 link_loss_drops() const noexcept { return link_loss_drops_; }
   u32 rate_index() const noexcept { return rate_idx_; }
-  u32 serving_cell() const noexcept { return serving_; }
   /// Total handoff-to-reassociated latency over all completed handoffs.
   Cycle handoff_latency_total() const noexcept { return handoff_latency_total_; }
   /// Duty-weighted mean rate fraction since cycle 0 (1.0 = full rate the

@@ -166,14 +166,10 @@ void Cell::build_media(const std::array<scenario::ChannelSpec, kNumModes>& fleet
             "net::Cell: the audibility matrix must cover exactly the cell's "
             "stations (the access point is omnidirectional)");
       }
-      ContendedMedium::Params p;
-      p.cca_latency_us = spec_.contention.cca_latency_us;
-      p.capture_preamble_us = spec_.contention.capture_preamble_us;
-      p.deliver_garbled = spec_.contention.deliver_garbled;
+      ContendedMedium::Params p = spec_.contention;
       // Mobility cells take the driver's cycle-0 derived matrix; revisions
       // arrive through apply_audibility() at topology-event edges.
-      p.audibility =
-          driver_ ? driver_->matrix() : spec_.contention.audibility;
+      if (driver_) p.audibility = driver_->matrix();
       auto cm = std::make_unique<ContendedMedium>(proto, tb, p);
       if (driver_) driver_->attach(*cm);
       // Matrix rows are the cell's local station indices; station ids (the
@@ -199,12 +195,12 @@ void Cell::build_media(const std::array<scenario::ChannelSpec, kNumModes>& fleet
     const u64 salt = shared() ? 0x100000ull + cell_index_ + 1
                               : static_cast<u64>(first_station_id_);
     channel_rng_[m] = scenario_seed ^ (0xC4A11D5Cull * salt) ^ (m << 16);
-    const scenario::ChannelSpec& cs = chan[m];
-    if (cs.loss_permille > 0) {
+    const u32 loss_permille = chan[m].loss_permille;
+    if (loss_permille > 0) {
       u64* rng = &channel_rng_[m];
-      media_[m]->tamper = [cs, rng](Bytes& frame) {
-        if (frame.size() < cs.min_frame_bytes) return false;
-        if (splitmix64(*rng) % 1000 >= cs.loss_permille) return false;
+      media_[m]->tamper = [loss_permille, rng](Bytes& frame) {
+        if (frame.size() < scenario::ChannelSpec::kMinFrameBytes) return false;
+        if (splitmix64(*rng) % 1000 >= loss_permille) return false;
         const u64 r = splitmix64(*rng);
         frame[r % frame.size()] ^= static_cast<u8>(1u << ((r >> 32) % 8));
         return true;

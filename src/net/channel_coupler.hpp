@@ -98,7 +98,6 @@ class ChannelCoupler {
 
   /// The lax-sync lookahead horizon (== Params::latency).
   Cycle horizon() const noexcept { return params_.latency; }
-  std::size_t port_count() const noexcept { return ports_.size(); }
   /// Events forwarded into member media across all ports so far.
   u64 forwarded() const noexcept { return forwarded_; }
 

@@ -11,10 +11,7 @@ namespace drmp::net {
 
 ContendedMedium::ContendedMedium(mac::Protocol proto, const sim::TimeBase& tb, Params p)
     : Medium(proto, tb), params_(std::move(p)) {
-  const mac::ProtocolTiming t = mac::timing_for(proto);
-  double latency_us = params_.cca_latency_us;
-  if (latency_us < 0.0) latency_us = mac::cca_latency_default_us(t);
-  cca_latency_ = tb.us_to_cycles(latency_us);
+  cca_latency_ = tb.us_to_cycles(mac::cca_latency_default_us(mac::timing_for(proto)));
   capture_cycles_ = tb.us_to_cycles(params_.capture_preamble_us);
   if (params_.audibility.n > kMaxMatrixListeners) {
     throw std::invalid_argument(

@@ -62,16 +62,6 @@ namespace drmp::net {
 class ContendedMedium final : public phy::Medium {
  public:
   struct Params {
-    /// Carrier-sense detection latency. Negative selects the protocol
-    /// default: one contention slot (or SIFS where the protocol has no
-    /// slotted contention). This is the collision window — 0 reproduces the
-    /// base class's instant-CCA behaviour, where same-cycle starts are the
-    /// only way to collide. The latency shifts the whole perceived-carrier
-    /// window, onset AND release: a frame is audible over
-    /// [start+latency, end+latency), so short control frames (an 11 Mbps
-    /// ACK flies in 10 us) remain perceptible instead of ending before they
-    /// were ever heard.
-    double cca_latency_us = -1.0;
     /// Capture effect: an uncollided frame on the air for at least this
     /// long survives a late interferer. 0 disables capture (every overlap
     /// kills all parties).
@@ -194,6 +184,13 @@ class ContendedMedium final : public phy::Medium {
   /// Air cycles burnt by transmissions that ended collided — the wasted
   /// share of busy_cycles() that airtime-efficiency reports subtract.
   Cycle collided_airtime() const noexcept { return collided_airtime_; }
+  /// Carrier-sense detection latency, the protocol's
+  /// mac::cca_latency_default_us: one contention slot (or SIFS where the
+  /// protocol has no slotted contention). This is the collision window. It
+  /// shifts the whole perceived-carrier window, onset AND release: a frame
+  /// is audible over [start+latency, end+latency), so short control frames
+  /// (an 11 Mbps ACK flies in 10 us) remain perceptible instead of ending
+  /// before they were ever heard.
   Cycle cca_latency_cycles() const noexcept { return cca_latency_; }
   /// Foreign-carrier images injected via begin_remote_tx.
   u64 remote_txs() const noexcept { return remote_txs_; }

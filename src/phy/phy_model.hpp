@@ -121,8 +121,6 @@ class Medium : public sim::Clockable {
     return cca_busy_onset_at();
   }
 
-  /// Cycles one byte occupies on air.
-  double byte_cycles() const noexcept { return byte_cycles_; }
   Cycle frame_air_cycles(std::size_t nbytes) const {
     return static_cast<Cycle>(byte_cycles_ * static_cast<double>(nbytes) + 0.5);
   }
@@ -345,7 +343,6 @@ class PhyTx : public sim::Clockable {
     return expired_by_kind_[static_cast<std::size_t>(k)];
   }
   Cycle last_tx_start() const noexcept { return last_tx_start_; }
-  Cycle last_tx_end() const noexcept { return last_tx_end_; }
   bool transmitting() const noexcept { return medium_.now() < last_tx_end_; }
 
   /// Attaches a flight recorder (null detaches): frame-expiry edges land on

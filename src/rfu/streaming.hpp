@@ -72,11 +72,6 @@ class StreamingRfu : public Rfu {
   bool io_step();
 
   bool io_idle() const { return ops_.empty(); }
-  void io_clear() {
-    ops_.clear();
-    in_bytes_.clear();
-    in_words_.clear();
-  }
 
   /// Checkpoint support: the whole micro-op queue and its scratch —
   /// streaming subclasses call this from their persist before their own

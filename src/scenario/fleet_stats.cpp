@@ -85,8 +85,8 @@ void FleetStats::add_cell(CellStats cs) {
   cells.push_back(std::move(cs));
 }
 
-void FleetStats::add_profile(const FleetStats& part) {
-  for (const SchedRow& row : kSchedRows) {
+void FleetStats::add_profile(const sim::ExecProfile& part) {
+  for (const sim::ExecRow& row : sim::kExecRows) {
     this->*row.field = combine(row.fold, this->*row.field, part.*row.field);
     put(metrics, row.fold, std::string("sched/") + row.name, part.*row.field);
   }

@@ -4,8 +4,9 @@
 // kCellRows below (registry name, member, digest class, fold rule).
 // net::Cell::collect reads the component sources once; the digests, the
 // metrics registry, the fleet totals and report()'s device table all
-// iterate the rows. The engine's execution profile is one row of kSchedRows
-// each, outside every digest.
+// iterate the rows. FleetStats is also a sim::ExecProfile: the engine folds
+// every clock domain's and the lockstep run's profile into it by the rows of
+// sim::kExecRows, outside every digest.
 //
 // Three digests, one per digest class, each covering the classes before it:
 //   * completion_digest(): the kCompletion rows, counters coupled to MSDU
@@ -23,7 +24,6 @@
 // counters: deterministic for a given build, but outside every digest.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <stdexcept>
 #include <string>
@@ -33,6 +33,7 @@
 
 #include "common/types.hpp"
 #include "obs/metrics.hpp"
+#include "sim/exec_profile.hpp"
 #include "sim/stats.hpp"
 
 namespace drmp::scenario {
@@ -61,13 +62,8 @@ enum class DigestClass : u8 {
   kNone,        ///< Outside both v1 digests: full_digest_v2() only.
 };
 
-/// How a counter combines across bands, stations and clock domains.
-enum class FoldRule : u8 { kSum, kMax };
-
-/// Combines two values of one counter by its fold rule.
-constexpr u64 combine(FoldRule fold, u64 a, u64 b) noexcept {
-  return fold == FoldRule::kSum ? a + b : std::max(a, b);
-}
+using sim::combine;
+using sim::FoldRule;
 
 /// A counter's column in FleetStats::report()'s device table (no label: not
 /// a column).
@@ -238,7 +234,7 @@ consteval const CounterRow<Stats>& find_row(const CounterRow<Stats> (&rows)[N],
   throw std::logic_error("no counter row of that name");
 }
 
-struct FleetStats {
+struct FleetStats : sim::ExecProfile {
   std::string scenario_name;
   std::vector<DeviceStats> devices;
   std::vector<CellStats> cells;  ///< One entry per shared-medium cell.
@@ -252,10 +248,10 @@ struct FleetStats {
   /// Registers one shared-medium cell's rows in `metrics` (fleet total and
   /// under cell<n>/) and retains it in `cells`.
   void add_cell(CellStats cs);
-  /// Folds one clock domain's or the lockstep run's execution profile (the
-  /// kSchedRows members of `part`; nothing else of it is read) into this
-  /// one by each row's fold rule, and registers it as sched/<name>.
-  void add_profile(const FleetStats& part);
+  /// Folds one clock domain's or the lockstep run's execution profile into
+  /// this one by each sim::kExecRows row's fold rule, and registers it as
+  /// sched/<name>.
+  void add_profile(const sim::ExecProfile& part);
 
   Cycle lockstep_cycles = 0;  ///< Fleet-clock cycles (max over lanes).
   bool all_drained = false;   ///< Every device finished its workload.
@@ -265,29 +261,6 @@ struct FleetStats {
   /// counter row lands here (kMax rows as gauges), and the totals below
   /// read it back. Never part of a digest.
   obs::MetricsRegistry metrics;
-  // ---- Execution profile: one kSchedRows row each. Execution-strategy
-  // artefacts, not simulation results: they stay out of the digests and the
-  // report, or skip-on/skip-off and worker-count runs would stop comparing
-  // equal.
-  u64 ticks_executed = 0;         ///< Component-ticks actually run.
-  u64 ticks_skipped = 0;          ///< Component-ticks replaced by bulk accounting.
-  Cycle ff_cycles = 0;            ///< Globally-quiescent cycles fast-forwarded.
-  u64 ff_events = 0;              ///< Fast-forward jumps taken.
-  u64 wheel_depth_max = 0;        ///< Wake-wheel high-watermark (max over lanes).
-  u64 wheel_cascades = 0;         ///< Timing-wheel buckets re-hashed downward.
-  u64 wheel_purges = 0;           ///< Stale-majority wake-wheel sweeps.
-  u64 medium_ticks_executed = 0;  ///< kStageMedium component-ticks run.
-  u64 medium_ticks_skipped = 0;   ///< kStageMedium component-ticks skipped.
-  u64 lockstep_rounds = 0;        ///< MultiScheduler rounds.
-  u64 lane_rounds_skipped = 0;    ///< Quiescent lane-round skips, summed.
-  Cycle lane_stall_cycles = 0;    ///< Cycles lanes sat parked in skipped rounds.
-  /// Skipped-to-executed component-tick ratio (the fleet's idle dominance).
-  double skip_ratio() const {
-    return ticks_executed == 0 ? 0.0
-                               : static_cast<double>(ticks_skipped) /
-                                     static_cast<double>(ticks_executed);
-  }
-
   /// Fleet total of one row: summed (kMax rows: maxed) over every station,
   /// and for cell rows over every band.
   u64 total(const CounterRow<DeviceStats>& row) const;
@@ -341,29 +314,6 @@ struct FleetStats {
   /// Chains every row of class `upto` or earlier; cells and the lockstep
   /// outcome join from kFull on.
   u64 digest(DigestClass upto) const;
-};
-
-/// One execution-profile counter of FleetStats. No digest ever reads one.
-struct SchedRow {
-  using Field = u64 FleetStats::*;
-  const char* name;  ///< Registered as sched/<name>.
-  Field field;
-  FoldRule fold = FoldRule::kSum;
-};
-
-inline constexpr SchedRow kSchedRows[] = {
-    {"ticks_executed", &FleetStats::ticks_executed},
-    {"ticks_skipped", &FleetStats::ticks_skipped},
-    {"ff_cycles", &FleetStats::ff_cycles},
-    {"ff_events", &FleetStats::ff_events},
-    {"wheel_depth_max", &FleetStats::wheel_depth_max, FoldRule::kMax},
-    {"wheel_cascades", &FleetStats::wheel_cascades},
-    {"wheel_purges", &FleetStats::wheel_purges},
-    {"medium_ticks_executed", &FleetStats::medium_ticks_executed},
-    {"medium_ticks_skipped", &FleetStats::medium_ticks_skipped},
-    {"lockstep_rounds", &FleetStats::lockstep_rounds},
-    {"lane_rounds_skipped", &FleetStats::lane_rounds_skipped},
-    {"lane_stall_cycles", &FleetStats::lane_stall_cycles},
 };
 
 }  // namespace drmp::scenario

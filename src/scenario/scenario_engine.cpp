@@ -360,19 +360,14 @@ FleetStats ScenarioEngine::run() {
   const Cycle budget =
       spec_.max_cycles > resume_base_ ? spec_.max_cycles - resume_base_ : 0;
   const auto res = multi.run(budget, effective_stride(), workers);
-  run_profile_.lockstep_rounds = res.rounds;
-  for (std::size_t i = 0; i < multi.lane_count(); ++i) {
-    run_profile_.lane_rounds_skipped += multi.lane_rounds_skipped(i);
-    run_profile_.lane_stall_cycles += multi.lane_stall_cycles(i);
-  }
-
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  return collect(resume_base_ + res.cycles, res.all_finished, wall);
+  return collect(resume_base_ + res.cycles, res.all_finished, wall, multi.profile());
 }
 
 FleetStats ScenarioEngine::collect(Cycle lockstep_cycles, bool all_drained,
-                                   double wall_seconds) const {
+                                   double wall_seconds,
+                                   const sim::ExecProfile& lockstep) const {
   FleetStats fs;
   fs.scenario_name = spec_.name;
   fs.lockstep_cycles = lockstep_cycles;
@@ -383,23 +378,9 @@ FleetStats ScenarioEngine::collect(Cycle lockstep_cycles, bool all_drained,
   for (const auto& cell : cells_) {
     cell->collect(fs);
     if (!counted.insert(&cell->scheduler()).second) continue;
-    const sim::SchedulerProfile p = cell->scheduler().profile();
-    FleetStats domain;
-    domain.ticks_executed = p.ticks_executed;
-    domain.ticks_skipped = p.ticks_skipped;
-    domain.ff_cycles = p.ff_cycles;
-    domain.ff_events = p.ff_events;
-    domain.wheel_depth_max = p.wheel_depth_max;
-    domain.wheel_cascades = p.wheel_cascades;
-    domain.wheel_purges = p.wheel_purges;
-    for (const sim::SchedulerProfile::Stage& st : p.stages) {
-      if (st.stage != sim::Scheduler::kStageMedium) continue;
-      domain.medium_ticks_executed = st.executed;
-      domain.medium_ticks_skipped = st.skipped;
-    }
-    fs.add_profile(domain);
+    fs.add_profile(cell->scheduler().profile());
   }
-  fs.add_profile(run_profile_);
+  fs.add_profile(lockstep);
   return fs;
 }
 

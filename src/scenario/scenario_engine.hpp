@@ -103,7 +103,10 @@ class ScenarioEngine {
 
   void resolve_couplings();
   void build_couplers();
-  FleetStats collect(Cycle lockstep_cycles, bool all_drained, double wall_seconds) const;
+  /// Collects every cell, and folds each clock domain's profile and the
+  /// lockstep run's (`lockstep`) into the stats' execution profile.
+  FleetStats collect(Cycle lockstep_cycles, bool all_drained, double wall_seconds,
+                     const sim::ExecProfile& lockstep) const;
   /// Spec identity the resume() check pins: seed, stride, coupling shape and
   /// the per-cell topology/station layout — everything that shapes the
   /// simulated timeline, nothing that is pure execution strategy.
@@ -119,9 +122,6 @@ class ScenarioEngine {
 
   ScenarioSpec spec_;
   std::vector<Group> groups_;
-  /// Lockstep execution profile captured by run() for collect(): only its
-  /// lockstep_rounds and lane_* members are set.
-  FleetStats run_profile_;
   std::vector<ReachEvent> reach_events_;  ///< Sorted by edge.
   std::size_t reach_applied_ = 0;
   Cycle hook_edge_ = 0;  ///< Last round edge the round hook processed.

@@ -84,8 +84,8 @@ ScenarioSpec ScenarioSpec::mixed_three_standard(std::size_t n_devices, u64 seed,
 
   // WiFi contends per-frame, so it tolerates loss; UWB retries inside its
   // slots; WiMAX recovery is ARQ-feedback-driven, keep its band clean here.
-  spec.channel[0] = ChannelSpec{/*loss_permille=*/120, /*min_frame_bytes=*/64};
-  spec.channel[2] = ChannelSpec{/*loss_permille=*/60, /*min_frame_bytes=*/64};
+  spec.channel[0] = ChannelSpec{/*loss_permille=*/120};
+  spec.channel[2] = ChannelSpec{/*loss_permille=*/60};
 
   DrmpConfig base = DrmpConfig::standard_three_mode();
   // Tighter TDD frame / superframe than the thesis defaults (5 ms / 8 ms):

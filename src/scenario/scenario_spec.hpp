@@ -33,9 +33,9 @@
 //                                  cell-consistent identities themselves) and
 //                                  one TrafficSpec per mode.
 //   ChannelSpec.loss_permille    — per-frame corruption probability (‰).
-//   ChannelSpec.min_frame_bytes  — frames below this size fly clean, so short
+//   ChannelSpec::kMinFrameBytes  — frames below this size fly clean, so short
 //                                  control responses (ACK/CTS) are not hit.
-//   ContentionSpec               — mirrors net::ContendedMedium::Params.
+//   ContentionSpec               — net::ContendedMedium::Params.
 //   ScenarioSpec.couplings[g]    — co-channel coupling groups (inter-cell
 //                                  latency/horizon + cell-granular reach);
 //                                  CellSpec.coupling_group joins a cell to
@@ -54,6 +54,7 @@
 #include "drmp/device.hpp"
 #include "mac/traffic_gen.hpp"
 #include "net/audibility.hpp"
+#include "net/contended_medium.hpp"
 #include "net/topology_driver.hpp"
 #include "sim/multi_scheduler.hpp"
 
@@ -61,8 +62,9 @@ namespace drmp::scenario {
 
 /// Lossy-channel model for one protocol band.
 struct ChannelSpec {
+  /// Control frames stay clean below this size.
+  static constexpr std::size_t kMinFrameBytes = 64;
   u32 loss_permille = 0;  ///< Chance a data-sized frame is corrupted on air.
-  std::size_t min_frame_bytes = 64;  ///< Control frames stay clean below this.
 };
 
 /// One DRMP device in the fleet and the traffic offered to it.
@@ -73,22 +75,11 @@ struct DeviceSpec {
 
 enum class Topology : u8 { kPointToPoint, kSharedMedium };
 
-/// Shared-medium physics, mirroring net::ContendedMedium::Params.
-struct ContentionSpec {
-  /// Carrier-sense detection latency (the collision window); negative
-  /// selects the protocol default of one contention slot.
-  double cca_latency_us = -1.0;
-  /// Capture effect preamble lock-in; 0 disables capture.
-  double capture_preamble_us = 0.0;
-  /// Deliver collided frames garbled instead of dropping them.
-  bool deliver_garbled = false;
-  /// Per-station reachability over the cell's *local station indices*
-  /// (net/audibility.hpp). The default (trivial) matrix keeps every station
-  /// in every other's footprint through the original code paths; a
-  /// non-trivial matrix must cover exactly the cell's station count (the
-  /// scripted access point is omnidirectional and needs no row).
-  net::AudibilityMatrix audibility;
-};
+/// Shared-medium physics: capture, garbled delivery and the per-station
+/// audibility matrix over the cell's *local station indices* (a non-trivial
+/// matrix covers exactly the cell's station count; the scripted access
+/// point is omnidirectional and needs no row).
+using ContentionSpec = net::ContendedMedium::Params;
 
 /// Co-channel coupling between the cells of one coupling group (see
 /// net/channel_coupler.hpp and docs/MULTICELL.md). Cells of a group share

@@ -22,7 +22,6 @@ class TimeBase {
   Hz arch_freq() const noexcept { return arch_freq_; }
 
   double cycles_to_us(Cycle c) const noexcept { return static_cast<double>(c) / arch_freq_ * 1e6; }
-  double cycles_to_ns(Cycle c) const noexcept { return static_cast<double>(c) / arch_freq_ * 1e9; }
   Cycle us_to_cycles(double us) const noexcept {
     return static_cast<Cycle>(us * 1e-6 * arch_freq_ + 0.5);
   }

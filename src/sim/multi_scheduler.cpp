@@ -42,6 +42,16 @@ MultiScheduler::RunResult MultiScheduler::run(Cycle max_cycles, Cycle stride,
   return res;
 }
 
+ExecProfile MultiScheduler::profile() const {
+  ExecProfile p;
+  p.lockstep_rounds = rounds_;
+  for (const Lane& lane : lanes_) {
+    p.lane_rounds_skipped += lane.rounds_skipped;
+    p.lane_stall_cycles += lane.stall_cycles;
+  }
+  return p;
+}
+
 void MultiScheduler::close_lanes() {
   for (Lane& lane : lanes_) lane.sched->close_held();
 }
@@ -152,6 +162,7 @@ MultiScheduler::RunResult MultiScheduler::run_rounds(Cycle max_cycles, Cycle str
     }
     res.cycles += round.chunk;
     ++res.rounds;
+    ++rounds_;
     // Retire lanes whose predicate fired this stride (calling thread only —
     // workers are parked on the barrier here). A skipped lane's predicate
     // cannot have changed (its ticks were provably no-ops), but evaluating

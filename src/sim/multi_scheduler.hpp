@@ -123,7 +123,7 @@ class MultiScheduler {
   bool lane_finished(std::size_t i) const { return lanes_[i].finished; }
   /// Cycles this lane actually ran across all run() calls.
   Cycle lane_cycles(std::size_t i) const { return lanes_[i].cycles_run; }
-  // ---- Lane-stall profile (bench surface): quiescence-aware round skips ----
+  // ---- Lane-stall profile: quiescence-aware round skips ----
   /// Rounds this lane was not dispatched because its next_wake lay past the
   /// round target.
   u64 lane_rounds_skipped(std::size_t i) const {
@@ -133,6 +133,10 @@ class MultiScheduler {
   Cycle lane_stall_cycles(std::size_t i) const {
     return lanes_[i].stall_cycles;
   }
+  /// The lockstep rows of the execution profile (sim/exec_profile.hpp)
+  /// over every run() call: rounds, and the lane-stall counts summed over
+  /// lanes. The per-domain rows come from each lane's Scheduler::profile().
+  ExecProfile profile() const;
 
  private:
   struct Lane {
@@ -153,6 +157,7 @@ class MultiScheduler {
   std::function<void()> round_hook_;
   std::function<void(Cycle)> edge_hook_;
   Cycle edge_every_ = 0;
+  u64 rounds_ = 0;  ///< Lockstep rounds over every run() call.
 };
 
 }  // namespace drmp::sim

@@ -21,45 +21,32 @@ void Scheduler::add(Clockable& c, std::string name, int stage) {
 }
 
 void Scheduler::freeze() {
-  // A re-freeze rebuilds the per-stage counter vectors below; flush what
-  // they hold so profile() never loses ticks across late registrations.
-  for (std::size_t b = 0; b < stage_ids_.size(); ++b) {
-    auto& [exec, skip] = stage_totals_[stage_ids_[b]];
-    exec += stage_exec_[b];
-    skip += stage_skip_[b];
-  }
   // Stable sort keeps registration order within a stage, so an all-default
   // scheduler executes in exact registration order (the legacy contract).
-  std::vector<std::size_t> order(entries_.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [this](std::size_t a, std::size_t b) {
-                     return entries_[a].stage < entries_[b].stage;
-                   });
+  std::vector<u32> order(entries_.size());
+  std::iota(order.begin(), order.end(), u32{0});
+  std::stable_sort(order.begin(), order.end(), [this](u32 a, u32 b) {
+    return entries_[a].stage < entries_[b].stage;
+  });
+  // A re-freeze (late add()) carries every component's counts to its new
+  // frozen index.
+  std::vector<TickCounts> counts(order.size());
+  for (std::size_t i = 0; i < rank_.size(); ++i) counts[i] = counts_[rank_[i]];
+  order_ = std::move(order);
+  rank_.resize(order_.size());
+  counts_.resize(order_.size());
   batch_.clear();
-  batch_.reserve(order.size());
-  frozen_names_.clear();
-  frozen_names_.reserve(order.size());
-  stage_ids_.clear();
-  stage_bucket_.clear();
-  stage_bucket_.reserve(order.size());
-  for (const std::size_t i : order) {
-    batch_.push_back(entries_[i].component);
-    frozen_names_.push_back(names_[i]);
-    // `order` is stage-sorted, so unique stages arrive in ascending runs.
-    if (stage_ids_.empty() || stage_ids_.back() != entries_[i].stage) {
-      stage_ids_.push_back(entries_[i].stage);
-    }
-    stage_bucket_.push_back(static_cast<u32>(stage_ids_.size() - 1));
-  }
-  stage_exec_.assign(stage_ids_.size(), 0);
-  stage_skip_.assign(stage_ids_.size(), 0);
+  batch_.reserve(order_.size());
   // Bind the wake route: wake_self() must reach this scheduler's active-set
   // bookkeeping. A component lives in exactly one scheduler in this code
   // base; re-freezing (or re-registering elsewhere) rebinds it.
-  for (std::size_t i = 0; i < batch_.size(); ++i) {
-    batch_[i]->wake_sched_ = this;
-    batch_[i]->wake_index_ = static_cast<u32>(i);
+  for (u32 k = 0; k < order_.size(); ++k) {
+    Clockable* c = entries_[order_[k]].component;
+    batch_.push_back(c);
+    c->wake_sched_ = this;
+    c->wake_index_ = k;
+    rank_[order_[k]] = k;
+    counts_[k] = counts[order_[k]];
   }
   batch_dirty_ = false;
 }
@@ -110,8 +97,7 @@ bool Scheduler::run_every_tick(Cycle n, const Done& done) {
     cursor_ = k < count ? k : kNoCursor;  // Names the culprit for fault().
     throw;
   }
-  ticks_executed_ += ran * count;
-  for (k = 0; k < count; ++k) stage_exec_[stage_bucket_[k]] += ran;
+  for (k = 0; k < count; ++k) counts_[k].executed += ran;
   next_wake_ = now_;
   return fired;
 }
@@ -183,8 +169,7 @@ void Scheduler::settle_sleeper(u32 idx) {
   const Cycle owed = upto - st.slept_from;
   st.slept_from = upto;
   batch_[idx]->skip_idle(owed);
-  ticks_skipped_ += owed;
-  stage_skip_[stage_bucket_[idx]] += owed;
+  counts_[idx].skipped += owed;
 }
 
 void Scheduler::end_sleep(u32 idx) {
@@ -193,7 +178,7 @@ void Scheduler::end_sleep(u32 idx) {
   st.sleeping = false;
   ++st.gen;  // Any wake-wheel entry for this sleep period is now stale.
   if (observer_ != nullptr && st.slept_from > st.span_from) {
-    observer_->on_skip_span(frozen_names_[idx], st.span_from,
+    observer_->on_skip_span(names_[order_[idx]], st.span_from,
                             st.slept_from - st.span_from);
   }
 }
@@ -260,7 +245,6 @@ bool Scheduler::run_skipping(Cycle limit, const Done& done) {
       now_ += gap;
       ff_cycles_ += gap;
       ++ff_events_;
-      ++ff_gap_log2_[static_cast<std::size_t>(std::bit_width(gap))];
       fired = done();
       continue;
     }
@@ -277,8 +261,7 @@ bool Scheduler::run_skipping(Cycle limit, const Done& done) {
         cursor_ = idx;
         Clockable* c = batch_[idx];
         c->tick();
-        ++ticks_executed_;
-        ++stage_exec_[stage_bucket_[idx]];
+        ++counts_[idx].executed;
         const Cycle q = c->quiescent_for();
         if (q > 0) {
           CompState& st = states_[idx];
@@ -322,71 +305,76 @@ bool Scheduler::run_until(const std::function<bool()>& done, Cycle max_cycles) {
 void Scheduler::fault() {
   // Sleepers stay unsettled mid-run, so no cycle describes this state.
   std::string who = "the run";
-  if (cursor_ != kNoCursor) who = "component '" + frozen_names_[cursor_] + "'";
+  if (cursor_ != kNoCursor) who = "component '" + names_[order_[cursor_]] + "'";
   fault_ = "sim::Scheduler faulted: " + who + " threw at cycle " + std::to_string(now_);
   in_batched_run_ = false;  // Later wakes only reset next_wake_...
   next_wake_ = now_;        // ...so lanes dispatch this scheduler, which throws.
 }
 
-SchedulerProfile Scheduler::profile() const {
-  SchedulerProfile p;
-  p.ticks_executed = ticks_executed_;
-  p.ticks_skipped = ticks_skipped_;
+std::map<int, std::pair<u64, u64>> Scheduler::ticks_by_stage() const {
+  std::map<int, std::pair<u64, u64>> by_stage = restored_stages_;
+  for (std::size_t k = 0; k < counts_.size(); ++k) {
+    auto& [exec, skip] = by_stage[entries_[order_[k]].stage];
+    exec += counts_[k].executed;
+    skip += counts_[k].skipped;
+  }
+  return by_stage;
+}
+
+ExecProfile Scheduler::profile() const {
+  ExecProfile p;
+  for (const auto& [stage, counts] : ticks_by_stage()) {
+    p.ticks_executed += counts.first;
+    p.ticks_skipped += counts.second;
+    if (stage == kStageMedium) {
+      p.medium_ticks_executed = counts.first;
+      p.medium_ticks_skipped = counts.second;
+    }
+  }
   p.ff_cycles = ff_cycles_;
   p.ff_events = ff_events_;
   p.wheel_depth_max = wheel_depth_max_;
   p.wheel_cascades = wheel_.cascades();
   p.wheel_purges = wheel_purges_;
-  p.ff_gap_log2 = ff_gap_log2_;
-  // Current counter vectors plus whatever earlier freezes flushed.
-  std::map<int, std::pair<u64, u64>> by_stage = stage_totals_;
-  for (std::size_t b = 0; b < stage_ids_.size(); ++b) {
-    auto& [exec, skip] = by_stage[stage_ids_[b]];
-    exec += stage_exec_[b];
-    skip += stage_skip_[b];
-  }
-  p.stages.reserve(by_stage.size());
-  for (const auto& [stage, counts] : by_stage) {
-    p.stages.push_back(
-        SchedulerProfile::Stage{stage, counts.first, counts.second});
-  }
   return p;
 }
 
+// The record keeps its version-1 layout, so older snapshots load: the tick
+// totals (equal to the stage map's sums), a 65-word slot that once held a
+// fast-forward length histogram (written as zeros, skipped on load), and
+// {executed, skipped} per stage. A load restores the per-stage totals;
+// per-component counts restart from zero.
 void Scheduler::save_state(snap::Writer& w) {
   if (!fault_.empty()) throw SchedulerFaulted(fault_);
   close_held();
+  ExecProfile p = profile();
+  std::map<int, std::pair<u64, u64>> by_stage = ticks_by_stage();
+  std::array<u64, 65> retired{};
   w.io(now_);
-  w.io(ticks_executed_);
-  w.io(ticks_skipped_);
+  w.io(p.ticks_executed);
+  w.io(p.ticks_skipped);
   w.io(ff_cycles_);
   w.io(ff_events_);
   w.io(wheel_depth_max_);
   w.io(wheel_purges_);
-  w.io(ff_gap_log2_);
-  // Per-stage counters are saved merged (live vectors + flushed totals) so
-  // the restored profile equals the saving scheduler's profile() view.
-  std::map<int, std::pair<u64, u64>> by_stage = stage_totals_;
-  for (std::size_t b = 0; b < stage_ids_.size(); ++b) {
-    auto& [exec, skip] = by_stage[stage_ids_[b]];
-    exec += stage_exec_[b];
-    skip += stage_skip_[b];
-  }
+  w.io(retired);
   w.io(by_stage);
 }
 
 void Scheduler::load_state(snap::Reader& r) {
+  u64 ticks_executed = 0;
+  u64 ticks_skipped = 0;
+  std::array<u64, 65> retired{};
   r.io(now_);
-  r.io(ticks_executed_);
-  r.io(ticks_skipped_);
+  r.io(ticks_executed);
+  r.io(ticks_skipped);
   r.io(ff_cycles_);
   r.io(ff_events_);
   r.io(wheel_depth_max_);
   r.io(wheel_purges_);
-  r.io(ff_gap_log2_);
-  r.io(stage_totals_);
-  std::fill(stage_exec_.begin(), stage_exec_.end(), 0);
-  std::fill(stage_skip_.begin(), stage_skip_.end(), 0);
+  r.io(retired);
+  r.io(restored_stages_);
+  std::fill(counts_.begin(), counts_.end(), TickCounts{});
   next_wake_ = now_;
 }
 

@@ -128,6 +128,7 @@
 
 #include "common/types.hpp"
 #include "sim/clock.hpp"
+#include "sim/exec_profile.hpp"
 
 namespace drmp::sim {
 
@@ -203,24 +204,6 @@ class SchedulerObserver {
   virtual void on_skip_span(std::string_view name, Cycle from, Cycle len) = 0;
   /// A globally-quiescent gap [from, from+len) was crossed in one jump.
   virtual void on_fast_forward(Cycle from, Cycle len) = 0;
-};
-
-/// Always-on profile of a scheduler's execution (bench surface).
-struct SchedulerProfile {
-  struct Stage {
-    int stage = 0;
-    u64 executed = 0;  ///< Component-ticks run by components of this stage.
-    u64 skipped = 0;   ///< Component-ticks replaced by skip_idle.
-  };
-  u64 ticks_executed = 0;
-  u64 ticks_skipped = 0;
-  Cycle ff_cycles = 0;          ///< Cycles crossed by fast-forward jumps.
-  u64 ff_events = 0;            ///< Number of fast-forward jumps.
-  u64 wheel_depth_max = 0;      ///< Wake-wheel high-watermark (live + stale).
-  u64 wheel_cascades = 0;       ///< Timing-wheel buckets re-hashed downward.
-  u64 wheel_purges = 0;         ///< Stale-majority lazy-deletion sweeps.
-  std::array<u64, 65> ff_gap_log2{};  ///< Jump lengths by bit width.
-  std::vector<Stage> stages;          ///< Sorted by stage id.
 };
 
 /// Flat membership bitmap over the frozen component array: O(1) insert and
@@ -546,22 +529,19 @@ class Scheduler {
   double now_us() const noexcept { return timebase_.cycles_to_us(now_); }
 
   std::size_t component_count() const noexcept { return entries_.size(); }
-  /// Name / stage by registration index.
+  /// Name, stage and tick counts by registration index. The counts cover
+  /// the ticks this scheduler ran since construction or the last
+  /// load_state: executed + skipped is the cycles run, for every component
+  /// registered before the first of them.
   const std::string& component_name(std::size_t i) const { return names_[i]; }
   int component_stage(std::size_t i) const { return entries_[i].stage; }
+  u64 component_executed(std::size_t i) const { return ticks_of(i).executed; }
+  u64 component_skipped(std::size_t i) const { return ticks_of(i).skipped; }
 
-  // ---- Idle-skip instrumentation (bench/report surface) ----
-  /// Component-ticks actually executed.
-  u64 ticks_executed() const noexcept { return ticks_executed_; }
-  /// Component-ticks replaced by skip_idle bulk accounting.
-  u64 ticks_skipped() const noexcept { return ticks_skipped_; }
-  /// Cycles crossed by globally-quiescent fast-forward jumps.
-  Cycle cycles_fast_forwarded() const noexcept { return ff_cycles_; }
-
-  /// Aggregated per-stage execution profile (see SchedulerProfile). Cheap
-  /// enough to keep always-on: the hot path pays one array increment per
-  /// executed tick.
-  SchedulerProfile profile() const;
+  /// This clock domain's execution profile (sim/exec_profile.hpp): its
+  /// ticks_* and medium_ticks_* rows are sums of the per-component counts
+  /// plus what the last load restored; the lockstep rows stay zero.
+  ExecProfile profile() const;
 
   /// Attaches (or detaches, with nullptr) an execution-domain observer.
   void set_observer(SchedulerObserver* o) noexcept { observer_ = o; }
@@ -667,22 +647,27 @@ class Scheduler {
   Cycle next_wake_ = 0;
   std::string fault_;  ///< SchedulerFaulted message; empty while healthy.
 
-  u64 ticks_executed_ = 0;
-  u64 ticks_skipped_ = 0;
+  // ---- Execution profile ----
+  struct TickCounts {
+    u64 executed = 0;
+    u64 skipped = 0;
+  };
+  /// Registration index i's counts; zero until a run freezes it in.
+  TickCounts ticks_of(std::size_t i) const {
+    return i < rank_.size() ? counts_[rank_[i]] : TickCounts{};
+  }
+  /// {executed, skipped} per stage: the components' counts plus what the
+  /// last load_state restored.
+  std::map<int, std::pair<u64, u64>> ticks_by_stage() const;
+  std::vector<u32> order_;          ///< Frozen index -> registration index.
+  std::vector<u32> rank_;           ///< Registration index -> frozen index.
+  std::vector<TickCounts> counts_;  ///< Per-component ticks, by frozen index.
+  /// Per-stage {executed, skipped} totals the last load_state restored.
+  std::map<int, std::pair<u64, u64>> restored_stages_;
   Cycle ff_cycles_ = 0;
-
-  // ---- Profiling state (see SchedulerProfile) ----
-  std::vector<std::string> frozen_names_;  ///< Name by frozen index.
-  std::vector<int> stage_ids_;             ///< Sorted unique stages.
-  std::vector<u32> stage_bucket_;          ///< Frozen index -> stage_ids_ slot.
-  std::vector<u64> stage_exec_;            ///< Per-bucket executed ticks.
-  std::vector<u64> stage_skip_;            ///< Per-bucket skipped ticks.
-  /// Totals flushed across re-freezes (stage id -> {executed, skipped}).
-  std::map<int, std::pair<u64, u64>> stage_totals_;
+  u64 ff_events_ = 0;
   u64 wheel_depth_max_ = 0;
   u64 wheel_purges_ = 0;
-  u64 ff_events_ = 0;
-  std::array<u64, 65> ff_gap_log2_{};
   SchedulerObserver* observer_ = nullptr;
 };
 

@@ -9,6 +9,7 @@
 // component state is touched — refuse, never guess.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -203,6 +204,43 @@ TEST(Checkpoint, ResumeRestoresDeviceStatistics) {
   EXPECT_EQ(resumed.full_digest(), base.full_digest());
   EXPECT_EQ(device_statistics(resumer), want);
   std::remove(path.c_str());
+}
+
+TEST(Checkpoint, ResumedRunReportsTheExecutionProfile) {
+  // A resumed run's sched/ rows: each domain's tick totals restored from the
+  // snapshot's per-stage map plus the resumed half's own counts; the
+  // lockstep rows and wheel_cascades cover the resumed half only. Pinned to
+  // the values the per-stage counting kernel reported, for a snapshot this
+  // build writes and for the committed golden one (written by an older
+  // build that executed more ticks; regenerating it moves its pins).
+  const ScenarioSpec proto = ScenarioSpec::contended_wifi_cell(4, 5, 2);
+  const FleetStats base = ScenarioEngine(proto).run();
+  ASSERT_TRUE(base.all_drained);
+  const Cycle half = aligned(base.lockstep_cycles / 2, proto.lockstep_stride);
+  const std::string fresh = tmp_path("ckpt_profile.snap");
+  save_snapshot_at(proto, half, fresh);
+  const std::string golden =
+      std::string(DRMP_SOURCE_DIR) + "/tests/golden/contended4_checkpoint.snap";
+  using Rows = std::array<u64, std::size(sim::kExecRows)>;  // kExecRows order.
+  const std::pair<std::string, Rows> pins[] = {
+      {fresh, {5774, 66832754, 812357, 758, 12, 91, 0, 62, 815042, 398, 357, 365568}},
+      {golden, {48065, 66790463, 802128, 410, 9, 91, 0, 11846, 803258, 398, 357, 365568}},
+  };
+  for (const auto& [path, want] : pins) {
+    ScenarioEngine resumer(proto);
+    resumer.resume(path);
+    const FleetStats fs = resumer.run();
+    EXPECT_EQ(fs.full_digest(), base.full_digest()) << path;
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      const sim::ExecRow& row = sim::kExecRows[k];
+      const std::string key = std::string("sched/") + row.name;
+      const u64 got = row.fold == sim::FoldRule::kMax
+                          ? static_cast<u64>(fs.metrics.gauge(key).value_or(-1))
+                          : fs.metrics.counter(key).value_or(~u64{0});
+      EXPECT_EQ(got, want[k]) << path << " " << key;
+    }
+  }
+  std::remove(fresh.c_str());
 }
 
 // ---------------------------------------------------------------------------

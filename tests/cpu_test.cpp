@@ -385,8 +385,8 @@ CpuRun run_scripted_cpu(bool preemptive, bool idle_skip) {
   };
   CpuScript script(cpu, in_run);
   CpuProbe probe(cpu);
-  sched.add(script, "script", -1);
-  sched.add(cpu, "cpu");  // Alone in its stage: the profile isolates it.
+  sched.add(script, "script");
+  sched.add(cpu, "cpu");  // Registration index 1.
   sched.add(probe, "probe", sim::Scheduler::kStageObserver);
   u32 id = 100;
   for (int k = 0; k < kCpuRuns; ++k) {
@@ -396,12 +396,8 @@ CpuRun run_scripted_cpu(bool preemptive, bool idle_skip) {
     sched.run_cycles(kCpuRunCycles);
   }
   r.samples = std::move(probe.samples);
-  for (const auto& st : sched.profile().stages) {
-    if (st.stage == sim::Scheduler::kStageDefault) {
-      r.cpu_executed = st.executed;
-      r.cpu_skipped = st.skipped;
-    }
-  }
+  r.cpu_executed = sched.component_executed(1);
+  r.cpu_skipped = sched.component_skipped(1);
   r.isr = cpu.isr_invocations();
   r.preemptions = cpu.preemptions();
   r.max_latency = cpu.max_dispatch_latency();

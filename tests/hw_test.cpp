@@ -272,7 +272,7 @@ BusRun run_scripted_bus(bool idle_skip) {
   };
   BusScript script(bus, in_run);
   BusProbe probe(bus);
-  sched.add(bus, "bus", -1);  // Alone in its stage: the profile isolates it.
+  sched.add(bus, "bus");  // Registration index 0.
   sched.add(script, "script");
   sched.add(probe, "probe", sim::Scheduler::kStageObserver);
   BusRun r;
@@ -284,12 +284,8 @@ BusRun run_scripted_bus(bool idle_skip) {
     r.grants.push_back(bus.grant());
   }
   r.samples = std::move(probe.samples);
-  for (const auto& st : sched.profile().stages) {
-    if (st.stage == -1) {
-      r.bus_executed = st.executed;
-      r.bus_skipped = st.skipped;
-    }
-  }
+  r.bus_executed = sched.component_executed(0);
+  r.bus_skipped = sched.component_skipped(0);
   r.wait_a = bus.mode_wait_cycles(Mode::A);
   return r;
 }
@@ -368,7 +364,7 @@ StreamRun run_scripted_stream(bool idle_skip, const std::vector<BusAction>& extr
   BusScript inputs(bus, script);
   RunMaster master(bus, 5, src, kRunWords);
   BusProbe probe(bus);
-  sched.add(bus, "bus", -1);
+  sched.add(bus, "bus");  // Registration index 0.
   sched.add(inputs, "script");
   sched.add(master, "rfu5");
   sched.add(probe, "probe", sim::Scheduler::kStageObserver);
@@ -378,9 +374,7 @@ StreamRun run_scripted_stream(bool idle_skip, const std::vector<BusAction>& extr
     r.bus.grants.push_back(bus.grant());
   }
   r.bus.samples = std::move(probe.samples);
-  for (const auto& st : sched.profile().stages) {
-    if (st.stage == -1) r.bus.bus_executed = st.executed;
-  }
+  r.bus.bus_executed = sched.component_executed(0);
   r.got = std::move(master.got);
   return r;
 }

@@ -545,7 +545,7 @@ TracedRun three_mode_tx(bool traced, bool idle_skip, Cycle attach_at = 0) {
     EXPECT_TRUE(tb.wait_tx_count(m, 1, 600'000'000));
   }
   TracedRun r;
-  r.ticks_executed = tb.scheduler().ticks_executed();
+  r.ticks_executed = tb.scheduler().profile().ticks_executed;
   r.counters = irc_and_bus_counters(dev);
   for (const char* kind : {"thr.", "thm."}) {
     for (Mode m : {Mode::A, Mode::B, Mode::C}) {

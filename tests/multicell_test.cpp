@@ -115,7 +115,7 @@ TEST_F(RemoteCarrierTest, OccupancyAcrossTheSilentGapIsExactWhenSkipped) {
   m.begin_remote_tx(/*start=*/500, /*end=*/700, /*source=*/77);
   sched.run_cycles(1'000);
   EXPECT_EQ(m.busy_cycles(), 200u);  // skip_idle's union sweep, same answer.
-  EXPECT_GT(sched.ticks_skipped(), 0u);  // And it really did skip.
+  EXPECT_GT(sched.profile().ticks_skipped, 0u);  // And it really did skip.
 }
 
 TEST_F(RemoteCarrierTest, RejectsCaptureAndPastStartsAndPointToPoint) {

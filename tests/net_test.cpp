@@ -661,12 +661,8 @@ LazyMediumRun run_lazy_medium(LazyMediumKind kind, bool idle_skip) {
   LazyMediumRun r;
   r.samples = std::move(probe.samples);
   r.delivered_sources = sink.sources;
-  for (const auto& st : sched.profile().stages) {
-    if (st.stage == sim::Scheduler::kStageMedium) {
-      r.medium_executed = st.executed;
-      r.medium_skipped = st.skipped;
-    }
-  }
+  r.medium_executed = sched.component_executed(2);  // Registered third.
+  r.medium_skipped = sched.component_skipped(2);
   r.actions = actions.size();
   return r;
 }

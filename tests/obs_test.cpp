@@ -354,7 +354,7 @@ TEST(FleetMetrics, RegistryTotalsMatchDeviceStats) {
   EXPECT_TRUE(fs.metrics.counter("cell0/medium.A/busy_cycles").has_value());
 }
 
-TEST(FleetMetrics, SchedulerProfileIsPopulated) {
+TEST(FleetMetrics, ExecutionProfileIsPopulated) {
   const scenario::FleetStats fs = run_contended4(1, true, false);
   EXPECT_GT(fs.ticks_executed, 0u);
   EXPECT_GT(fs.medium_ticks_executed, 0u);
@@ -363,9 +363,9 @@ TEST(FleetMetrics, SchedulerProfileIsPopulated) {
   EXPECT_GT(fs.medium_ticks_skipped, 0u);
   // Every profile row sits in the registry next to the protocol counters,
   // with the member's value (kMax rows as gauges).
-  for (const scenario::SchedRow& row : scenario::kSchedRows) {
+  for (const sim::ExecRow& row : sim::kExecRows) {
     const std::string key = std::string("sched/") + row.name;
-    if (row.fold == scenario::FoldRule::kMax) {
+    if (row.fold == sim::FoldRule::kMax) {
       EXPECT_EQ(fs.metrics.gauge(key), static_cast<i64>(fs.*row.field)) << key;
     } else {
       EXPECT_EQ(fs.metrics.counter(key), fs.*row.field) << key;

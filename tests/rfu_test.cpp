@@ -164,31 +164,22 @@ TEST_F(RfuHarness, DesStallSleepsUnitAndBus) {
   // DES stalls six cycles per word between streaming the page in and out.
   // The unit sleeps through its stall and the bus through the quiet hold,
   // so both execute O(words) ticks rather than O(7 x words).
-  constexpr int kBusStage = -1;
-  constexpr int kRfuStage = 0;
   CryptoRfu crypto(env());
-  sched.add(bus, "bus", kBusStage);
-  sched.add(crypto, "rfu", kRfuStage);
+  add(crypto);  // Registration index 0: the bus; 1: the unit.
   const Bytes key = payload(8, 7);
   rmem.load_blob(kCryptoRfu, cfg::kCryptoDes, CryptoRfu::make_config_blob(cfg::kCryptoDes, key));
   reconfigure(crypto, cfg::kCryptoDes);
   constexpr u64 kWords = 256;
   mem.write_page_bytes(Mode::A, Page::Raw, payload(4 * kWords));
-  auto executed = [&](int stage) {
-    for (const auto& st : sched.profile().stages) {
-      if (st.stage == stage) return st.executed;
-    }
-    return u64{0};
-  };
-  const u64 rfu0 = executed(kRfuStage);
-  const u64 bus0 = executed(kBusStage);
+  const u64 rfu0 = sched.component_executed(1);
+  const u64 bus0 = sched.component_executed(0);
   const Cycle t0 = sched.now();
   ASSERT_TRUE(execute(crypto, Op::EncryptDes,
                       {page_base(Mode::A, Page::Raw), page_base(Mode::A, Page::Crypt), 1, 2}));
   EXPECT_GE(sched.now() - t0, 8 * kWords);  // The stall still costs its cycles.
   // One tick per word in and out, plus the trigger handshake.
-  EXPECT_LE(executed(kRfuStage) - rfu0, 2 * kWords + 32);
-  EXPECT_LE(executed(kBusStage) - bus0, 2 * kWords + 32);
+  EXPECT_LE(sched.component_executed(1) - rfu0, 2 * kWords + 32);
+  EXPECT_LE(sched.component_executed(0) - bus0, 2 * kWords + 32);
 }
 
 TEST_F(RfuHarness, MaReconfigLatencyScalesWithBlobSize) {
@@ -343,8 +334,8 @@ JobCost run_job(Job job, u32 words, bool idle_skip) {
               : job == Job::Des    ? static_cast<Rfu*>(&des)
               : job == Job::TxFcs  ? static_cast<Rfu*>(&tx)
                                    : static_cast<Rfu*>(&rx);
-  rig.sched.add(rig.bus, "bus", -1);
-  rig.sched.add(*unit, "rfu");
+  rig.sched.add(rig.bus, "bus");  // Registration index 0.
+  rig.sched.add(*unit, "rfu");    // 1; the FCS slave, when added, is 3.
   BufferProbe probe(rig.sched, txbuf, rxbuf);
   rig.sched.add(probe, "probe", sim::Scheduler::kStageObserver);
   rig.rmem.load_blob(kCryptoRfu, cfg::kCryptoDes,
@@ -392,20 +383,18 @@ JobCost run_job(Job job, u32 words, bool idle_skip) {
     }
   }
 
-  auto executed = [&](int stage) {
-    for (const auto& st : rig.sched.profile().stages) {
-      if (st.stage == stage) return st.executed;
-    }
-    return u64{0};
+  // The unit's ticks plus its FCS slave's (0 when not registered).
+  auto unit_ticks = [&] {
+    return rig.sched.component_executed(1) + rig.sched.component_executed(3);
   };
   JobCost c;
-  const u64 rfu0 = executed(sim::Scheduler::kStageDefault);
-  const u64 bus0 = executed(-1);
+  const u64 rfu0 = unit_ticks();
+  const u64 bus0 = rig.sched.component_executed(0);
   const Cycle t0 = rig.sched.now();
   EXPECT_TRUE(rig.execute(*unit, op, args));
   c.cycles = rig.sched.now() - t0;
-  c.rfu_ticks = executed(sim::Scheduler::kStageDefault) - rfu0;
-  c.bus_ticks = executed(-1) - bus0;
+  c.rfu_ticks = unit_ticks() - rfu0;
+  c.bus_ticks = rig.sched.component_executed(0) - bus0;
 
   c.counters = {c.cycles, rig.bus.busy_cycles(), rig.bus.total_cycles(), unit->busy_cycles(),
                 fcs.busy_cycles(), rig.mem.read(status)};

@@ -4,12 +4,15 @@
 // arrival shaping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
 
 #include "mac/traffic_gen.hpp"
+#include "net/cell.hpp"
 #include "scenario/scenario_engine.hpp"
 #include "scenario/scenario_spec.hpp"
 
@@ -123,6 +126,63 @@ TEST(Scenario, FactoryDigestsArePinned) {
     EXPECT_EQ(fs.full_digest_v2(), p.v2) << p.factory;
     EXPECT_EQ(fnv1a(fs.report()), p.report) << p.factory;
     EXPECT_EQ(fs.mean_handoff_latency_cycles(), p.mean_handoff_latency) << p.factory;
+  }
+}
+
+// Every component of every clock domain accounts for every cycle its
+// scheduler ran, executed or skipped, under either idle-skip mode and any
+// worker count: MultiScheduler's held lanes settle each sleeper at their
+// close points. The profile's tick rows are those counts summed.
+TEST(Scenario, EveryComponentCyclesAreExecutedOrSkipped) {
+  using Reach = ScenarioSpec::Reach;
+  const std::pair<const char*, ScenarioSpec> factories[] = {
+      {"mixed_three_standard", ScenarioSpec::mixed_three_standard(3, 1, 1)},
+      {"contended_wifi_cell", ScenarioSpec::contended_wifi_cell(4, 1, 1)},
+      {"contended_wifi_topology",
+       ScenarioSpec::contended_wifi_topology(4, Reach::kHiddenPair, 1, 1, 512)},
+      {"contended_wifi_fragmented", ScenarioSpec::contended_wifi_fragmented(3, true, 1, 1)},
+      {"coupled_wifi_cells", ScenarioSpec::coupled_wifi_cells(2, 3, 1, 1)},
+      {"mobile_wifi_cell", ScenarioSpec::mobile_wifi_cell(3, false, true, 1, 1)},
+      {"roaming_wifi_cells", ScenarioSpec::roaming_wifi_cells(2)},
+  };
+  for (const auto& [factory, proto] : factories) {
+    for (const bool skip : {true, false}) {
+      for (const unsigned workers : {1u, 0u}) {
+        ScenarioSpec spec = proto;
+        spec.idle_skip = skip;
+        spec.worker_threads = workers;
+        // Drains every factory but the roaming walk, whose budget stops
+        // mid-run: the accounting must hold there too.
+        spec.max_cycles = std::min<Cycle>(spec.max_cycles, 2'000'000);
+        ScenarioEngine engine(std::move(spec));
+        const FleetStats fs = engine.run();
+        const std::string where = std::string(factory) + (skip ? " skip" : " every-tick") +
+                                  " workers=" + std::to_string(workers);
+        sim::ExecProfile sums;
+        std::set<const sim::Scheduler*> seen;
+        for (std::size_t c = 0; c < engine.cell_count(); ++c) {
+          const sim::Scheduler& s = engine.cell(c).scheduler();
+          if (!seen.insert(&s).second) continue;
+          for (std::size_t i = 0; i < s.component_count(); ++i) {
+            const u64 executed = s.component_executed(i);
+            const u64 skipped = s.component_skipped(i);
+            EXPECT_EQ(executed + skipped, s.now()) << where << " " << s.component_name(i);
+            sums.ticks_executed += executed;
+            sums.ticks_skipped += skipped;
+            if (s.component_stage(i) == sim::Scheduler::kStageMedium) {
+              sums.medium_ticks_executed += executed;
+              sums.medium_ticks_skipped += skipped;
+            }
+          }
+        }
+        EXPECT_EQ(fs.ticks_executed, sums.ticks_executed) << where;
+        EXPECT_EQ(fs.ticks_skipped, sums.ticks_skipped) << where;
+        EXPECT_EQ(fs.medium_ticks_executed, sums.medium_ticks_executed) << where;
+        EXPECT_EQ(fs.medium_ticks_skipped, sums.medium_ticks_skipped) << where;
+        EXPECT_GT(sums.medium_ticks_executed, 0u) << where;
+        EXPECT_EQ(sums.ticks_skipped == 0, !skip) << where;
+      }
+    }
   }
 }
 

@@ -83,7 +83,7 @@ TEST(Scheduler, RunUntilStopsAtPredicate) {
     EXPECT_TRUE(s.run_until([&] { return e.fired > 0; }, 100'000));
     EXPECT_EQ(s.now(), 5'001u);
     EXPECT_EQ(e.clock, 5'001u);
-    EXPECT_EQ(s.ticks_skipped() > 0, skip);
+    EXPECT_EQ(s.profile().ticks_skipped > 0, skip);
   }
   Scheduler s(200e6);
   Counter a;
@@ -105,7 +105,7 @@ TEST(Scheduler, RunUntilTimesOut) {
     EXPECT_EQ(s.now(), 10'100u);
     EXPECT_EQ(e.clock, 10'100u);
     EXPECT_EQ(e.fired, 1u);
-    EXPECT_EQ(s.ticks_skipped() > 0, skip);
+    EXPECT_EQ(s.profile().ticks_skipped > 0, skip);
   }
 }
 
@@ -464,6 +464,31 @@ class PeriodicWorker : public Clockable {
   Cycle clock_ = 0;
 };
 
+TEST(Quiescence, LateRegistrationKeepsEveryComponentsTickCounts) {
+  // A late add() re-freezes the tick order (a medium now ticks first); each
+  // count stays with its component, read by registration index, and the
+  // newcomer counts from its first run.
+  for (const bool skip : {false, true}) {
+    Scheduler s(200e6);
+    s.set_idle_skip(skip);
+    Counter dev, medium;
+    PeriodicWorker worker(50);
+    s.add(dev, "dev");
+    s.add(worker, "worker");
+    s.run_cycles(100);
+    s.add(medium, "medium", Scheduler::kStageMedium);
+    s.run_cycles(60);
+    EXPECT_EQ(s.component_executed(0), 160u);
+    EXPECT_EQ(s.component_executed(1) + s.component_skipped(1), 160u);
+    EXPECT_EQ(s.component_skipped(1), worker.skipped);
+    EXPECT_EQ(worker.skipped > 0, skip);
+    EXPECT_EQ(s.component_executed(2), 60u);
+    const ExecProfile p = s.profile();
+    EXPECT_EQ(p.ticks_executed + p.ticks_skipped, 160u + 160u + 60u);
+    EXPECT_EQ(p.medium_ticks_executed, 60u);
+  }
+}
+
 /// Mailbox consumer: sleeps indefinitely while empty; producers wake it.
 class MailboxConsumer : public Clockable {
  public:
@@ -519,9 +544,9 @@ TEST(Quiescence, PeriodicWorkerSkipsButMatchesEveryTickExactly) {
   EXPECT_EQ(wl.clock(), wb.clock());
   EXPECT_EQ(batched.now(), every.now());
   EXPECT_GT(wb.skipped, 0u);                 // It really slept...
-  EXPECT_GT(batched.ticks_skipped(), 0u);    // ...through the wake-wheel...
-  EXPECT_GT(batched.cycles_fast_forwarded(), 0u);  // ...across global gaps.
-  EXPECT_LT(batched.ticks_executed(), 10'000u);
+  EXPECT_GT(batched.profile().ticks_skipped, 0u);  // ...through the wake-wheel...
+  EXPECT_GT(batched.profile().ff_cycles, 0u);      // ...across global gaps.
+  EXPECT_LT(batched.profile().ticks_executed, 10'000u);
 }
 
 TEST(Quiescence, WakeLandsOnTheEveryTickCycleEitherSideOfTheProducer) {
@@ -616,7 +641,9 @@ TEST(Quiescence, SettleOnReadMatchesEveryTickEitherSideOfTheReader) {
     EXPECT_EQ(rl.log, rb.log) << "reader_first=" << reader_first;
     EXPECT_EQ(cl.clock(), cb.clock());
     // Reads did not wake it: one tick per poke, the rest settled.
-    EXPECT_EQ(batched.profile().stages[0].executed, 300u + 3u);
+    const std::size_t ci = reader_first ? 1 : 0;
+    EXPECT_EQ(batched.component_executed(ci), 3u);
+    EXPECT_EQ(batched.component_executed(1 - ci), 300u);
   }
 }
 
@@ -643,7 +670,7 @@ TEST(Quiescence, IdleSkipDisabledTicksEverything) {
   s.run_cycles(1'000);
   EXPECT_EQ(w.skipped, 0u);
   EXPECT_EQ(w.clock(), 1'000u);
-  EXPECT_EQ(s.ticks_executed(), 1'000u);
+  EXPECT_EQ(s.profile().ticks_executed, 1'000u);
 }
 
 TEST(Quiescence, NextWakeReportsTheEarliestRealTick) {
@@ -798,7 +825,7 @@ TEST(HeldLanes, BoundCallsScaleWithTicksNotRounds) {
   EXPECT_TRUE(multi.lane_finished(1));
   EXPECT_EQ(firings, 10u);
   const u64 calls = a.bound_calls + b.bound_calls + c.bound_calls + d.bound_calls;
-  const u64 ticks = s0.ticks_executed() + s1.ticks_executed();
+  const u64 ticks = s0.profile().ticks_executed + s1.profile().ticks_executed;
   constexpr u64 kComponents = 4;
   constexpr u64 kRetirements = 1;
   EXPECT_LE(calls, ticks + kComponents * (1 + firings + kRetirements))

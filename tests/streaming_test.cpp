@@ -240,18 +240,11 @@ PortBRun run_port_b(bool idle_skip) {
   env.timebase = &tb;
   FragRfu frag(env);
   PortBProbe before(mem, 200), after(mem, ~Cycle{0});
-  sched.add(bus, "bus", -1);
+  sched.add(bus, "bus");
   sched.add(before, "before");
-  sched.add(frag, "frag");
+  sched.add(frag, "frag");  // Registration index 2.
   sched.add(after, "after", sim::Scheduler::kStageObserver);
   mem.write_page_bytes(Mode::A, Page::Crypt, frag_source());
-  // The default stage holds the unit and the probe that ticks every cycle.
-  auto default_stage_ticks = [&] {
-    for (const auto& st : sched.profile().stages) {
-      if (st.stage == sim::Scheduler::kStageDefault) return st.executed;
-    }
-    return u64{0};
-  };
 
   bus.request_for_irc(Mode::A);
   sched.run_until([&] { return bus.granted_irc(Mode::A); }, 100);
@@ -261,11 +254,10 @@ PortBRun run_port_b(bool idle_skip) {
     sched.run_cycles(1);
   }
   bus.request_for_rfu(Mode::A, kFragRfu);
-  const u64 ticks0 = default_stage_ticks();
-  const Cycle t0 = sched.now();
+  const u64 ticks0 = sched.component_executed(2);
   EXPECT_TRUE(sched.run_until([&] { return frag.done(); }, 10'000));
   PortBRun r;
-  r.frag_ticks = default_stage_ticks() - ticks0 - (sched.now() - t0);
+  r.frag_ticks = sched.component_executed(2) - ticks0;
   r.done_at = sched.now();
   frag.clear_done();
   bus.release(Mode::A);

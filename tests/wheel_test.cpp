@@ -165,7 +165,7 @@ TEST(Scheduler, WakeHeavyWorkloadPurgesStaleWheelEntries) {
   for (const LongSleeper& s : sleepers) {
     EXPECT_EQ(s.cycles, 200'000u);  // skip accounting stayed exact.
   }
-  const SchedulerProfile p = sched.profile();
+  const ExecProfile p = sched.profile();
   EXPECT_GT(waker.wakes, 10'000u);
   EXPECT_GT(p.wheel_purges, 0u);
   EXPECT_LT(p.wheel_depth_max, 512u)
